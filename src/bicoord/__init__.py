@@ -19,8 +19,10 @@ from .problem import (
 )
 from .objectives import (
     CountingObjective,
+    DomainError,
     LinearObjective,
     Objective,
+    PairState,
     PortfolioObjective,
     QuadraticLogObjective,
     QuadraticObjective,

@@ -92,11 +92,13 @@ class CellRun:
 
 def run_cell_detailed(series: int, beta: float, n: int, method: str,
                       spec: BenchmarkSpec | None = None) -> CellRun:
+    """Solve one cell; the trace keeps every iterate for the audit."""
     spec = spec or BenchmarkSpec()
     inst = _make_instance(series, n, beta, spec.tau0)
     z0 = protocol_start(inst)
     cfg = SolverConfig(target_accuracy=spec.accuracy,
-                       max_inner_iterations=spec.cap, max_stages=10_000)
+                       max_inner_iterations=spec.cap, max_stages=10_000,
+                       record_points=True)
     stages = None
     t0 = time.perf_counter()
     if method == "bcv":

@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 
-from .geometry import check_feasibility, minimize_linear
+from .geometry import check_feasibility, linear_gap
 from .problem import ProblemInstance, Stage, StageProvider
 
 __all__ = [
@@ -50,8 +50,7 @@ def error_bound(p: ProblemInstance, x, gradient=None,
             f"balance residual {rep.balance_residual:.3e}, "
             f"box violation {rep.max_box_violation:.3e}")
     g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
-    _, best = minimize_linear(g, p)
-    return max(0.0, float(g @ x) - best)
+    return linear_gap(g, x, p)
 
 
 @dataclass(frozen=True)

@@ -52,18 +52,13 @@ def _log_cost(n: int) -> np.ndarray:
 def gen_quadratic(n: int, beta: float) -> ProblemInstance:
     """Family 1: f(x) = 0.5 <P x, x>."""
     bounds, eq = _feasible_set(n, beta)
-    obj = QuadraticObjective(interaction_matrix(n))
-    obj.spec = {"kind": "quadratic", "params": {"matrix": obj.P.tolist()}}
-    return build_problem(bounds, eq, obj)
+    return build_problem(bounds, eq, QuadraticObjective(interaction_matrix(n)))
 
 
 def gen_convex_log(n: int, beta: float) -> ProblemInstance:
     """Family 2: f(x) = 0.5 <P x, x> - ln(<c, x> + 5)."""
     bounds, eq = _feasible_set(n, beta)
     obj = QuadraticLogObjective(interaction_matrix(n), _log_cost(n), 5.0)
-    obj.spec = {"kind": "quadratic_log",
-                "params": {"matrix": obj.P.tolist(), "c": obj.c.tolist(),
-                           "xi": obj.xi}}
     return build_problem(bounds, eq, obj)
 
 
@@ -71,9 +66,6 @@ def gen_nonsmooth_l1(n: int, beta: float, tau: float = 1.6) -> ProblemInstance:
     """Family 3: family 2 plus ||x||_1, smoothed at level tau."""
     bounds, eq = _feasible_set(n, beta)
     obj = SmoothedL1Objective(interaction_matrix(n), _log_cost(n), 5.0, tau)
-    obj.spec = {"kind": "quadratic_log_l1",
-                "params": {"matrix": obj.P.tolist(), "c": obj.c.tolist(),
-                           "xi": obj.xi, "tau": obj.smoothing}}
     return build_problem(bounds, eq, obj)
 
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .problem import ProblemInstance
 
-__all__ = ["project", "minimize_linear", "check_feasibility", "FeasibilityReport"]
+__all__ = ["project", "minimize_linear", "linear_gap", "check_feasibility",
+           "FeasibilityReport"]
 
 
 def _balance(lam: float, z, a, lower, upper) -> float:
@@ -108,27 +109,41 @@ def minimize_linear(c, p: ProblemInstance) -> tuple[np.ndarray, float]:
     if c.shape != a.shape:
         raise ValueError("cost vector has wrong length")
 
-    signs = np.sign(a)
-    aa = a * signs
-    lo = np.where(signs > 0, p.bounds.lower, -p.bounds.upper)
-    hi = np.where(signs > 0, p.bounds.upper, -p.bounds.lower)
-    cc = c * signs
+    # coordinates with a_i < 0 are negated; most instances have none
+    flipped = bool((a < 0.0).any())
+    if flipped:
+        signs = np.sign(a)
+        aa, cc = a * signs, c * signs
+        lo = np.where(signs > 0, p.bounds.lower, -p.bounds.upper)
+        hi = np.where(signs > 0, p.bounds.upper, -p.bounds.lower)
+    else:
+        aa, cc, lo, hi = a, c, p.bounds.lower, p.bounds.upper
 
-    order = np.lexsort((np.arange(a.shape[0]), cc / aa))
+    # budget left before each coordinate in cost order; accumulating from the
+    # left reproduces a sequential running budget bit for bit
+    order = np.argsort(cc / aa, kind="stable")
+    caps = (aa * (hi - lo))[order]
+    budget = np.subtract.accumulate(
+        np.concatenate(([p.equality.beta - float(aa @ lo)], caps)))[:-1]
+    # a coordinate is filled while the budget is positive and covers its cap;
+    # the first one that is not gets the positive remainder, if any
+    unfilled = (budget <= 0.0) | (budget < caps)
+    k = int(np.argmax(unfilled)) if unfilled.any() else len(order)
     y = lo.copy()
-    budget = p.equality.beta - float(aa @ lo)
-    for idx in order:
-        if budget <= 0.0:
-            break
-        cap = aa[idx] * (hi[idx] - lo[idx])
-        if budget >= cap:
-            y[idx] = hi[idx]
-            budget -= cap
-        else:
-            y[idx] = lo[idx] + budget / aa[idx]
-            budget = 0.0
-    y *= signs
+    y[order[:k]] = hi[order[:k]]
+    if k < len(order) and budget[k] > 0.0:
+        idx = order[k]
+        y[idx] = lo[idx] + budget[k] / aa[idx]
+    if flipped:
+        y *= signs
     return y, float(c @ y)
+
+
+def linear_gap(g, x, p: ProblemInstance) -> float:
+    """<g, x> - min_{y in D} <g, y>, floored at zero: with g = f'(x) this is
+    the gap Delta(x), zero exactly at stationary points."""
+    _, best = minimize_linear(g, p)
+    return max(0.0, float(g @ x) - best)
 
 
 @dataclass(frozen=True)

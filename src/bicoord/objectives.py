@@ -5,17 +5,26 @@ Objectives that approximate a nonsmooth term carry the current smoothing
 parameter in `smoothing` and can be rebuilt at a new parameter through
 `with_smoothing`, which is how stage schedules tighten the approximation.
 
+Pair methods move two coordinates per step. `pair_state(x)` returns a
+PairState that follows such steps: a trial value along the pair, a move, the
+gradient. The quadratic family keeps P x up to date, so a trial costs O(1)
+and a move O(n); every other objective evaluates in full.
+
 Instances are immutable; the same object can be shared across stages.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .smoothing import smooth_abs_sqrt, smooth_plus
 
 __all__ = [
+    "DomainError",
     "Objective",
+    "PairState",
     "LinearObjective",
     "QuadraticObjective",
     "QuadraticLogObjective",
@@ -26,6 +35,16 @@ __all__ = [
     "SignFlipObjective",
     "CountingObjective",
 ]
+
+
+class DomainError(ValueError):
+    """The point lies outside the objective's domain (a log argument <= 0)."""
+
+
+def _log_domain(den: float) -> float:
+    if not den > 0.0:
+        raise DomainError("log argument not positive at this point")
+    return den
 
 
 class Objective:
@@ -51,6 +70,106 @@ class Objective:
             raise ValueError("objective has no smoothing parameter")
         raise NotImplementedError
 
+    def pair_state(self, x: np.ndarray) -> "PairState":
+        """State at x for pair steps; takes ownership of x and updates it."""
+        return PairState(self, x)
+
+
+class PairState:
+    """An objective at a point x that changes two coordinates per step.
+
+    trial(i, di, j, dj) is f(x + di e_i + dj e_j), +inf outside the domain;
+    move(i, xi, j, xj) sets x_i = xi and x_j = xj. `moves` counts the moves
+    applied incrementally since the last rebuild from x, which makes value
+    and gradient equal to the full oracle again. This default evaluates every
+    call in full, so it never drifts and `moves` stays 0.
+    """
+
+    moves = 0
+
+    def __init__(self, objective: Objective, x: np.ndarray):
+        self.objective = objective
+        self.x = x
+        self.rebuild()
+
+    def rebuild(self) -> None:
+        """Recompute whatever the state caches from x alone."""
+
+    def value(self) -> float:
+        return self.objective.value(self.x)
+
+    def gradient(self) -> np.ndarray:
+        return self.objective.gradient(self.x)
+
+    def trial(self, i: int, di: float, j: int, dj: float) -> float:
+        y = self.x.copy()
+        y[i] += di
+        y[j] += dj
+        try:
+            return self.objective.value(y)
+        except DomainError:
+            return math.inf
+
+    def move(self, i: int, xi: float, j: int, xj: float) -> None:
+        self.x[i] = xi
+        self.x[j] = xj
+
+
+class _QuadraticPairState(PairState):
+    """Pair state of the quadratic family: caches P x, 0.5 <P x, x>, the log
+    argument <c, x> + xi and the smoothed-l1 sum. A move adds two rows of P
+    to P x (P is symmetric) and recomputes the O(n) sums from x; P x and the
+    quadratic accumulate rounding, so the state rebuilds itself from x every
+    REBUILD_EVERY moves.
+    """
+
+    REBUILD_EVERY = 50
+
+    def rebuild(self):
+        obj, x = self.objective, self.x
+        self.Px = obj.P @ x
+        self.quad = 0.5 * float(x @ self.Px)
+        self.den = obj._log_arg(x)
+        self.l1 = obj._l1(x)
+        self.moves = 0
+
+    def value(self) -> float:
+        return self.objective._combine(self.quad, self.den, self.l1)
+
+    def gradient(self) -> np.ndarray:
+        return self.objective._gradient_at(self.x, self.Px, self.den)
+
+    def _quad_after(self, i, di, j, dj) -> float:
+        P, Px = self.objective.P, self.Px
+        return (self.quad + di * (Px[i] + 0.5 * di * P[i, i])
+                + dj * (Px[j] + 0.5 * dj * P[j, j]) + di * dj * P[i, j])
+
+    def trial(self, i, di, j, dj):
+        obj = self.objective
+        den = self.den
+        if den is not None:
+            den = den + obj.c[i] * di + obj.c[j] * dj
+            if not den > 0.0:
+                return math.inf
+        l1 = self.l1
+        if l1 is not None:
+            xi, xj = self.x[i], self.x[j]
+            h = obj._abs_sqrt
+            l1 = l1 + (h(xi + di) - h(xi)) + (h(xj + dj) - h(xj))
+        return obj._combine(self._quad_after(i, di, j, dj), den, l1)
+
+    def move(self, i, xi, j, xj):
+        obj, x = self.objective, self.x
+        di, dj = xi - x[i], xj - x[j]
+        self.quad = self._quad_after(i, di, j, dj)
+        self.Px += di * obj.P[i] + dj * obj.P[j]
+        super().move(i, xi, j, xj)
+        self.den = obj._log_arg(x)
+        self.l1 = obj._l1(x)
+        self.moves += 1
+        if self.moves >= self.REBUILD_EVERY:
+            self.rebuild()
+
 
 class LinearObjective(Objective):
     """f(x) = <c, x>."""
@@ -69,7 +188,21 @@ class LinearObjective(Objective):
 
 
 class QuadraticObjective(Objective):
-    """f(x) = 0.5 <P x, x> with symmetric P. partial costs one row product."""
+    """f(x) = 0.5 <P x, x> with symmetric P; the base of the benchmark family
+
+        f(x) = 0.5 <P x, x> [- ln(<c, x> + xi)] [+ sum_i sqrt(x_i^2 + tau^2)],
+
+    whose log term the subclass QuadraticLogObjective adds (c is None here)
+    and whose smoothed-l1 term SmoothedL1Objective adds (smoothing is None
+    here). partial costs one row product.
+
+    The serialization spec is derived from the arrays when a document reads
+    it, never stored.
+    """
+
+    _kind = "quadratic"
+    c: np.ndarray | None = None
+    xi = 0.0
 
     def __init__(self, P):
         P = np.asarray(P, dtype=float)
@@ -79,21 +212,66 @@ class QuadraticObjective(Objective):
             raise ValueError("P must be symmetric")
         self.P = P
 
+    @property
+    def spec(self):
+        return {"kind": self._kind, "params": self._params()}
+
+    def _params(self) -> dict:
+        return {"matrix": self.P.tolist()}
+
+    def _log_arg(self, x) -> float | None:
+        return None if self.c is None else float(self.c @ x) + self.xi
+
+    def _abs_sqrt(self, t: float) -> float:
+        return math.sqrt(t * t + self.smoothing**2)
+
+    def _l1(self, x) -> float | None:
+        if self.smoothing is None:
+            return None
+        return float(np.sum(smooth_abs_sqrt(x, self.smoothing**2)[0]))
+
+    def _combine(self, quad: float, den: float | None, l1: float | None) -> float:
+        value = quad
+        if den is not None:
+            value = value - np.log(_log_domain(den))
+        if l1 is not None:
+            value = value + l1
+        return value
+
+    def _gradient_at(self, x, Px, den) -> np.ndarray:
+        g = Px.copy() if den is None else Px - self.c / _log_domain(den)
+        if self.smoothing is not None:
+            g = g + smooth_abs_sqrt(x, self.smoothing**2)[1]
+        return g
+
     def value(self, x):
-        return 0.5 * float(x @ (self.P @ x))
+        return self._combine(0.5 * float(x @ (self.P @ x)), self._log_arg(x),
+                             self._l1(x))
 
     def gradient(self, x):
-        return self.P @ x
+        return self._gradient_at(x, self.P @ x, self._log_arg(x))
 
     def partial(self, i, x):
-        return float(self.P[i] @ x)
+        v = float(self.P[i] @ x)
+        if self.c is not None:
+            v = v - self.c[i] / _log_domain(self._log_arg(x))
+        if self.smoothing is not None:
+            xi_ = float(x[i])
+            v = v + xi_ / np.hypot(xi_, self.smoothing)
+        return v
+
+    def pair_state(self, x):
+        return _QuadraticPairState(self, x)
 
 
 class QuadraticLogObjective(QuadraticObjective):
     """f(x) = 0.5 <P x, x> - ln(<c, x> + xi).
 
-    Needs <c, x> + xi > 0 on the box; callers keep c >= 0, xi > 0, x >= 0.
+    The domain is <c, x> + xi > 0: value, gradient and partial raise
+    DomainError outside it, and linesearches reject trial points there.
     """
+
+    _kind = "quadratic_log"
 
     def __init__(self, P, c, xi: float):
         super().__init__(P)
@@ -102,20 +280,8 @@ class QuadraticLogObjective(QuadraticObjective):
             raise ValueError("c has wrong length")
         self.xi = float(xi)
 
-    def _den(self, x) -> float:
-        den = float(self.c @ x) + self.xi
-        if den <= 0.0:
-            raise ValueError("log argument not positive at this point")
-        return den
-
-    def value(self, x):
-        return 0.5 * float(x @ (self.P @ x)) - np.log(self._den(x))
-
-    def gradient(self, x):
-        return self.P @ x - self.c / self._den(x)
-
-    def partial(self, i, x):
-        return float(self.P[i] @ x) - self.c[i] / self._den(x)
+    def _params(self):
+        return {"matrix": self.P.tolist(), "c": self.c.tolist(), "xi": self.xi}
 
 
 class SmoothedL1Objective(QuadraticLogObjective):
@@ -125,23 +291,16 @@ class SmoothedL1Objective(QuadraticLogObjective):
     the nonsmooth value is at most n * tau.
     """
 
+    _kind = "quadratic_log_l1"
+
     def __init__(self, P, c, xi: float, tau: float):
         super().__init__(P, c, xi)
         if not tau > 0.0:
             raise ValueError("tau must be positive")
         self.smoothing = float(tau)
 
-    def value(self, x):
-        smooth, _ = smooth_abs_sqrt(x, self.smoothing**2)
-        return super().value(x) + float(np.sum(smooth))
-
-    def gradient(self, x):
-        _, der = smooth_abs_sqrt(x, self.smoothing**2)
-        return super().gradient(x) + der
-
-    def partial(self, i, x):
-        xi_ = float(x[i])
-        return super().partial(i, x) + xi_ / np.hypot(xi_, self.smoothing)
+    def _params(self):
+        return {**super()._params(), "tau": self.smoothing}
 
     def with_smoothing(self, eps):
         return SmoothedL1Objective(self.P, self.c, self.xi, eps)

@@ -45,22 +45,22 @@ def to_document(p: ProblemInstance) -> dict:
 
 
 def _generic_objective(kind: str, params: dict):
+    # the quadratic family derives its spec from its arrays
     if kind == "quadratic":
-        obj = QuadraticObjective(params["matrix"])
-    elif kind == "quadratic_log":
-        obj = QuadraticLogObjective(params["matrix"], params["c"], params["xi"])
-    elif kind == "quadratic_log_l1":
-        obj = SmoothedL1Objective(params["matrix"], params["c"], params["xi"],
-                                  params["tau"])
-    elif kind == "portfolio":
-        obj = PortfolioObjective(
-            params["covariance"], params["means"], params["target"],
-            params["tau"], params["p"],
-            params.get("smooth_eps") if params["p"] == 1 else None)
-        # revalidate through the data holder
-        PortfolioData(params["covariance"], params["means"], params["target"])
-    else:
+        return QuadraticObjective(params["matrix"])
+    if kind == "quadratic_log":
+        return QuadraticLogObjective(params["matrix"], params["c"], params["xi"])
+    if kind == "quadratic_log_l1":
+        return SmoothedL1Objective(params["matrix"], params["c"], params["xi"],
+                                   params["tau"])
+    if kind != "portfolio":
         raise ProblemError(f"unknown objective kind {kind!r}")
+    obj = PortfolioObjective(
+        params["covariance"], params["means"], params["target"],
+        params["tau"], params["p"],
+        params.get("smooth_eps") if params["p"] == 1 else None)
+    # revalidate through the data holder
+    PortfolioData(params["covariance"], params["means"], params["target"])
     obj.spec = {"kind": kind, "params": params}
     return obj
 

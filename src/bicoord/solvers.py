@@ -17,16 +17,24 @@ step), mbc_solve the classic most-violating bi-coordinate baseline (single
 stage, zero thresholds). All three stop when the gap Delta(x) falls to
 target_accuracy; smoothed objectives additionally require the smoothing
 parameter to have reached that accuracy.
+
+The pair methods follow the iterate through the objective's PairState, so a
+step costs O(n) plus one sort for the gap on objectives that keep P x up to
+date. Besides the state's own periodic rebuild, the solvers rebuild it from
+x at a stage restart that changes the point or the objective, before a stop
+verdict and at exit, so every reported gap comes from a fresh gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+import math
+
 import numpy as np
 
-from .geometry import check_feasibility, minimize_linear, project
-from .objectives import Objective
+from .geometry import check_feasibility, linear_gap, minimize_linear, project
+from .objectives import DomainError, Objective, PairState
 from .problem import (GeometricSchedule, ProblemError, ProblemInstance, Stage,
                       StageProvider, make_geometric_schedule)
 
@@ -75,7 +83,8 @@ class SolverConfig:
     # At a restart, keep the pre-projection point instead of its projection
     # when it is already feasible for the new stage and has a lower value.
     restart_value_check: bool = False
-    record_points: bool = True
+    # keep a copy of x in every trace event: O(n) memory per step
+    record_points: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 1.0:
@@ -231,20 +240,34 @@ def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
 
     Returns (lambda, m, f_new) for the smallest m >= 0 with
     f(x + theta^m gamma d) <= f(x) + sigma theta^m gamma mu, where mu is the
-    directional derivative <f'(x), d> and must be negative.
+    directional derivative <f'(x), d> and must be negative. A trial point
+    outside the objective's domain, or with a non-finite value, is rejected.
     """
-    if not mu < 0.0:
-        raise ValueError("directional derivative must be negative")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if f_x is None:
         f_x = objective.value(x)
+
+    def trial(lam):
+        try:
+            return objective.value(x + lam * d)
+        except DomainError:
+            return math.inf
+
+    return _backtrack(trial, gamma, mu, sigma, theta, max_backtracks, f_x)
+
+
+def _backtrack(trial, gamma: float, mu: float, sigma: float, theta: float,
+               max_backtracks: int, f_x: float) -> tuple[float, int, float]:
+    """Armijo backtracking on trial(lam), the objective value at step lam."""
+    if not mu < 0.0:
+        raise ValueError("directional derivative must be negative")
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
     for m in range(max_backtracks + 1):
         lam = gamma * theta**m
-        f_new = objective.value(x + lam * d)
-        if f_new <= f_x + sigma * lam * mu:
+        f_new = trial(lam)
+        if math.isfinite(f_new) and f_new <= f_x + sigma * lam * mu:
             return lam, m, f_new
     raise LinesearchError(
         f"no acceptable step within {max_backtracks} backtracks")
@@ -259,7 +282,8 @@ def gradient_difference_linesearch(objective: Objective, a, x, i: int, j: int,
     Accepts the smallest m >= 0 with
     h_j(x_trial) - h_i(x_trial) <= sigma theta^m gamma (h_j(x) - h_i(x)),
     evaluating only the two partial derivatives at each trial point. mu is
-    h_j(x) - h_i(x) and must be negative. Returns (lambda, m).
+    h_j(x) - h_i(x) and must be negative. A trial point outside the
+    objective's domain is rejected. Returns (lambda, m).
     """
     if not mu < 0.0:
         raise ValueError("directional derivative must be negative")
@@ -273,38 +297,54 @@ def gradient_difference_linesearch(objective: Objective, a, x, i: int, j: int,
         trial[:] = x
         trial[i] = x[i] - lam / a[i]
         trial[j] = x[j] + lam / a[j]
-        h_i = objective.partial(i, trial) / a[i]
-        h_j = objective.partial(j, trial) / a[j]
+        try:
+            h_i = objective.partial(i, trial) / a[i]
+            h_j = objective.partial(j, trial) / a[j]
+        except DomainError:
+            continue
         if h_j - h_i <= sigma * lam * mu:
             return lam, m
     raise LinesearchError(
         f"no acceptable step within {max_backtracks} backtracks")
 
 
-def _apply_pair_step(x, p: ProblemInstance, sel: PairSelection, lam: float) -> np.ndarray:
-    """Move lam of balance from coordinate i to j; bounds are hit exactly."""
+def _pair_coordinates(x, p: ProblemInstance, sel: PairSelection,
+                      lam: float) -> tuple[float, float]:
+    """New (x_i, x_j) after moving lam of balance from i to j; bounds are hit
+    exactly."""
+    a = p.equality.a
+    lower, upper = p.bounds.lower, p.bounds.upper
+    i, j = sel.i, sel.j
+    # full step lands exactly on whichever bound defined gamma
+    if lam == sel.gamma and sel.gamma == a[i] * (x[i] - lower[i]):
+        xi = lower[i]
+    else:
+        xi = x[i] - lam / a[i]
+    if lam == sel.gamma and sel.gamma == a[j] * (upper[j] - x[j]):
+        xj = upper[j]
+    else:
+        xj = x[j] + lam / a[j]
+    return (min(max(xi, lower[i]), upper[i]), min(max(xj, lower[j]), upper[j]))
+
+
+def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
+               sel: PairSelection, f_x: float) -> tuple[float, int, float]:
+    """Linesearch along the pair, then move the state. Returns (lambda, m, f_new)."""
     a = p.equality.a
     i, j = sel.i, sel.j
-    cap_i = a[i] * (x[i] - p.bounds.lower[i])
-    cap_j = a[j] * (p.bounds.upper[j] - x[j])
-    out = x.copy()
-    # full step lands exactly on whichever bound defined gamma
-    if lam == sel.gamma and sel.gamma == cap_i:
-        out[i] = p.bounds.lower[i]
+    if cfg.linesearch == LinesearchRule.ARMIJO:
+        d_i, d_j = -1.0 / a[i], 1.0 / a[j]
+        lam, m, f_new = _backtrack(
+            lambda t: state.trial(i, t * d_i, j, t * d_j), sel.gamma, sel.mu,
+            cfg.sigma, cfg.theta, cfg.max_backtracks, f_x)
     else:
-        out[i] = x[i] - lam / a[i]
-    if lam == sel.gamma and sel.gamma == cap_j:
-        out[j] = p.bounds.upper[j]
-    else:
-        out[j] = x[j] + lam / a[j]
-    out[i] = min(max(out[i], p.bounds.lower[i]), p.bounds.upper[i])
-    out[j] = min(max(out[j], p.bounds.lower[j]), p.bounds.upper[j])
-    return out
-
-
-def _gap(p: ProblemInstance, x, g) -> float:
-    _, best = minimize_linear(g, p)
-    return max(0.0, float(g @ x) - best)
+        lam, m = gradient_difference_linesearch(
+            p.objective, a, state.x, i, j, sel.gamma, sel.mu,
+            cfg.sigma, cfg.theta, cfg.max_backtracks)
+        f_new = None
+    xi, xj = _pair_coordinates(state.x, p, sel, lam)
+    state.move(i, xi, j, xj)
+    return lam, m, state.value() if f_new is None else f_new
 
 
 def _tau_reached(p: ProblemInstance, accuracy: float) -> bool:
@@ -316,20 +356,26 @@ def _default_start(p: ProblemInstance) -> np.ndarray:
     return 0.5 * (p.bounds.lower + p.bounds.upper)
 
 
-def _pair_linesearch(cfg: SolverConfig, p: ProblemInstance, x, sel: PairSelection,
-                     f_x: float) -> tuple[float, int, float]:
-    a = p.equality.a
-    d = np.zeros(p.n)
-    d[sel.i] = -1.0 / a[sel.i]
-    d[sel.j] = 1.0 / a[sel.j]
-    if cfg.linesearch == LinesearchRule.ARMIJO:
-        return armijo_linesearch(p.objective, x, d, sel.gamma, sel.mu,
-                                 cfg.sigma, cfg.theta, cfg.max_backtracks, f_x)
-    lam, m = gradient_difference_linesearch(
-        p.objective, a, x, sel.i, sel.j, sel.gamma, sel.mu,
-        cfg.sigma, cfg.theta, cfg.max_backtracks)
-    x_new = _apply_pair_step(x, p, sel, lam)
-    return lam, m, p.objective.value(x_new)
+def _refresh(state: PairState, g) -> np.ndarray:
+    """Rebuild a state that has moved since its last rebuild; returns the
+    gradient at its point."""
+    if not state.moves:
+        return g
+    state.rebuild()
+    return state.gradient()
+
+
+def _converged(cfg: SolverConfig, p: ProblemInstance, state: PairState,
+               g) -> tuple[np.ndarray, bool]:
+    """Convergence verdict: the gap on the maintained gradient, confirmed on a
+    rebuilt state. Returns the gradient and the verdict."""
+    acc = cfg.target_accuracy
+    if not _tau_reached(p, acc) or linear_gap(g, state.x, p) > acc:
+        return g, False
+    if not state.moves:
+        return g, True
+    g = _refresh(state, g)
+    return g, linear_gap(g, state.x, p) <= acc
 
 
 def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -356,46 +402,39 @@ def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     steps = 0
     sweep_start = 0
     l = 0
-    converged = False
-    stop_reason = ""
 
     cur = stages.stage(l)
     p_l = cur.problem
-    x = project(z, p_l)
-    f_x = p_l.objective.value(x)
-    g = p_l.objective.gradient(x)
-    gap = _gap(p_l, x, g)
-    if gap <= cfg.target_accuracy and _tau_reached(p_l, cfg.target_accuracy):
-        converged = True
-        stop_reason = "converged"
+    state = p_l.objective.pair_state(project(z, p_l))
+    f_x = state.value()
+    g, converged = _converged(cfg, p_l, state, state.gradient())
+    stop_reason = "converged" if converged else ""
 
-    while not converged and not stop_reason:
+    while not stop_reason:
         steps_in_stage = 0
         while True:
-            sel = select_pair(x, cur, cfg.pair_strategy, start=sweep_start,
+            sel = select_pair(state.x, cur, cfg.pair_strategy, start=sweep_start,
                               gradient=g)
             if sel is None:
                 break
             if steps >= cfg.max_inner_iterations:
                 stop_reason = "budget"
                 break
-            lam, m, f_new = _pair_linesearch(cfg, p_l, x, sel, f_x)
-            x = _apply_pair_step(x, p_l, sel, lam)
+            lam, m, f_new = _pair_step(cfg, p_l, state, sel, f_x)
             steps += 1
             steps_in_stage += 1
             sweep_start = (sel.j + 1) % p_l.n
-            g = p_l.objective.gradient(x)
-            gap = _gap(p_l, x, g)
+            g = state.gradient()
             trace.append(TraceEvent(
                 stage=l, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
                 mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,
-                point_after=x.copy() if cfg.record_points else None))
+                point_after=state.x.copy() if cfg.record_points else None))
             f_x = f_new
-            if gap <= cfg.target_accuracy and _tau_reached(p_l, cfg.target_accuracy):
-                converged = True
+            g, converged = _converged(cfg, p_l, state, g)
+            if converged:
                 stop_reason = "converged"
                 break
-        if converged or stop_reason:
+        if stop_reason:
             break
 
         # restart: no pair cleared the stage thresholds
@@ -409,31 +448,24 @@ def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
             break
         l += 1
         cur = nxt
-        p_l = cur.problem
-        z = x
-        if cfg.use_projection_restart or not check_feasibility(z, p_l).feasible:
-            x = project(z, p_l)
-            if (cfg.restart_value_check and check_feasibility(z, p_l).feasible
-                    and p_l.objective.value(z) < p_l.objective.value(x)):
+        z = x = state.x
+        if cfg.use_projection_restart or not check_feasibility(z, cur.problem).feasible:
+            x = project(z, cur.problem)
+            if (cfg.restart_value_check and check_feasibility(z, cur.problem).feasible
+                    and cur.problem.objective.value(z) < cur.problem.objective.value(x)):
                 x = z
-        f_x = p_l.objective.value(x)
-        g = p_l.objective.gradient(x)
-        gap = _gap(p_l, x, g)
-        if gap <= cfg.target_accuracy and _tau_reached(p_l, cfg.target_accuracy):
-            converged = True
+        # the state carries over only when neither the point nor the
+        # objective changed
+        if cur.problem is not p_l or not np.array_equal(x, z):
+            state = cur.problem.objective.pair_state(x)
+            g = state.gradient()
+        p_l = cur.problem
+        f_x = state.value()
+        g, converged = _converged(cfg, p_l, state, g)
+        if converged:
             stop_reason = "converged"
 
-    return SolveResult(
-        point=x,
-        objective_value=f_x,
-        error_bound=gap,
-        inner_iterations_total=steps,
-        stages_completed=l + 1,
-        converged=converged,
-        trace=trace,
-        stop_reason=stop_reason,
-        smoothing=p_l.objective.smoothing,
-    )
+    return _result(p_l, state, g, steps, l + 1, stop_reason, trace)
 
 
 def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -523,19 +555,20 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     a = problem.equality.a
     lower, upper = problem.bounds.lower, problem.bounds.upper
 
-    x = project(_default_start(problem) if z0 is None else np.asarray(z0, float),
-                problem)
-    f_x = problem.objective.value(x)
+    state = problem.objective.pair_state(project(
+        _default_start(problem) if z0 is None else np.asarray(z0, float), problem))
+    f_x = state.value()
     trace: list[TraceEvent] = []
     steps = 0
-    converged = False
-    stop_reason = ""
 
     while True:
-        g = problem.objective.gradient(x)
-        gap = _gap(problem, x, g)
-        if gap <= cfg.target_accuracy:
-            converged = True
+        # a stop verdict taken on a moved state is taken again on a rebuilt one
+        g = state.gradient()
+        x = state.x
+        if linear_gap(g, x, problem) <= cfg.target_accuracy:
+            if state.moves:
+                state.rebuild()
+                continue
             stop_reason = "converged"
             break
         if steps >= cfg.max_inner_iterations:
@@ -543,33 +576,42 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
             break
         h = g / a
         pair = _pair_from_best(h, x > lower, x < upper)
+        # zero-threshold selection; sub-ulp "violations" are noise, not descent
+        if pair is not None:
+            i, j = pair
+            if h[i] - h[j] <= 1e-12 * max(1.0, abs(h[i]), abs(h[j])):
+                pair = None
         if pair is None:
+            if state.moves:
+                state.rebuild()
+                continue
             stop_reason = "no_descent_pair"
             break
         i, j = pair
-        viol = float(h[i] - h[j])
-        # zero-threshold selection; sub-ulp "violations" are noise, not descent
-        if viol <= 1e-12 * max(1.0, abs(h[i]), abs(h[j])):
-            stop_reason = "no_descent_pair"
-            break
         sel = _selection(problem, x, i, j, float(h[i]), float(h[j]))
-        lam, m, f_new = _pair_linesearch(cfg, problem, x, sel, f_x)
-        x = _apply_pair_step(x, problem, sel, lam)
+        lam, m, f_new = _pair_step(cfg, problem, state, sel, f_x)
         steps += 1
         trace.append(TraceEvent(
             stage=0, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
             mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,
-            point_after=x.copy() if cfg.record_points else None))
+            point_after=state.x.copy() if cfg.record_points else None))
         f_x = f_new
 
+    return _result(problem, state, g, steps, 1, stop_reason, trace)
+
+
+def _result(p: ProblemInstance, state: PairState, g, steps: int, stages: int,
+            stop_reason: str, trace: list[TraceEvent]) -> SolveResult:
+    """Result of a pair method; value and gap come from a fresh state."""
+    g = _refresh(state, g)
     return SolveResult(
-        point=x,
-        objective_value=problem.objective.value(x),
-        error_bound=gap,
+        point=state.x,
+        objective_value=state.value(),
+        error_bound=linear_gap(g, state.x, p),
         inner_iterations_total=steps,
-        stages_completed=1,
-        converged=converged,
+        stages_completed=stages,
+        converged=stop_reason == "converged",
         trace=trace,
         stop_reason=stop_reason,
-        smoothing=problem.objective.smoothing,
+        smoothing=p.objective.smoothing,
     )

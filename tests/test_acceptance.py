@@ -6,6 +6,7 @@ per session and shared.
 """
 
 import itertools
+from pathlib import Path
 import subprocess
 import sys
 
@@ -45,6 +46,9 @@ BETAS = (5.0, 10.0, 20.0)
 SIZES = (10, 20, 50, 100)
 ACCURACY = 0.1
 FAMILY_GEN = {1: gen_quadratic, 2: gen_convex_log, 3: gen_nonsmooth_l1}
+# `bicoord bench --series all --format csv`; a change that moves any cell,
+# iteration count or printed gap shows here
+GOLDEN_CSV = Path(__file__).parent / "data" / "bench_grid.csv"
 
 
 def _verdict(num: int, ok: bool, detail: str) -> bool:
@@ -471,9 +475,13 @@ def test_criterion_10_benchmark_csv_is_deterministic():
            "--format", "csv"]
     first = subprocess.run(cmd, capture_output=True, text=True, check=True)
     second = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    ok = first.stdout == second.stdout and len(first.stdout) > 0
+    golden = GOLDEN_CSV.read_text()
+    ok = (first.stdout == second.stdout == golden) and len(first.stdout) > 0
     rows = first.stdout.count("\n") - 1
+    changed = [f"{new!r} (golden {old!r})"
+               for new, old in zip(first.stdout.splitlines(), golden.splitlines())
+               if new != old]
     assert _verdict(
         10, ok,
-        f"two full benchmark runs produced byte-identical CSV "
-        f"({rows} rows)")
+        f"two full benchmark runs produced CSV byte-identical to each other "
+        f"and to {GOLDEN_CSV.name} ({rows} rows)"), changed[:5]

@@ -181,7 +181,7 @@ def test_gap_and_stationarity_agree_after_solve():
 
 def test_audit_accepts_genuine_trace():
     p = gen_quadratic(10, 5.0)
-    cfg = SolverConfig()
+    cfg = SolverConfig(record_points=True)
     sched = make_geometric_schedule(p)
     result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
     audit = audit_trace(result.trace, cfg, stages=sched, problem=p)
@@ -192,7 +192,7 @@ def test_audit_accepts_genuine_trace():
 
 def test_audit_flags_tampered_objective_record():
     p = gen_quadratic(10, 5.0)
-    cfg = SolverConfig()
+    cfg = SolverConfig(record_points=True)
     sched = make_geometric_schedule(p)
     result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
     import dataclasses
@@ -207,7 +207,7 @@ def test_audit_flags_tampered_objective_record():
 
 def test_audit_flags_overlong_step():
     p = gen_quadratic(10, 5.0)
-    cfg = SolverConfig()
+    cfg = SolverConfig(record_points=True)
     result = bcv_solve(p, cfg, z0=protocol_start(p))
     import dataclasses
     bad = list(result.trace)

@@ -1,5 +1,6 @@
 import itertools
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -200,3 +201,80 @@ def test_feasibility_reports_box_violation():
     rep = check_feasibility(np.array([1.1, -0.1]), p)
     assert not rep.feasible
     assert_allclose(rep.max_box_violation, 0.1, atol=1e-12)
+
+
+# ------------------------------------------- knapsack against the plain loop
+
+
+def minimize_linear_loop(c, p):
+    """The sequential greedy knapsack: coordinates from their lower bound, the
+    balance budget spent in increasing order of c_i / a_i, ties to the lowest
+    index. Reference for the array implementation."""
+    a = p.equality.a
+    signs = np.sign(a)
+    aa = a * signs
+    lo = np.where(signs > 0, p.bounds.lower, -p.bounds.upper)
+    hi = np.where(signs > 0, p.bounds.upper, -p.bounds.lower)
+    cc = c * signs
+    order = np.lexsort((np.arange(a.shape[0]), cc / aa))
+    y = lo.copy()
+    budget = p.equality.beta - float(aa @ lo)
+    for idx in order:
+        if budget <= 0.0:
+            break
+        cap = aa[idx] * (hi[idx] - lo[idx])
+        if budget >= cap:
+            y[idx] = hi[idx]
+            budget -= cap
+        else:
+            y[idx] = lo[idx] + budget / aa[idx]
+            budget = 0.0
+    y *= signs
+    return y, float(c @ y)
+
+
+@st.composite
+def knapsacks(draw):
+    """Signed a, n from 2, beta anywhere in its range including both ends,
+    costs with repeated ratios so that ties occur."""
+    n = draw(st.integers(2, 8))
+    vec = lambda lo, hi: np.array(draw(st.lists(
+        st.floats(lo, hi, allow_nan=False, allow_infinity=False),
+        min_size=n, max_size=n)))
+    a = vec(0.1, 5.0) * np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                               min_size=n, max_size=n)))
+    lower = vec(-3.0, 3.0)
+    upper = lower + vec(0.01, 4.0)
+    lo_sum = float(np.sum(np.minimum(a * lower, a * upper)))
+    hi_sum = float(np.sum(np.maximum(a * lower, a * upper)))
+    frac = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    beta = lo_sum if frac == 0.0 else hi_sum if frac == 1.0 else (
+        lo_sum + frac * (hi_sum - lo_sum))
+    c = np.array(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0])
+                               | st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    return make_instance(a, lower, upper, beta), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(knapsacks())
+def test_minimize_linear_equals_loop_bit_for_bit(case):
+    p, c = case
+    y, val = minimize_linear(c, p)
+    y_ref, val_ref = minimize_linear_loop(c, p)
+    assert y.tobytes() == y_ref.tobytes()
+    assert val == val_ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(knapsacks())
+def test_minimize_linear_value_matches_linprog(case):
+    optimize = pytest.importorskip("scipy.optimize")
+    p, c = case
+    _, val = minimize_linear(c, p)
+    res = optimize.linprog(c, A_eq=p.equality.a[None, :], b_eq=[p.equality.beta],
+                           bounds=list(zip(p.bounds.lower, p.bounds.upper)),
+                           method="highs")
+    assert res.status == 0
+    scale = 1.0 + float(np.abs(c) @ np.maximum(np.abs(p.bounds.lower),
+                                               np.abs(p.bounds.upper)))
+    assert abs(val - res.fun) <= 1e-7 * scale

@@ -1,0 +1,184 @@
+"""Pair states: incremental oracles along bi-coordinate steps.
+
+Over random sequences of pair moves the cached state must track the full
+oracle, a state rebuilt from x must equal it exactly, and a trial point
+outside the log domain must be a rejected trial, not an error.
+"""
+
+from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+
+from bicoord import (
+    BoxBounds,
+    DomainError,
+    LinearEquality,
+    PairState,
+    QuadraticLogObjective,
+    QuadraticObjective,
+    SeparableQuadraticObjective,
+    SmoothedL1Objective,
+    SolverConfig,
+    armijo_linesearch,
+    bcv_solve,
+    build_problem,
+    cgm_solve,
+    error_bound,
+    gen_convex_log,
+    gen_nonsmooth_l1,
+    gen_quadratic,
+    mbc_solve,
+    protocol_start,
+    save_problem,
+)
+from bicoord.cli import main
+
+RTOL = 1e-12
+
+
+def family_objective(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n))
+    P = B @ B.T + n * np.eye(n)
+    c = rng.uniform(0.5, 2.0, n)
+    if kind == "quadratic":
+        return QuadraticObjective(P)
+    if kind == "quadratic_log":
+        return QuadraticLogObjective(P, c, 5.0)
+    return SmoothedL1Objective(P, c, 5.0, float(rng.uniform(0.05, 2.0)))
+
+
+def assert_tracks(state, obj, x):
+    f = obj.value(x)
+    g = obj.gradient(x)
+    assert abs(state.value() - f) <= RTOL * max(1.0, abs(f))
+    scale = max(1.0, float(np.abs(g).max()))
+    assert float(np.abs(state.gradient() - g).max()) <= RTOL * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "quadratic_log", "quadratic_log_l1"]),
+       n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       moves=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                                st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+                      min_size=1, max_size=60))
+def test_state_tracks_oracle_over_pair_moves(kind, n, seed, moves):
+    obj = family_objective(kind, n, seed)
+    x = np.random.default_rng(seed + 1).uniform(0.0, 2.0, n)
+    state = obj.pair_state(x.copy())
+    for i, j, xi, xj in moves:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        # the trial value is the oracle's value at the moved point
+        y = state.x.copy()
+        y[i], y[j] = xi, xj
+        trial = state.trial(i, xi - state.x[i], j, xj - state.x[j])
+        assert abs(trial - obj.value(y)) <= RTOL * max(1.0, abs(obj.value(y)))
+        state.move(i, xi, j, xj)
+        assert_tracks(state, obj, state.x)
+        if state.moves == 0:  # the state has just rebuilt itself
+            assert state.value() == obj.value(state.x)
+    rebuilt = obj.pair_state(state.x.copy())
+    assert rebuilt.moves == 0
+    assert rebuilt.value() == obj.value(state.x)
+    assert rebuilt.gradient().tobytes() == obj.gradient(state.x).tobytes()
+
+
+def test_state_rebuilds_itself_at_a_fixed_interval():
+    obj = gen_nonsmooth_l1(10, 5.0).objective
+    state = obj.pair_state(np.full(10, 0.5))
+    every = type(state).REBUILD_EVERY
+    for k in range(1, every + 1):
+        state.move(k % 10, 0.5 + 0.001 * k, (k + 3) % 10, 0.5 - 0.001 * k)
+        assert state.moves == k % every
+    assert state.value() == obj.value(state.x)
+    assert state.gradient().tobytes() == obj.gradient(state.x).tobytes()
+
+
+def test_default_state_evaluates_in_full():
+    obj = SeparableQuadraticObjective(np.array([1.0, -2.0, 0.5]), np.ones(3))
+    x = np.array([0.2, 0.4, 0.6])
+    state = obj.pair_state(x)
+    assert type(state) is PairState
+    assert state.trial(0, 0.1, 2, -0.1) == obj.value(np.array([0.3, 0.4, 0.5]))
+    state.move(0, 0.3, 2, 0.5)
+    assert state.moves == 0
+    assert state.x is x
+    assert state.value() == obj.value(np.array([0.3, 0.4, 0.5]))
+    assert np.array_equal(state.gradient(), obj.gradient(x))
+
+
+def test_pair_state_keeps_no_copy_of_the_matrix():
+    obj = gen_convex_log(30, 10.0).objective
+    state = obj.pair_state(np.full(30, 1.0 / 3.0))
+    state.move(3, 0.0, 7, 2.0 / 3.0)
+    arrays = [v for v in vars(state).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(v.shape == (30,) for v in arrays)
+
+
+@pytest.mark.parametrize("gen", [gen_quadratic, gen_convex_log, gen_nonsmooth_l1])
+@pytest.mark.parametrize("solve", [bcv_solve, mbc_solve])
+def test_reported_gap_comes_from_a_fresh_gradient(gen, solve):
+    # 120 steps cross the rebuild interval and end between two rebuilds
+    p = gen(40, 10.0)
+    cfg = SolverConfig(target_accuracy=1e-9, max_inner_iterations=120,
+                       max_stages=10_000)
+    res = solve(p, cfg, z0=protocol_start(p))
+    assert res.stop_reason == "budget"
+    final = p
+    if res.smoothing != p.objective.smoothing:
+        final = build_problem(p.bounds, p.equality,
+                              p.objective.with_smoothing(res.smoothing))
+    assert res.error_bound == error_bound(final, res.point)
+    assert res.objective_value == final.objective.value(res.point)
+
+
+# ------------------------------------------------ log-domain trial points
+
+def log_domain_problem():
+    """f = 50 x0^2 - ln(x0 - x1 + 0.1) on x0 + x1 = 1, [0, 1]^2. From
+    (1, 0) the first full pair step lands at (0, 1), where the log argument
+    is -0.9."""
+    obj = QuadraticLogObjective(np.diag([100.0, 0.0]), np.array([1.0, -1.0]), 0.1)
+    return build_problem(BoxBounds(np.zeros(2), np.ones(2)),
+                         LinearEquality(np.ones(2), 1.0), obj)
+
+
+def test_state_trial_outside_domain_is_infinite():
+    p = log_domain_problem()
+    state = p.objective.pair_state(np.array([1.0, 0.0]))
+    assert state.trial(0, -1.0, 1, 1.0) == np.inf
+    with pytest.raises(DomainError):
+        p.objective.value(np.array([0.0, 1.0]))
+
+
+def test_armijo_rejects_trials_outside_domain():
+    p = log_domain_problem()
+    lam, m, f_new = armijo_linesearch(p.objective, np.array([1.0, 0.0]),
+                                      np.array([-1.0, 1.0]), gamma=1.0,
+                                      mu=-(100.0 - 2.0 / 1.1))
+    assert m >= 1 and lam == 0.5**m
+    assert np.isfinite(f_new)
+
+
+@pytest.mark.parametrize("solve, rule", [
+    (bcv_solve, "armijo"), (bcv_solve, "gradient-difference"),
+    (mbc_solve, "armijo"), (mbc_solve, "gradient-difference"),
+    (cgm_solve, "armijo"),
+])
+def test_solvers_end_with_stop_reason_on_log_domain_start(solve, rule):
+    p = log_domain_problem()
+    res = solve(p, SolverConfig(linesearch=rule), z0=np.array([1.0, 0.0]))
+    assert res.stop_reason == "converged"
+    assert res.point[0] - res.point[1] + 0.1 > 0.0
+
+
+def test_cli_solve_from_log_domain_start(tmp_path, capsys):
+    p = log_domain_problem()
+    path = tmp_path / "log_domain.json"
+    save_problem(p, path)
+    code = main(["solve", str(path), "--start", "1,0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "converged: True (converged)" in out

@@ -22,7 +22,7 @@ from bicoord import (
     save_problem,
     to_document,
 )
-from bicoord.objectives import QuadraticObjective
+from bicoord.objectives import QuadraticObjective, SeparableQuadraticObjective
 from bicoord.problem import BoxBounds, LinearEquality, build_problem
 
 
@@ -87,9 +87,20 @@ def test_save_load_round_trip(tmp_path):
 def test_objective_without_spec_rejected():
     p = build_problem(BoxBounds(np.zeros(2), np.ones(2)),
                       LinearEquality(np.ones(2), 1.0),
-                      QuadraticObjective(np.eye(2)))
+                      SeparableQuadraticObjective(np.zeros(2), np.ones(2)))
     with pytest.raises(ProblemError, match="serialization spec"):
         to_document(p)
+
+
+def test_family_objective_built_by_hand_saves():
+    p = build_problem(BoxBounds(np.zeros(2), np.ones(2)),
+                      LinearEquality(np.ones(2), 1.0),
+                      QuadraticObjective(np.eye(2)))
+    doc = to_document(p)
+    assert doc["objective"] == {"kind": "quadratic",
+                                "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}
+    q = from_document(doc)
+    assert_allclose(q.objective.P, np.eye(2))
 
 
 def test_unknown_kind_rejected():

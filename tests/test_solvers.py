@@ -285,7 +285,7 @@ def test_bcv_benchmark_instance_converges():
 
 def test_bcv_trace_step_sizes_and_stage_sums():
     p = gen_quadratic(20, 10.0)
-    cfg = SolverConfig()
+    cfg = SolverConfig(record_points=True)
     sched = GeometricSchedule(p)
     result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
     assert result.converged
@@ -308,7 +308,8 @@ def test_bcv_trace_step_sizes_and_stage_sums():
 def test_bcv_restart_leaves_no_violating_pair():
     p = gen_quadratic(10, 5.0)
     sched = GeometricSchedule(p)
-    result = bcv_solve(p, stages=sched, z0=protocol_start(p))
+    result = bcv_solve(p, SolverConfig(record_points=True), stages=sched,
+                       z0=protocol_start(p))
     by_stage = {}
     for ev in result.trace:
         by_stage.setdefault(ev.stage, ev)
@@ -368,7 +369,7 @@ def test_bcv_restart_value_check_is_conservative():
 
 def test_cgm_benchmark_instance_converges():
     p = gen_quadratic(10, 5.0)
-    result = cgm_solve(p, z0=protocol_start(p))
+    result = cgm_solve(p, SolverConfig(record_points=True), z0=protocol_start(p))
     assert result.converged
     assert 0 < result.inner_iterations_total <= 150
     assert result.error_bound <= 0.1
