@@ -13,8 +13,6 @@ from .problem import (
     Stage,
     StageProvider,
     build_problem,
-    denormalize_point,
-    make_geometric_schedule,
     normalize_signs,
 )
 from .objectives import (
@@ -31,7 +29,7 @@ from .objectives import (
     SmoothedL1Objective,
     SvmDualObjective,
 )
-from .smoothing import smooth_abs_huber, smooth_abs_sqrt, smooth_plus
+from .smoothing import smooth_abs_sqrt, smooth_plus
 from .geometry import FeasibilityReport, check_feasibility, minimize_linear, project
 from .diagnostics import (
     InfeasiblePointError,
@@ -89,7 +87,6 @@ from .benchmark import (
     render_csv,
     render_markdown,
     run_benchmark,
-    run_cell,
     run_cell_detailed,
 )
 from .reference import REFERENCE, ReferenceCell, reference_cell

@@ -20,8 +20,7 @@ from .reference import ReferenceCell, reference_cell
 from .solvers import SolveResult, SolverConfig, bcv_solve, cgm_solve, mbc_solve
 
 __all__ = ["BenchmarkSpec", "BenchmarkCell", "BenchmarkReport", "CellRun",
-           "run_cell_detailed",
-           "run_benchmark", "run_cell", "render_csv", "render_markdown"]
+           "run_cell_detailed", "run_benchmark", "render_csv", "render_markdown"]
 
 _FAMILY_TITLES = {
     1: "quadratic",
@@ -121,15 +120,10 @@ def run_cell_detailed(series: int, beta: float, n: int, method: str,
                    config=cfg)
 
 
-def run_cell(series: int, beta: float, n: int, method: str,
-             spec: BenchmarkSpec | None = None) -> BenchmarkCell:
-    return run_cell_detailed(series, beta, n, method, spec).cell
-
-
 def run_benchmark(spec: BenchmarkSpec | None = None) -> BenchmarkReport:
     spec = spec or BenchmarkSpec()
     cells = [
-        run_cell(series, beta, n, method, spec)
+        run_cell_detailed(series, beta, n, method, spec).cell
         for series in spec.series
         for beta in spec.betas
         for n in spec.sizes

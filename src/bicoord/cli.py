@@ -2,7 +2,8 @@
 
 Subcommands: solve, bench, project, check, svm, market. Exit codes:
 0 success, 2 infeasible or malformed input, 3 iteration budget exhausted
-before reaching the accuracy, 4 linesearch failure.
+before reaching the accuracy, 4 linesearch failure (a pair method's result
+with stop reason "linesearch" is still printed).
 """
 
 from __future__ import annotations
@@ -103,11 +104,17 @@ def _print_result(result, trace_path=None) -> None:
         print(f"trace written to {trace_path}")
 
 
+def _exit_code(result) -> int:
+    if result.converged:
+        return EXIT_OK
+    return EXIT_LINESEARCH if result.stop_reason == "linesearch" else EXIT_BUDGET
+
+
 def _cmd_solve(args) -> int:
     problem = load_problem(args.problem)
     result = _run_solver(problem, args)
     _print_result(result, args.trace)
-    return EXIT_OK if result.converged else EXIT_BUDGET
+    return _exit_code(result)
 
 
 def _cmd_bench(args) -> int:
@@ -173,7 +180,7 @@ def _cmd_svm(args) -> int:
     print(f"weights: {_format_vector(w)}")
     print(f"bias: {bias:.10g}")
     print(f"support rows: {support} of {data.n_rows}")
-    return EXIT_OK if result.converged else EXIT_BUDGET
+    return _exit_code(result)
 
 
 def _cmd_market(args) -> int:
@@ -189,7 +196,7 @@ def _cmd_market(args) -> int:
     print(f"price violation: {rep.max_violation:.6g}")
     print(f"balance residual: {rep.balance_residual:.6g}")
     print(f"equilibrium at tol {args.tol:g}: {rep.equilibrium}")
-    return EXIT_OK if result.converged else EXIT_BUDGET
+    return _exit_code(result)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,8 +26,6 @@ __all__ = [
     "GeometricSchedule",
     "build_problem",
     "normalize_signs",
-    "denormalize_point",
-    "make_geometric_schedule",
 ]
 
 
@@ -165,11 +163,6 @@ def normalize_signs(p: ProblemInstance) -> tuple[ProblemInstance, SignMap]:
     return flipped, SignMap(signs)
 
 
-def denormalize_point(y: np.ndarray, sign_map: SignMap) -> np.ndarray:
-    """Map a point of the normalized instance back to original coordinates."""
-    return sign_map.apply(y)
-
-
 @dataclass(frozen=True)
 class Stage:
     """One rung of the schedule: problem data plus pair tolerances."""
@@ -246,7 +239,3 @@ class GeometricSchedule(StageProvider):
             epsilon=max(self.eps_min, self.eps0 * self.nu**l),
         )
 
-
-def make_geometric_schedule(problem: ProblemInstance, **kwargs) -> GeometricSchedule:
-    """Convenience constructor for the standard geometric ladder."""
-    return GeometricSchedule(problem, **kwargs)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["smooth_abs_sqrt", "smooth_abs_huber", "smooth_plus"]
+__all__ = ["smooth_abs_sqrt", "smooth_plus"]
 
 
 def _check_eps(eps: float) -> float:
@@ -28,22 +28,6 @@ def smooth_abs_sqrt(t, eps: float):
     t = np.asarray(t, dtype=float)
     root = np.sqrt(t * t + eps)
     val, der = root, t / root
-    if val.ndim == 0:
-        return float(val), float(der)
-    return val, der
-
-
-def smooth_abs_huber(t, eps: float):
-    """Huber surrogate for eps * |t|.
-
-    Quadratic t^2 / 2 inside |t| <= eps, linear eps * |t| - eps^2 / 2 outside.
-    Satisfies |value - eps * |t|| <= eps^2 / 2 everywhere.
-    """
-    eps = _check_eps(eps)
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) <= eps
-    val = np.where(inside, 0.5 * t * t, eps * np.abs(t) - 0.5 * eps * eps)
-    der = np.where(inside, t, eps * np.sign(t))
     if val.ndim == 0:
         return float(val), float(der)
     return val, der

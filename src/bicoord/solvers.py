@@ -12,15 +12,19 @@ distance gamma = min(a_i (x_i - lower_i), a_j (upper_j - x_j)). When no pair
 clears the thresholds the stage restarts with tighter tolerances (and, for
 smoothed objectives, a tighter approximation).
 
-cgm_solve is the conditional-gradient baseline (full linear minimization per
-step), mbc_solve the classic most-violating bi-coordinate baseline (single
-stage, zero thresholds). All three stop when the gap Delta(x) falls to
-target_accuracy; smoothed objectives additionally require the smoothing
-parameter to have reached that accuracy.
+mbc_solve, the classic most-violating bi-coordinate baseline, is the same
+loop (_pair_descent) under one stage with zero thresholds; only the pair
+rule, what happens when no pair qualifies, and the smoothing clause of the
+stop verdict differ. cgm_solve is the conditional-gradient baseline (full
+linear minimization per step). All three stop when the gap Delta(x) falls
+to target_accuracy; bcv and cgm additionally require a smoothed objective's
+parameter to have reached that accuracy. The pair methods end a solve whose
+linesearch finds no acceptable step with stop_reason "linesearch" at the
+last accepted iterate.
 
 The pair methods follow the iterate through the objective's PairState, so a
 step costs O(n) plus one sort for the gap on objectives that keep P x up to
-date. Besides the state's own periodic rebuild, the solvers rebuild it from
+date. Besides the state's own periodic rebuild, the loop rebuilds it from
 x at a stage restart that changes the point or the objective, before a stop
 verdict and at exit, so every reported gap comes from a fresh gradient.
 """
@@ -33,10 +37,12 @@ import math
 
 import numpy as np
 
+# check_feasibility is not called here, but perfbench's tracer wraps it, like
+# the other geometry kernels, under the name this module binds
 from .geometry import check_feasibility, linear_gap, minimize_linear, project
 from .objectives import DomainError, Objective, PairState
 from .problem import (GeometricSchedule, ProblemError, ProblemInstance, Stage,
-                      StageProvider, make_geometric_schedule)
+                      StageProvider)
 
 __all__ = [
     "PairStrategy",
@@ -79,10 +85,6 @@ class SolverConfig:
     max_backtracks: int = 60
     pair_strategy: PairStrategy = PairStrategy.MAX_VIOLATION
     linesearch: LinesearchRule = LinesearchRule.ARMIJO
-    use_projection_restart: bool = True
-    # At a restart, keep the pre-projection point instead of its projection
-    # when it is already feasible for the new stage and has a lower value.
-    restart_value_check: bool = False
     # keep a copy of x in every trace event: O(n) memory per step
     record_points: bool = False
 
@@ -365,17 +367,119 @@ def _refresh(state: PairState, g) -> np.ndarray:
     return state.gradient()
 
 
-def _converged(cfg: SolverConfig, p: ProblemInstance, state: PairState,
-               g) -> tuple[np.ndarray, bool]:
+def _converged(cfg: SolverConfig, p: ProblemInstance, state: PairState, g,
+               tau_clause: bool) -> tuple[np.ndarray, bool]:
     """Convergence verdict: the gap on the maintained gradient, confirmed on a
-    rebuilt state. Returns the gradient and the verdict."""
+    rebuilt state; with tau_clause, a smoothed objective must also have
+    reached the accuracy. Returns the gradient and the verdict."""
     acc = cfg.target_accuracy
-    if not _tau_reached(p, acc) or linear_gap(g, state.x, p) > acc:
+    if (tau_clause and not _tau_reached(p, acc)) or linear_gap(g, state.x, p) > acc:
         return g, False
     if not state.moves:
         return g, True
     g = _refresh(state, g)
     return g, linear_gap(g, state.x, p) <= acc
+
+
+def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
+    """Zero-threshold selection: the extreme pair over donors strictly above
+    their lower bound and receivers strictly below their upper bound, when its
+    violation h_i - h_j is above rounding noise."""
+    h = g / p.equality.a
+    pair = _pair_from_best(h, x > p.bounds.lower, x < p.bounds.upper)
+    if pair is None:
+        return None
+    i, j = pair
+    # sub-ulp "violations" are noise, not descent
+    if h[i] - h[j] <= 1e-12 * max(1.0, abs(h[i]), abs(h[j])):
+        return None
+    return _selection(p, x, i, j, float(h[i]), float(h[j]))
+
+
+def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
+                  stages: StageProvider | None, z0) -> SolveResult:
+    """The pair-descent loop of bcv_solve and mbc_solve.
+
+    With a stage provider, pairs come from select_pair under the stage's
+    thresholds, a stage without a qualifying pair restarts on the next one
+    (projecting the point onto its problem), and a smoothed objective must
+    reach the accuracy before the gap verdict counts. stages=None is mbc's
+    single zero-threshold stage: pairs come from _most_violating, and when
+    none qualifies the verdict is taken again on a rebuilt state before the
+    solve stops with "no_descent_pair". A linesearch that finds no
+    acceptable step ends the solve at the last accepted iterate.
+    """
+    staged = stages is not None
+    l = 0
+    cur = stages.stage(l) if staged else None
+    p_l = cur.problem if staged else problem
+    z = _default_start(problem) if z0 is None else np.asarray(z0, dtype=float)
+    state = p_l.objective.pair_state(project(z, p_l))
+    f_x = state.value()
+    g = state.gradient()
+    trace: list[TraceEvent] = []
+    steps = stage_start = 0
+    sweep_start = 0
+
+    # a verdict opens the solve and follows every step, rebuild and restart
+    while True:
+        g, converged = _converged(cfg, p_l, state, g, staged)
+        if converged:
+            stop_reason = "converged"
+            break
+        if not staged:
+            sel = _most_violating(p_l, state.x, g)
+        else:
+            sel = select_pair(state.x, cur, cfg.pair_strategy, start=sweep_start,
+                              gradient=g)
+        if sel is None and not staged:
+            # the maintained gradient may have drifted: rebuild, then take
+            # the verdict and select again
+            if not state.moves:
+                stop_reason = "no_descent_pair"
+                break
+            g = _refresh(state, g)
+            continue
+        if sel is None:
+            # restart: no pair cleared the stage thresholds
+            if l + 1 >= cfg.max_stages:
+                stop_reason = "max_stages"
+                break
+            nxt = stages.stage(l + 1)
+            if (steps == stage_start and nxt.problem is p_l
+                    and nxt.delta == cur.delta and nxt.epsilon == cur.epsilon):
+                stop_reason = "stalled"
+                break
+            l += 1
+            cur = nxt
+            stage_start = steps
+            x = project(state.x, cur.problem)
+            # the state carries over only when neither the point nor the
+            # objective changed
+            if cur.problem is not p_l or not np.array_equal(x, state.x):
+                state = cur.problem.objective.pair_state(x)
+                g = state.gradient()
+            p_l = cur.problem
+            f_x = state.value()
+            continue
+        if steps >= cfg.max_inner_iterations:
+            stop_reason = "budget"
+            break
+        try:
+            lam, m, f_new = _pair_step(cfg, p_l, state, sel, f_x)
+        except LinesearchError:
+            stop_reason = "linesearch"
+            break
+        steps += 1
+        sweep_start = (sel.j + 1) % p_l.n
+        g = state.gradient()
+        trace.append(TraceEvent(
+            stage=l, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
+            mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,
+            point_after=state.x.copy() if cfg.record_points else None))
+        f_x = f_new
+
+    return _result(p_l, state, g, steps, l + 1, stop_reason, trace)
 
 
 def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -391,81 +495,14 @@ def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     max_inner_iterations accepted steps in total, max_stages stages.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
-    (a restart changed nothing and the next stage is identical).
+    (a restart changed nothing and the next stage is identical) or
+    "linesearch" (no acceptable step within max_backtracks; the result is
+    the last accepted iterate).
     """
     cfg = cfg or SolverConfig()
-    stages = stages or make_geometric_schedule(problem)
+    stages = stages or GeometricSchedule(problem)
     _require_positive_coefficients(problem, "bcv_solve")
-
-    z = _default_start(problem) if z0 is None else np.asarray(z0, dtype=float)
-    trace: list[TraceEvent] = []
-    steps = 0
-    sweep_start = 0
-    l = 0
-
-    cur = stages.stage(l)
-    p_l = cur.problem
-    state = p_l.objective.pair_state(project(z, p_l))
-    f_x = state.value()
-    g, converged = _converged(cfg, p_l, state, state.gradient())
-    stop_reason = "converged" if converged else ""
-
-    while not stop_reason:
-        steps_in_stage = 0
-        while True:
-            sel = select_pair(state.x, cur, cfg.pair_strategy, start=sweep_start,
-                              gradient=g)
-            if sel is None:
-                break
-            if steps >= cfg.max_inner_iterations:
-                stop_reason = "budget"
-                break
-            lam, m, f_new = _pair_step(cfg, p_l, state, sel, f_x)
-            steps += 1
-            steps_in_stage += 1
-            sweep_start = (sel.j + 1) % p_l.n
-            g = state.gradient()
-            trace.append(TraceEvent(
-                stage=l, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
-                mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,
-                point_after=state.x.copy() if cfg.record_points else None))
-            f_x = f_new
-            g, converged = _converged(cfg, p_l, state, g)
-            if converged:
-                stop_reason = "converged"
-                break
-        if stop_reason:
-            break
-
-        # restart: no pair cleared the stage thresholds
-        if l + 1 >= cfg.max_stages:
-            stop_reason = "max_stages"
-            break
-        nxt = stages.stage(l + 1)
-        if (steps_in_stage == 0 and nxt.problem is cur.problem
-                and nxt.delta == cur.delta and nxt.epsilon == cur.epsilon):
-            stop_reason = "stalled"
-            break
-        l += 1
-        cur = nxt
-        z = x = state.x
-        if cfg.use_projection_restart or not check_feasibility(z, cur.problem).feasible:
-            x = project(z, cur.problem)
-            if (cfg.restart_value_check and check_feasibility(z, cur.problem).feasible
-                    and cur.problem.objective.value(z) < cur.problem.objective.value(x)):
-                x = z
-        # the state carries over only when neither the point nor the
-        # objective changed
-        if cur.problem is not p_l or not np.array_equal(x, z):
-            state = cur.problem.objective.pair_state(x)
-            g = state.gradient()
-        p_l = cur.problem
-        f_x = state.value()
-        g, converged = _converged(cfg, p_l, state, g)
-        if converged:
-            stop_reason = "converged"
-
-    return _result(p_l, state, g, steps, l + 1, stop_reason, trace)
+    return _pair_descent(problem, cfg, stages, z0)
 
 
 def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -481,7 +518,7 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     if stages is None and problem.objective.smoothing is not None:
-        stages = make_geometric_schedule(problem)
+        stages = GeometricSchedule(problem)
 
     l = 0
     p_l = stages.stage(l).problem if stages is not None else problem
@@ -546,58 +583,15 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
 
     Donors are coordinates strictly above their lower bound, receivers
     strictly below their upper bound; the pair is the extreme one and any
-    strictly positive violation h_i - h_j qualifies. The backtracking rule
-    comes from cfg, as in bcv_solve. Stops at the gap criterion, the step
-    budget, or when no strictly positive violation remains.
+    violation h_i - h_j above rounding noise qualifies. The backtracking rule
+    comes from cfg, as in bcv_solve, whose loop it runs. stop_reason is one
+    of "converged", "budget", "no_descent_pair" (no violation left on a
+    rebuilt state) or "linesearch" (no acceptable step within
+    max_backtracks; the result is the last accepted iterate).
     """
     cfg = cfg or SolverConfig()
     _require_positive_coefficients(problem, "mbc_solve")
-    a = problem.equality.a
-    lower, upper = problem.bounds.lower, problem.bounds.upper
-
-    state = problem.objective.pair_state(project(
-        _default_start(problem) if z0 is None else np.asarray(z0, float), problem))
-    f_x = state.value()
-    trace: list[TraceEvent] = []
-    steps = 0
-
-    while True:
-        # a stop verdict taken on a moved state is taken again on a rebuilt one
-        g = state.gradient()
-        x = state.x
-        if linear_gap(g, x, problem) <= cfg.target_accuracy:
-            if state.moves:
-                state.rebuild()
-                continue
-            stop_reason = "converged"
-            break
-        if steps >= cfg.max_inner_iterations:
-            stop_reason = "budget"
-            break
-        h = g / a
-        pair = _pair_from_best(h, x > lower, x < upper)
-        # zero-threshold selection; sub-ulp "violations" are noise, not descent
-        if pair is not None:
-            i, j = pair
-            if h[i] - h[j] <= 1e-12 * max(1.0, abs(h[i]), abs(h[j])):
-                pair = None
-        if pair is None:
-            if state.moves:
-                state.rebuild()
-                continue
-            stop_reason = "no_descent_pair"
-            break
-        i, j = pair
-        sel = _selection(problem, x, i, j, float(h[i]), float(h[j]))
-        lam, m, f_new = _pair_step(cfg, problem, state, sel, f_x)
-        steps += 1
-        trace.append(TraceEvent(
-            stage=0, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
-            mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,
-            point_after=state.x.copy() if cfg.record_points else None))
-        f_x = f_new
-
-    return _result(problem, state, g, steps, 1, stop_reason, trace)
+    return _pair_descent(problem, cfg, None, z0)
 
 
 def _result(p: ProblemInstance, state: PairState, g, steps: int, stages: int,

@@ -13,7 +13,7 @@ from bicoord import (
     render_csv,
     render_markdown,
     run_benchmark,
-    run_cell,
+    run_cell_detailed,
 )
 
 
@@ -86,7 +86,7 @@ class TestInstanceFamilies:
 
 class TestRunCell:
     def test_quadratic_small_cell(self):
-        cell = run_cell(1, 5.0, 10, "bcv")
+        cell = run_cell_detailed(1, 5.0, 10, "bcv").cell
         assert cell.converged
         assert 0 < cell.iterations <= 500
         assert cell.delta <= 0.1
@@ -94,18 +94,18 @@ class TestRunCell:
         assert cell.seconds >= 0.0
 
     def test_smoothed_cell_reaches_target_tau(self):
-        cell = run_cell(3, 5.0, 10, "bcv")
+        cell = run_cell_detailed(3, 5.0, 10, "bcv").cell
         assert cell.converged
         # 1.6 halves four times to exactly the 0.1 floor
         assert cell.tau == 0.1
 
     def test_unknown_series_rejected(self):
         with pytest.raises(ValueError, match="series"):
-            run_cell(7, 5.0, 10, "bcv")
+            run_cell_detailed(7, 5.0, 10, "bcv")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
-            run_cell(1, 5.0, 10, "newton")
+            run_cell_detailed(1, 5.0, 10, "newton")
 
 
 class TestReferenceTable:

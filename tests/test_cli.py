@@ -72,6 +72,17 @@ class TestSolve:
         assert main(["solve", problem_file, "--start",
                      "0.5,0.5,0.5,0.5,0.5,0.5"]) == 0
 
+    def test_linesearch_stall_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "q10.json"
+        save_problem(gen_quadratic(10, 5.0), path)
+        code = main(["solve", str(path), "--method", "mbc", "--mu", "1e-8",
+                     "--start", ",".join(["0.5"] * 10)])
+        out = capsys.readouterr().out
+        assert code == 4
+        assert "converged: False (linesearch)" in out
+        assert "iterations: 142" in out
+        assert "point:" in out
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err

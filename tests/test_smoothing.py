@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bicoord import smooth_abs_huber, smooth_abs_sqrt, smooth_plus
+from bicoord import smooth_abs_sqrt, smooth_plus
 
 
 def central_diff(fn, t, h=1e-6):
@@ -45,49 +45,6 @@ def test_sqrt_symmetry():
     assert_allclose(d_pos, -d_neg)
 
 
-def test_huber_inside_branch():
-    value, der = smooth_abs_huber(0.5, 1.0)
-    assert_allclose(value, 0.125)
-    assert_allclose(der, 0.5)
-
-
-def test_huber_outside_branch():
-    value, der = smooth_abs_huber(2.0, 1.0)
-    assert_allclose(value, 1.5)
-    assert_allclose(der, 1.0)
-
-
-def test_huber_negative_outside_branch():
-    value, der = smooth_abs_huber(-2.0, 1.0)
-    assert_allclose(value, 1.5)
-    assert_allclose(der, -1.0)
-
-
-def test_huber_evenness_and_odd_derivative():
-    t = np.linspace(-4, 4, 81)
-    v_pos, d_pos = smooth_abs_huber(t, 0.7)
-    v_neg, d_neg = smooth_abs_huber(-t, 0.7)
-    assert_allclose(v_pos, v_neg)
-    assert_allclose(d_pos, -d_neg)
-
-
-def test_huber_tracks_scaled_abs():
-    # |value - eps*|t|| <= eps^2/2 on both branches
-    rng = np.random.default_rng(11)
-    for eps in (0.1, 1.0, 2.5):
-        t = rng.uniform(-6, 6, size=300)
-        value, _ = smooth_abs_huber(t, eps)
-        assert np.all(np.abs(value - eps * np.abs(t)) <= eps**2 / 2 + 1e-12)
-
-
-def test_huber_continuity_at_kink():
-    eps = 0.8
-    below_v, below_d = smooth_abs_huber(eps - 1e-9, eps)
-    above_v, above_d = smooth_abs_huber(eps + 1e-9, eps)
-    assert_allclose(below_v, above_v, atol=1e-8)
-    assert_allclose(below_d, above_d, atol=1e-8)
-
-
 def test_plus_at_zero():
     value, _ = smooth_plus(0.0, 0.04)
     assert_allclose(value, 0.1)
@@ -119,7 +76,7 @@ def test_plus_derivative_finite_difference():
         assert_allclose(der, fd, rtol=1e-6)
 
 
-@pytest.mark.parametrize("fn", [smooth_abs_sqrt, smooth_abs_huber, smooth_plus])
+@pytest.mark.parametrize("fn", [smooth_abs_sqrt, smooth_plus])
 def test_nonpositive_eps_rejected(fn):
     with pytest.raises(ValueError):
         fn(1.0, 0.0)

@@ -356,17 +356,6 @@ def test_bcv_stage_budget():
     assert result.stages_completed <= 2
 
 
-def test_bcv_restart_value_check_is_conservative():
-    p = gen_nonsmooth_l1(10, 5.0)
-    sched = GeometricSchedule(p, tau_min=0.1)
-    base = bcv_solve(p, SolverConfig(), stages=sched, z0=protocol_start(p))
-    checked = bcv_solve(p, SolverConfig(restart_value_check=True),
-                        stages=sched, z0=protocol_start(p))
-    assert checked.converged == base.converged
-    assert_allclose(checked.point, base.point)
-    assert checked.inner_iterations_total == base.inner_iterations_total
-
-
 def test_cgm_benchmark_instance_converges():
     p = gen_quadratic(10, 5.0)
     result = cgm_solve(p, SolverConfig(record_points=True), z0=protocol_start(p))
@@ -419,6 +408,59 @@ def test_mbc_stops_at_accuracy_or_budget():
     assert result.inner_iterations_total <= 500
     if result.converged:
         assert result.error_bound <= 0.1
+
+
+# ------------------------------------------------------------ stop reasons
+
+def tied_pair_problem():
+    """<(1, 1 + 1e-14), x> on x0 + x1 = 1: the pair's violation is 1e-14,
+    below mbc's noise floor and below bcv's threshold floors."""
+    return unit_square(LinearObjective(np.array([1.0, 1.0 + 1e-14])))
+
+
+def test_mbc_stops_when_no_descent_pair_remains():
+    result = mbc_solve(tied_pair_problem(), SolverConfig(target_accuracy=1e-30),
+                       z0=np.array([0.5, 0.5]))
+    assert result.stop_reason == "no_descent_pair"
+    assert not result.converged
+    assert result.inner_iterations_total == 0
+    assert result.stages_completed == 1
+
+
+def test_bcv_stalls_once_the_ladder_reaches_its_floors():
+    # delta and epsilon halve from 1 to the 1e-6 floor at stage 20; stage 21
+    # would repeat it
+    result = bcv_solve(tied_pair_problem(), SolverConfig(target_accuracy=1e-30),
+                       z0=np.array([0.5, 0.5]))
+    assert result.stop_reason == "stalled"
+    assert not result.converged
+    assert result.inner_iterations_total == 0
+    assert result.stages_completed == 21
+
+
+def test_mbc_budget_counts_accepted_steps():
+    p = gen_convex_log(10, 10.0)
+    result = mbc_solve(p, SolverConfig(max_inner_iterations=3),
+                       z0=protocol_start(p))
+    assert result.stop_reason == "budget"
+    assert not result.converged
+    assert result.inner_iterations_total == 3
+    assert len(result.trace) == 3
+
+
+def test_linesearch_stall_ends_the_solve_at_the_last_step():
+    # after 142 steps the decrease along the pair falls below the rounding
+    # of f, and no backtrack is accepted
+    p = gen_quadratic(10, 5.0)
+    cfg = SolverConfig(target_accuracy=1e-8, record_points=True)
+    result = mbc_solve(p, cfg, z0=protocol_start(p))
+    assert result.stop_reason == "linesearch"
+    assert not result.converged
+    assert result.inner_iterations_total == 142
+    assert np.array_equal(result.point, result.trace[-1].point_after)
+    assert check_feasibility(result.point, p).feasible
+    assert result.error_bound == error_bound(p, result.point)
+    assert 0.0 < result.error_bound < 1e-6
 
 
 def test_solver_config_validation():
