@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import json
 import numpy as np
 
-from .objectives import PortfolioObjective, SeparableQuadraticObjective, SvmDualObjective
+from .objectives import (PortfolioObjective, SeparableQuadraticObjective,
+                         SvmDualObjective, is_symmetric)
 from .problem import (BoxBounds, LinearEquality, ProblemError, ProblemInstance,
                       SignMap, build_problem, normalize_signs)
 
@@ -154,8 +155,8 @@ class PortfolioData:
             raise ProblemError("covariance must be square")
         if m.shape != (C.shape[0],):
             raise ProblemError("means must match the covariance size")
-        scale = max(1.0, float(np.abs(C).max()))
-        if not np.allclose(C, C.T, atol=1e-10 * scale):
+        scale = max(1.0, float(max(C.max(), -C.min())))
+        if not is_symmetric(C, atol=1e-10 * scale):
             raise ProblemError("covariance must be symmetric")
         if float(np.linalg.eigvalsh(C).min()) < -1e-8 * scale:
             raise ProblemError("covariance must be positive semidefinite")

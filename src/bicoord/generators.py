@@ -24,14 +24,27 @@ __all__ = ["gen_quadratic", "gen_convex_log", "gen_nonsmooth_l1",
 
 
 def interaction_matrix(n: int) -> np.ndarray:
-    """Symmetric positive definite sin/cos coupling matrix."""
+    """Symmetric positive definite sin/cos coupling matrix.
+
+    Filled by blocks of rows, so no temporary is larger than a block; the
+    diagonal's column sums are accumulated in row order, as one sum over
+    all rows would.
+    """
     idx = np.arange(1, n + 1, dtype=float)
     s, c = np.sin(idx), np.cos(idx)
-    i_grid = idx[:, None]
-    j_grid = idx[None, :]
-    P = np.where(i_grid < j_grid, s[:, None] * c[None, :], s[None, :] * c[:, None])
-    np.fill_diagonal(P, 0.0)
-    np.fill_diagonal(P, np.abs(P).sum(axis=0) + 1.0)
+    P = np.empty((n, n))
+    step = max(1, (1 << 16) // n)
+    # row 0 carries the column sums of the rows above the block
+    acc = np.zeros((min(step, n) + 1, n))
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        rows = P[r0:r1]
+        rows[:] = np.where(idx[r0:r1, None] < idx, s[r0:r1, None] * c,
+                           s * c[r0:r1, None])
+        np.fill_diagonal(rows[:, r0:r1], 0.0)
+        np.abs(rows, out=acc[1:r1 - r0 + 1])
+        acc[0] = acc[:r1 - r0 + 1].sum(axis=0)
+    np.fill_diagonal(P, acc[0] + 1.0)
     return P
 
 

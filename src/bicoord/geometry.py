@@ -18,17 +18,24 @@ __all__ = ["project", "minimize_linear", "linear_gap", "check_feasibility",
            "FeasibilityReport"]
 
 
-def _balance(lam: float, z, a, lower, upper) -> float:
-    return float(a @ np.clip(z + lam * a, lower, upper))
+def _balance(lam: float, z, a, lower, upper, buf) -> float:
+    """<a, clip(z + lam a, lower, upper)>, evaluated in buf, which keeps the
+    clipped point."""
+    np.multiply(a, lam, out=buf)
+    buf += z
+    # clip as max then min: the same values as np.clip, at less cost
+    np.maximum(buf, lower, out=buf)
+    np.minimum(buf, upper, out=buf)
+    return float(a @ buf)
 
 
-def _bisect_lambda(z, a, lower, upper, beta, lo: float, hi: float) -> float:
+def _bisect_lambda(z, a, lower, upper, beta, lo: float, hi: float, buf) -> float:
     # plain bisection on the monotone balance map, fallback path
     for _ in range(200):
         if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
             break
         mid = 0.5 * (lo + hi)
-        if _balance(mid, z, a, lower, upper) < beta:
+        if _balance(mid, z, a, lower, upper, buf) < beta:
             lo = mid
         else:
             hi = mid
@@ -43,6 +50,7 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     where a coordinate enters or leaves its bound; the solving segment is
     located by bisection on the sorted breakpoints and lam* recovered by
     linear interpolation, exact because the map is affine between breakpoints.
+    Every evaluation of the map reuses one buffer.
     """
     a = p.equality.a
     lower, upper = p.bounds.lower, p.bounds.upper
@@ -51,12 +59,19 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     if z.shape != a.shape:
         raise ValueError("point has wrong length")
 
-    t1 = (lower - z) / a
-    t2 = (upper - z) / a
-    bps = np.unique(np.concatenate([t1, t2]))
+    # repeated breakpoints leave the bracketing pair of values unchanged
+    bps = np.stack((lower, upper))
+    bps -= z
+    bps /= a
+    bps = bps.ravel()
+    bps.sort()
+    buf = np.empty_like(a)
 
-    g_lo = _balance(bps[0], z, a, lower, upper)
-    g_hi = _balance(bps[-1], z, a, lower, upper)
+    def balance(lam) -> float:
+        return _balance(lam, z, a, lower, upper, buf)
+
+    g_lo = balance(bps[0])
+    g_hi = balance(bps[-1])
     if beta <= g_lo:
         lam = float(bps[0])
     elif beta >= g_hi:
@@ -66,26 +81,25 @@ def project(z, p: ProblemInstance) -> np.ndarray:
         left, right = 0, len(bps) - 1
         while right - left > 1:
             mid = (left + right) // 2
-            if _balance(bps[mid], z, a, lower, upper) < beta:
+            if balance(bps[mid]) < beta:
                 left = mid
             else:
                 right = mid
         bl, br = float(bps[left]), float(bps[right])
-        gl = _balance(bl, z, a, lower, upper)
-        gr = _balance(br, z, a, lower, upper)
+        gl = balance(bl)
+        gr = balance(br)
         if gr > gl:
             lam = bl + (beta - gl) * (br - bl) / (gr - gl)
         else:
             lam = bl
 
-    x = np.clip(z + lam * a, lower, upper)
-    residual = beta - float(a @ x)
+    residual = beta - balance(lam)
     if abs(residual) > 1e-11 * max(1.0, abs(beta)):
         # interpolation degenerated, fall back to bisection on lam
         lam = _bisect_lambda(z, a, lower, upper, beta,
-                             float(bps[0]) - 1.0, float(bps[-1]) + 1.0)
-        x = np.clip(z + lam * a, lower, upper)
-        residual = beta - float(a @ x)
+                             float(bps[0]) - 1.0, float(bps[-1]) + 1.0, buf)
+        residual = beta - balance(lam)
+    x = buf
 
     # spread any remaining float residue over the strictly free coordinates
     free = (x > lower) & (x < upper)
@@ -96,46 +110,59 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     return x
 
 
+def _cost_order(ratios: np.ndarray) -> np.ndarray:
+    """Indices that sort the ratios, ties broken by lowest index.
+
+    The default sort is several times faster than the stable one. When its
+    result is strictly increasing the sorting permutation is unique, so it is
+    the stable one; ties, and NaN, which compares false, take the stable sort.
+    """
+    order = ratios.argsort()
+    r = ratios[order]
+    if not (r[1:] > r[:-1]).all():
+        order = ratios.argsort(kind="stable")
+    return order
+
+
 def minimize_linear(c, p: ProblemInstance) -> tuple[np.ndarray, float]:
     """Minimize <c, x> over the feasible set of p. Returns (argmin, value).
 
-    Continuous knapsack: after flipping coordinates with a_i < 0, start every
-    coordinate at its lower bound and spend the balance budget
-    beta - <a, lower> raising coordinates in increasing order of c_i / a_i,
-    ties broken by lowest index. At most one coordinate ends fractional.
+    Continuous knapsack (p.knapsack): after flipping coordinates with
+    a_i < 0, start every coordinate at its lower bound and spend the balance
+    budget beta - <a, lower> raising coordinates in increasing order of
+    c_i / a_i, ties broken by lowest index. At most one coordinate ends
+    fractional.
     """
-    a = p.equality.a
     c = np.asarray(c, dtype=float)
-    if c.shape != a.shape:
+    if c.shape != p.equality.a.shape:
         raise ValueError("cost vector has wrong length")
+    ks = p.knapsack
+    n = c.shape[0]
 
-    # coordinates with a_i < 0 are negated; most instances have none
-    flipped = bool((a < 0.0).any())
-    if flipped:
-        signs = np.sign(a)
-        aa, cc = a * signs, c * signs
-        lo = np.where(signs > 0, p.bounds.lower, -p.bounds.upper)
-        hi = np.where(signs > 0, p.bounds.upper, -p.bounds.lower)
-    else:
-        aa, cc, lo, hi = a, c, p.bounds.lower, p.bounds.upper
-
-    # budget left before each coordinate in cost order; accumulating from the
-    # left reproduces a sequential running budget bit for bit
-    order = np.argsort(cc / aa, kind="stable")
-    caps = (aa * (hi - lo))[order]
-    budget = np.subtract.accumulate(
-        np.concatenate(([p.equality.beta - float(aa @ lo)], caps)))[:-1]
-    # a coordinate is filled while the budget is positive and covers its cap;
-    # the first one that is not gets the positive remainder, if any
-    unfilled = (budget <= 0.0) | (budget < caps)
-    k = int(np.argmax(unfilled)) if unfilled.any() else len(order)
-    y = lo.copy()
-    y[order[:k]] = hi[order[:k]]
-    if k < len(order) and budget[k] > 0.0:
+    # budget[k] is the budget left before the k-th coordinate in cost order,
+    # budget[k + 1] = budget[k] - cap_k after it; accumulating from the left
+    # reproduces a sequential running budget bit for bit
+    order = _cost_order((c if ks.signs is None else c * ks.signs) / ks.a)
+    budget = np.empty(n + 1)
+    budget[0] = ks.budget
+    ks.caps.take(order, out=budget[1:])
+    np.subtract.accumulate(budget, out=budget)
+    # a coordinate is filled while the budget is positive and covers its cap
+    # (budget < cap exactly when budget - cap < 0); the first one that is
+    # not gets the positive remainder, if any
+    unfilled = budget[1:] < 0.0
+    unfilled |= budget[:-1] <= 0.0
+    k = int(unfilled.argmax())
+    if not unfilled[k]:
+        k = n
+    y = ks.lower.copy()
+    filled = order[:k]
+    y[filled] = ks.upper[filled]
+    if k < n and budget[k] > 0.0:
         idx = order[k]
-        y[idx] = lo[idx] + budget[k] / aa[idx]
-    if flipped:
-        y *= signs
+        y[idx] = ks.lower[idx] + budget[k] / ks.a[idx]
+    if ks.signs is not None:
+        y *= ks.signs
     return y, float(c @ y)
 
 

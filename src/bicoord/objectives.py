@@ -23,6 +23,7 @@ from .smoothing import smooth_abs_sqrt, smooth_plus
 
 __all__ = [
     "DomainError",
+    "is_symmetric",
     "Objective",
     "PairState",
     "LinearObjective",
@@ -45,6 +46,24 @@ def _log_domain(den: float) -> float:
     if not den > 0.0:
         raise DomainError("log argument not positive at this point")
     return den
+
+
+def is_symmetric(M: np.ndarray, atol: float) -> bool:
+    """Whether |M_ij - M_ji| <= atol + 1e-5 min(|M_ij|, |M_ji|) for all i, j,
+    which is np.allclose(M, M.T, atol=atol); NaN is never close. Row blocks
+    of the upper triangle are compared with the mirrored column blocks, so no
+    temporary is larger than a block."""
+    n = M.shape[0]
+    step = max(1, (1 << 16) // max(n, 1))
+    for i in range(0, n, step):
+        rows = M[i:i + step, i:]
+        cols = M[i:, i:i + step].T
+        tol = np.minimum(np.abs(rows), np.abs(cols))
+        tol *= 1e-5
+        tol += atol
+        if not (np.abs(rows - cols) <= tol).all():
+            return False
+    return True
 
 
 class Objective:
@@ -208,7 +227,7 @@ class QuadraticObjective(Objective):
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be a square matrix")
-        if not np.allclose(P, P.T, atol=1e-12 * max(1.0, float(np.abs(P).max()))):
+        if not is_symmetric(P, atol=1e-12 * max(1.0, float(max(P.max(), -P.min())))):
             raise ValueError("P must be symmetric")
         self.P = P
 

@@ -9,7 +9,10 @@ objectives, the approximation parameter shrinking on the same ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
 
 from .objectives import Objective, SignFlipObjective
@@ -20,6 +23,7 @@ __all__ = [
     "BoxBounds",
     "LinearEquality",
     "ProblemInstance",
+    "KnapsackForm",
     "SignMap",
     "Stage",
     "StageProvider",
@@ -91,6 +95,27 @@ class LinearEquality:
         return float(self.a @ x) - self.beta
 
 
+class KnapsackForm(NamedTuple):
+    """The feasible set with every a_i made positive, as a continuous
+    knapsack: y = signs * x lies in [lower, upper] with <a, y> = beta, and
+    raising y_i from lower_i to upper_i spends caps_i of the budget
+    beta - <a, lower> that the lower corner leaves. signs is None when every
+    a_i is already positive, and then a, lower and upper are the instance's
+    own arrays. Every array is read-only."""
+
+    signs: np.ndarray | None
+    a: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    caps: np.ndarray
+    budget: float
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     bounds: BoxBounds
@@ -100,6 +125,20 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.bounds.n
+
+    @cached_property
+    def knapsack(self) -> KnapsackForm:
+        """The feasible set's knapsack constants, computed on first use."""
+        a, lower, upper = self.equality.a, self.bounds.lower, self.bounds.upper
+        signs = None
+        if (a < 0.0).any():
+            signs = _read_only(np.sign(a))
+            a = _read_only(a * signs)
+            lower, upper = (_read_only(np.where(signs > 0, lower, -upper)),
+                            _read_only(np.where(signs > 0, upper, -lower)))
+        return KnapsackForm(signs, a, lower, upper,
+                            _read_only(a * (upper - lower)),
+                            self.equality.beta - float(a @ lower))
 
 
 def build_problem(bounds: BoxBounds, equality: LinearEquality,
@@ -149,18 +188,15 @@ def normalize_signs(p: ProblemInstance) -> tuple[ProblemInstance, SignMap]:
     flip, the objective is composed with the sign map, beta is unchanged.
     Instances that are already normalized are returned as-is.
     """
-    a = p.equality.a
-    if np.all(a > 0.0):
+    ks = p.knapsack
+    if ks.signs is None:
         return p, SignMap(np.ones(p.n))
-    signs = np.sign(a)
-    lower = np.where(signs > 0, p.bounds.lower, -p.bounds.upper)
-    upper = np.where(signs > 0, p.bounds.upper, -p.bounds.lower)
     flipped = build_problem(
-        BoxBounds(lower, upper),
-        LinearEquality(np.abs(a), p.equality.beta),
-        SignFlipObjective(p.objective, signs),
+        BoxBounds(ks.lower, ks.upper),
+        LinearEquality(ks.a, p.equality.beta),
+        SignFlipObjective(p.objective, ks.signs),
     )
-    return flipped, SignMap(signs)
+    return flipped, SignMap(ks.signs)
 
 
 @dataclass(frozen=True)

@@ -368,17 +368,21 @@ def _refresh(state: PairState, g) -> np.ndarray:
 
 
 def _converged(cfg: SolverConfig, p: ProblemInstance, state: PairState, g,
-               tau_clause: bool) -> tuple[np.ndarray, bool]:
+               tau_clause: bool) -> tuple[np.ndarray, bool, float | None]:
     """Convergence verdict: the gap on the maintained gradient, confirmed on a
     rebuilt state; with tau_clause, a smoothed objective must also have
-    reached the accuracy. Returns the gradient and the verdict."""
+    reached the accuracy. Returns the gradient, the verdict, and the gap when
+    the verdict computed one on an unmoved state (None otherwise)."""
     acc = cfg.target_accuracy
-    if (tau_clause and not _tau_reached(p, acc)) or linear_gap(g, state.x, p) > acc:
-        return g, False
-    if not state.moves:
-        return g, True
-    g = _refresh(state, g)
-    return g, linear_gap(g, state.x, p) <= acc
+    if tau_clause and not _tau_reached(p, acc):
+        return g, False, None
+    gap = linear_gap(g, state.x, p)
+    if gap > acc:
+        return g, False, None if state.moves else gap
+    if state.moves:
+        g = _refresh(state, g)
+        gap = linear_gap(g, state.x, p)
+    return g, gap <= acc, gap
 
 
 def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
@@ -423,7 +427,7 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
 
     # a verdict opens the solve and follows every step, rebuild and restart
     while True:
-        g, converged = _converged(cfg, p_l, state, g, staged)
+        g, converged, gap = _converged(cfg, p_l, state, g, staged)
         if converged:
             stop_reason = "converged"
             break
@@ -479,7 +483,8 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             point_after=state.x.copy() if cfg.record_points else None))
         f_x = f_new
 
-    return _result(p_l, state, g, steps, l + 1, stop_reason, trace)
+    # every exit follows a verdict with the state as the verdict left it
+    return _result(p_l, state, g, gap, steps, l + 1, stop_reason, trace)
 
 
 def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -594,14 +599,18 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     return _pair_descent(problem, cfg, None, z0)
 
 
-def _result(p: ProblemInstance, state: PairState, g, steps: int, stages: int,
-            stop_reason: str, trace: list[TraceEvent]) -> SolveResult:
-    """Result of a pair method; value and gap come from a fresh state."""
-    g = _refresh(state, g)
+def _result(p: ProblemInstance, state: PairState, g, gap: float | None,
+            steps: int, stages: int, stop_reason: str,
+            trace: list[TraceEvent]) -> SolveResult:
+    """Result of a pair method; value and gap come from a fresh state. gap is
+    the last verdict's gap on an unmoved state, or None to compute it."""
+    if gap is None:
+        g = _refresh(state, g)
+        gap = linear_gap(g, state.x, p)
     return SolveResult(
         point=state.x,
         objective_value=state.value(),
-        error_bound=linear_gap(g, state.x, p),
+        error_bound=gap,
         inner_iterations_total=steps,
         stages_completed=stages,
         converged=stop_reason == "converged",

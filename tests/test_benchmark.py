@@ -27,6 +27,17 @@ class TestInstanceFamilies:
         assert P[3, 1] == pytest.approx(np.sin(2.0) * np.cos(4.0))
         assert_allclose(P, P.T)
 
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    def test_coupling_matches_dense_formula(self, n):
+        # the formula over full n x n grids, bit for bit
+        idx = np.arange(1, n + 1, dtype=float)
+        s, c = np.sin(idx), np.cos(idx)
+        ref = np.where(idx[:, None] < idx[None, :], s[:, None] * c[None, :],
+                       s[None, :] * c[:, None])
+        np.fill_diagonal(ref, 0.0)
+        np.fill_diagonal(ref, np.abs(ref).sum(axis=0) + 1.0)
+        assert np.array_equal(interaction_matrix(n), ref)
+
     def test_coupling_diagonal_dominance(self):
         P = interaction_matrix(12)
         off = np.abs(P).sum(axis=0) - np.abs(np.diag(P))

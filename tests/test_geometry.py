@@ -12,8 +12,10 @@ from bicoord import (
     build_problem,
     check_feasibility,
     minimize_linear,
+    normalize_signs,
     project,
 )
+from bicoord.geometry import _balance
 
 
 def make_instance(a, lower, upper, beta):
@@ -107,6 +109,22 @@ def test_project_matches_bisection_oracle(signed):
         assert_allclose(x, ref, atol=1e-8)
         rep = check_feasibility(x, p)
         assert rep.feasible
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_buffered_balance_equals_fresh_clip(signed):
+    # the instances of test_project_matches_bisection_oracle
+    rng = np.random.default_rng(17 if signed else 19)
+    for _ in range(60):
+        p = random_instance(rng, signed=signed)
+        z = rng.uniform(p.bounds.lower - 2.0, p.bounds.upper + 2.0)
+        a, lower, upper = p.equality.a, p.bounds.lower, p.bounds.upper
+        buf = np.full(p.n, np.nan)
+        bps = np.concatenate([(lower - z) / a, (upper - z) / a])
+        for lam in [*bps, *rng.uniform(-5.0, 5.0, 5), 0.0]:
+            ref = np.clip(z + lam * a, lower, upper)
+            assert _balance(lam, z, a, lower, upper, buf) == float(a @ ref)
+            assert buf.tobytes() == ref.tobytes()
 
 
 def test_project_idempotent():
@@ -278,3 +296,97 @@ def test_minimize_linear_value_matches_linprog(case):
     scale = 1.0 + float(np.abs(c) @ np.maximum(np.abs(p.bounds.lower),
                                                np.abs(p.bounds.upper)))
     assert abs(val - res.fun) <= 1e-7 * scale
+
+
+@st.composite
+def wide_knapsacks(draw):
+    """n up to 300. Either distinct ratios, which take the fast sort, or
+    ratios from three values, exact because a is a power of two, so that
+    long runs of ties straddle the fill index."""
+    n = draw(st.integers(2, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tied = draw(st.booleans())
+    signed = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    if tied:
+        a = 2.0 ** rng.integers(-2, 3, n)
+        c = rng.choice([-1.5, 0.0, 2.0], n) * a
+    else:
+        a = rng.uniform(0.1, 5.0, n)
+        c = rng.standard_normal(n)
+    if signed:
+        a = a * rng.choice([-1.0, 1.0], n)
+    lower = rng.uniform(-3.0, 3.0, n)
+    upper = lower + rng.uniform(0.01, 4.0, n)
+    lo_sum = float(np.sum(np.minimum(a * lower, a * upper)))
+    hi_sum = float(np.sum(np.maximum(a * lower, a * upper)))
+    beta = lo_sum + draw(st.floats(0.0, 1.0)) * (hi_sum - lo_sum)
+    return make_instance(a, lower, upper, beta), c
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_knapsacks())
+def test_wide_knapsack_equals_loop_bit_for_bit(case):
+    p, c = case
+    y, val = minimize_linear(c, p)
+    y_ref, val_ref = minimize_linear_loop(c, p)
+    assert y.tobytes() == y_ref.tobytes()
+    assert val == val_ref
+
+
+@pytest.mark.parametrize("n", [3, 101, 300])
+def test_knapsack_tie_run_straddles_the_fill_index(n):
+    # every ratio ties and the budget runs out halfway through coordinate
+    # n // 2, so only the index order decides which coordinates are filled
+    rng = np.random.default_rng(n)
+    a = 2.0 ** rng.integers(-2, 3, n)
+    lower = rng.uniform(-1.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    caps = a * (upper - lower)
+    k = n // 2
+    beta = float(a @ lower) + float(caps[:k].sum()) + 0.5 * caps[k]
+    p = make_instance(a, lower, upper, beta)
+    c = 3.0 * a
+    y, val = minimize_linear(c, p)
+    y_ref, val_ref = minimize_linear_loop(c, p)
+    assert y.tobytes() == y_ref.tobytes()
+    assert val == val_ref
+    assert np.all(y[:k] == upper[:k]) and np.all(y[k + 1:] == lower[k + 1:])
+    assert lower[k] < y[k] < upper[k]
+
+
+def test_knapsack_through_normalize_signs():
+    rng = np.random.default_rng(41)
+    n = 200
+    a = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    lower = rng.uniform(-2.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 3.0, n)
+    lo_sum = float(np.sum(np.minimum(a * lower, a * upper)))
+    hi_sum = float(np.sum(np.maximum(a * lower, a * upper)))
+    p = make_instance(a, lower, upper, 0.3 * lo_sum + 0.7 * hi_sum)
+    q, sign_map = normalize_signs(p)
+    for c in (rng.standard_normal(n), rng.choice([-1.0, 2.0], n) * np.abs(a)):
+        y, val = minimize_linear(c, p)
+        y_ref, val_ref = minimize_linear_loop(c, p)
+        assert y.tobytes() == y_ref.tobytes() and val == val_ref
+        y_q, _ = minimize_linear(sign_map.apply(c), q)
+        assert sign_map.apply(y_q).tobytes() == y.tobytes()
+
+
+def test_knapsack_constants_are_cached_read_only_views():
+    p = make_instance([1.0, 2.0, 0.5], [0.0, -1.0, 0.0], [1.0, 1.0, 2.0], 1.0)
+    ks = p.knapsack
+    assert p.knapsack is ks
+    # all a_i > 0: no flip and no copy of the instance's arrays
+    assert ks.signs is None
+    assert ks.a is p.equality.a
+    assert ks.lower is p.bounds.lower and ks.upper is p.bounds.upper
+    assert ks.caps.tobytes() == (ks.a * (ks.upper - ks.lower)).tobytes()
+    assert ks.budget == p.equality.beta - float(ks.a @ ks.lower)
+    q = make_instance([1.0, -2.0], [0.0, -1.0], [1.0, 1.0], 0.5)
+    for ks in (p.knapsack, q.knapsack):
+        for v in (ks.a, ks.lower, ks.upper, ks.caps):
+            assert not v.flags.writeable
+    assert q.knapsack.a.tolist() == [1.0, 2.0]
+    assert q.knapsack.lower.tolist() == [0.0, -1.0]
+    assert q.knapsack.upper.tolist() == [1.0, 1.0]

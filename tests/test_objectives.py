@@ -14,6 +14,7 @@ from bicoord import (
     SvmDualObjective,
     smooth_plus,
 )
+from bicoord.objectives import is_symmetric
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -59,6 +60,44 @@ def test_quadratic_objective_value_and_fd():
 def test_quadratic_objective_rejects_asymmetric():
     with pytest.raises(ValueError):
         QuadraticObjective(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 300, 700])
+def test_symmetry_check_agrees_with_allclose(n):
+    # at n = 300 and 700 the check runs over several row blocks
+    rng = np.random.default_rng(n)
+    B = rng.standard_normal((n, n))
+    S = B + B.T
+    atol = 1e-12 * max(1.0, float(np.abs(S).max()))
+    assert is_symmetric(S, atol=atol)
+    cases = []
+    for scale in (1e-3, 1e-6, 1e-14):
+        M = S.copy()
+        i, j = rng.integers(0, n, 2)
+        M[i, j] += scale * (abs(M[i, j]) + 1e-12)
+        cases.append(M)
+    cases.append(S * (1.0 + 1e-5 * rng.uniform(-1.0, 1.0, (n, n))))
+    if n > 1:
+        # a relative gap just above rtol of the smaller entry and below rtol
+        # of the larger one, on either side of the diagonal
+        off = np.abs(S) - np.diag(np.full(n, np.inf))
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+        for u, v in ((i, j), (j, i)):
+            M = S.copy()
+            M[u, v] *= 1.0 + 1.00001e-5
+            assert not np.allclose(M, M.T, atol=atol)
+            cases.append(M)
+    for M in cases:
+        assert is_symmetric(M, atol=atol) == np.allclose(M, M.T, atol=atol)
+    for i, j in ((0, n - 1), (n - 1, n - 1)):
+        M = S.copy()
+        M[i, j] = np.nan
+        assert not is_symmetric(M, atol=atol)
+
+
+def test_quadratic_objective_rejects_nan():
+    with pytest.raises(ValueError):
+        QuadraticObjective(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_quadratic_log_value_and_fd():

@@ -13,14 +13,17 @@ from bicoord import (
     BoxBounds,
     DomainError,
     LinearEquality,
+    MarketModel,
     PairState,
     QuadraticLogObjective,
     QuadraticObjective,
+    Quote,
     SeparableQuadraticObjective,
     SmoothedL1Objective,
     SolverConfig,
     armijo_linesearch,
     bcv_solve,
+    build_market,
     build_problem,
     cgm_solve,
     error_bound,
@@ -132,6 +135,52 @@ def test_reported_gap_comes_from_a_fresh_gradient(gen, solve):
                               p.objective.with_smoothing(res.smoothing))
     assert res.error_bound == error_bound(final, res.point)
     assert res.objective_value == final.objective.value(res.point)
+
+
+def small_market():
+    rng = np.random.default_rng(3)
+    traders = [Quote(float(p), float(q), float(c)) for p, q, c in
+               zip(rng.uniform(1, 3, 6), rng.uniform(0.5, 2, 6), rng.uniform(0.5, 2, 6))]
+    buyers = [Quote(float(p), -float(q), float(c)) for p, q, c in
+              zip(rng.uniform(2, 4, 6), rng.uniform(0.5, 2, 6), rng.uniform(0.5, 2, 6))]
+    return build_market(MarketModel(traders=tuple(traders), buyers=tuple(buyers)))[0]
+
+
+# (solver, config, stop reason); budget stops after 7 steps, before the
+# quadratic state's first self-rebuild, so its last verdict ran on a moved
+# state
+EXITS = [
+    (bcv_solve, {}, "converged"),
+    (mbc_solve, {}, "converged"),
+    (mbc_solve, {"target_accuracy": 1e-9, "max_inner_iterations": 7}, "budget"),
+    (mbc_solve, {"target_accuracy": 1e-8}, "linesearch"),
+    (mbc_solve, {"target_accuracy": 1e-12, "linesearch": "gradient-difference"},
+     "no_descent_pair"),
+    (bcv_solve, {"target_accuracy": 1e-6}, "stalled"),
+    (bcv_solve, {"target_accuracy": 1e-8, "max_stages": 2}, "max_stages"),
+]
+
+
+# the quadratic family keeps P x in its state; the market's separable
+# objective runs on the default, full-oracle state, and none of its solves
+# here stalls in the linesearch
+EXIT_CASES = [(kind, *case) for kind in ("quadratic", "market") for case in EXITS
+              if not (kind == "market" and case[2] == "linesearch")]
+
+
+@pytest.mark.parametrize("kind, solve, options, reason", EXIT_CASES,
+                         ids=[f"{k}-{s.__name__}-{r}" for k, s, _, r in EXIT_CASES])
+def test_reported_gap_is_fresh_at_every_exit(kind, solve, options, reason):
+    if kind == "quadratic":
+        p = gen_quadratic(10, 5.0)
+        z0 = protocol_start(p)
+    else:
+        p = small_market()
+        z0 = np.zeros(p.n)
+    res = solve(p, SolverConfig(**options), z0=z0)
+    assert res.stop_reason == reason
+    assert res.error_bound == error_bound(p, res.point)
+    assert res.objective_value == p.objective.value(res.point)
 
 
 # ------------------------------------------------ log-domain trial points
