@@ -22,11 +22,9 @@ from .objectives import (
     Objective,
     PairState,
     PortfolioObjective,
-    QuadraticLogObjective,
     QuadraticObjective,
     SeparableQuadraticObjective,
     SignFlipObjective,
-    SmoothedL1Objective,
     SvmDualObjective,
 )
 from .smoothing import smooth_abs_sqrt, smooth_plus

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .objectives import QuadraticLogObjective, QuadraticObjective, SmoothedL1Objective
+from .objectives import QuadraticObjective
 from .problem import BoxBounds, LinearEquality, ProblemInstance, build_problem
 
 __all__ = ["gen_quadratic", "gen_convex_log", "gen_nonsmooth_l1",
@@ -71,14 +71,14 @@ def gen_quadratic(n: int, beta: float) -> ProblemInstance:
 def gen_convex_log(n: int, beta: float) -> ProblemInstance:
     """Family 2: f(x) = 0.5 <P x, x> - ln(<c, x> + 5)."""
     bounds, eq = _feasible_set(n, beta)
-    obj = QuadraticLogObjective(interaction_matrix(n), _log_cost(n), 5.0)
+    obj = QuadraticObjective(interaction_matrix(n), _log_cost(n), 5.0)
     return build_problem(bounds, eq, obj)
 
 
 def gen_nonsmooth_l1(n: int, beta: float, tau: float = 1.6) -> ProblemInstance:
     """Family 3: family 2 plus ||x||_1, smoothed at level tau."""
     bounds, eq = _feasible_set(n, beta)
-    obj = SmoothedL1Objective(interaction_matrix(n), _log_cost(n), 5.0, tau)
+    obj = QuadraticObjective(interaction_matrix(n), _log_cost(n), 5.0, tau)
     return build_problem(bounds, eq, obj)
 
 

@@ -15,6 +15,7 @@ Instances are immutable; the same object can be shared across stages.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -28,8 +29,6 @@ __all__ = [
     "PairState",
     "LinearObjective",
     "QuadraticObjective",
-    "QuadraticLogObjective",
-    "SmoothedL1Objective",
     "SvmDualObjective",
     "PortfolioObjective",
     "SeparableQuadraticObjective",
@@ -207,36 +206,57 @@ class LinearObjective(Objective):
 
 
 class QuadraticObjective(Objective):
-    """f(x) = 0.5 <P x, x> with symmetric P; the base of the benchmark family
+    """The benchmark family, with symmetric P:
 
-        f(x) = 0.5 <P x, x> [- ln(<c, x> + xi)] [+ sum_i sqrt(x_i^2 + tau^2)],
+        f(x) = 0.5 <P x, x> [- ln(<c, x> + xi)] [+ sum_i sqrt(x_i^2 + tau^2)].
 
-    whose log term the subclass QuadraticLogObjective adds (c is None here)
-    and whose smoothed-l1 term SmoothedL1Objective adds (smoothing is None
-    here). partial costs one row product.
+    The log term is present when c is given. Its domain is <c, x> + xi > 0:
+    value, gradient and partial raise DomainError outside it, and
+    linesearches reject trial points there. The smoothed-l1 term, a smooth
+    stand-in for ||x||_1 within n * tau of it, is present when tau is given,
+    and needs the log term. partial costs one row product.
 
     The serialization spec is derived from the arrays when a document reads
     it, never stored.
     """
 
-    _kind = "quadratic"
     c: np.ndarray | None = None
-    xi = 0.0
 
-    def __init__(self, P):
+    def __init__(self, P, c=None, xi: float = 0.0, tau: float | None = None):
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be a square matrix")
         if not is_symmetric(P, atol=1e-12 * max(1.0, float(max(P.max(), -P.min())))):
             raise ValueError("P must be symmetric")
         self.P = P
+        if c is not None:
+            self.c = np.asarray(c, dtype=float)
+            if self.c.shape != (P.shape[0],):
+                raise ValueError("c has wrong length")
+        self.xi = float(xi)
+        if tau is not None:
+            if c is None:
+                raise ValueError("the smoothed-l1 term needs the log term's c")
+            self.smoothing = _positive_tau(tau)
 
     @property
     def spec(self):
-        return {"kind": self._kind, "params": self._params()}
+        params = {"matrix": self.P.tolist()}
+        if self.c is None:
+            return {"kind": "quadratic", "params": params}
+        params.update(c=self.c.tolist(), xi=self.xi)
+        if self.smoothing is None:
+            return {"kind": "quadratic_log", "params": params}
+        return {"kind": "quadratic_log_l1", "params": {**params, "tau": self.smoothing}}
 
-    def _params(self) -> dict:
-        return {"matrix": self.P.tolist()}
+    def with_smoothing(self, eps):
+        """The same objective at tau = eps; shares P and c, so P is not
+        checked again."""
+        if self.smoothing is None:
+            raise ValueError("objective has no smoothing parameter")
+        new = copy.copy(self)
+        new.smoothing = _positive_tau(eps)
+        return new
 
     def _log_arg(self, x) -> float | None:
         return None if self.c is None else float(self.c @ x) + self.xi
@@ -283,46 +303,33 @@ class QuadraticObjective(Objective):
         return _QuadraticPairState(self, x)
 
 
-class QuadraticLogObjective(QuadraticObjective):
-    """f(x) = 0.5 <P x, x> - ln(<c, x> + xi).
-
-    The domain is <c, x> + xi > 0: value, gradient and partial raise
-    DomainError outside it, and linesearches reject trial points there.
-    """
-
-    _kind = "quadratic_log"
-
-    def __init__(self, P, c, xi: float):
-        super().__init__(P)
-        self.c = np.asarray(c, dtype=float)
-        if self.c.shape != (self.P.shape[0],):
-            raise ValueError("c has wrong length")
-        self.xi = float(xi)
-
-    def _params(self):
-        return {"matrix": self.P.tolist(), "c": self.c.tolist(), "xi": self.xi}
+def _positive_tau(tau: float) -> float:
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+    return float(tau)
 
 
-class SmoothedL1Objective(QuadraticLogObjective):
-    """Quadratic-log cost plus sum_i sqrt(x_i^2 + tau^2).
+def _penalty(tau: float, p: int,
+             smooth_eps: float | None) -> tuple[float, int, float | None]:
+    """Validated (tau, p, smoothing) of a penalty (tau / p) plus(t)^p; p = 1
+    smooths plus and needs a positive smooth_eps, p = 2 ignores it."""
+    tau = _positive_tau(tau)
+    if p not in (1, 2):
+        raise ValueError("p must be 1 or 2")
+    if p == 2:
+        return tau, 2, None
+    if smooth_eps is None or not smooth_eps > 0.0:
+        raise ValueError("p = 1 needs a positive smooth_eps")
+    return tau, 1, float(smooth_eps)
 
-    Smooth stand-in for cost + ||x||_1 at approximation level tau; the gap to
-    the nonsmooth value is at most n * tau.
-    """
 
-    _kind = "quadratic_log_l1"
-
-    def __init__(self, P, c, xi: float, tau: float):
-        super().__init__(P, c, xi)
-        if not tau > 0.0:
-            raise ValueError("tau must be positive")
-        self.smoothing = float(tau)
-
-    def _params(self):
-        return {**super()._params(), "tau": self.smoothing}
-
-    def with_smoothing(self, eps):
-        return SmoothedL1Objective(self.P, self.c, self.xi, eps)
+def _plus_power(t, p: int, eps: float | None):
+    """(plus(t)^p, its derivative over p): plus is exact max(t, 0) for p = 2
+    and the sqrt surrogate smooth_plus(t, eps) for p = 1."""
+    if p == 1:
+        return smooth_plus(t, eps)
+    plus = np.maximum(t, 0.0)
+    return plus ** 2, plus
 
 
 class SvmDualObjective(Objective):
@@ -337,39 +344,23 @@ class SvmDualObjective(Objective):
         self.A = np.asarray(A, dtype=float)
         if self.A.ndim != 2:
             raise ValueError("A must be a matrix")
-        if not tau > 0.0:
-            raise ValueError("tau must be positive")
-        if p not in (1, 2):
-            raise ValueError("p must be 1 or 2")
-        self.tau = float(tau)
-        self.p = int(p)
-        if p == 1:
-            if smooth_eps is None or not smooth_eps > 0.0:
-                raise ValueError("p = 1 needs a positive smooth_eps")
-            self.smoothing = float(smooth_eps)
+        self.tau, self.p, self.smoothing = _penalty(tau, p, smooth_eps)
 
-    def _margins(self, y):
+    def _penalties(self, y):
         s = self.A.T @ y
-        return s - 1.0, -s - 1.0
+        return (_plus_power(s - 1.0, self.p, self.smoothing),
+                _plus_power(-s - 1.0, self.p, self.smoothing))
 
     def value(self, y):
-        up, dn = self._margins(y)
-        if self.p == 2:
-            pen = np.maximum(up, 0.0) ** 2 + np.maximum(dn, 0.0) ** 2
-        else:
-            pen = smooth_plus(up, self.smoothing)[0] + smooth_plus(dn, self.smoothing)[0]
-        return (self.tau / self.p) * float(np.sum(pen)) - float(np.sum(y))
+        (up, _), (dn, _) = self._penalties(y)
+        return (self.tau / self.p) * float(np.sum(up + dn)) - float(np.sum(y))
 
     def gradient(self, y):
-        up, dn = self._margins(y)
-        if self.p == 2:
-            u = np.maximum(up, 0.0) - np.maximum(dn, 0.0)
-        else:
-            u = smooth_plus(up, self.smoothing)[1] - smooth_plus(dn, self.smoothing)[1]
-        return self.tau * (self.A @ u) - 1.0
+        (_, up), (_, dn) = self._penalties(y)
+        return self.tau * (self.A @ (up - dn)) - 1.0
 
     def with_smoothing(self, eps):
-        if self.p != 1:
+        if self.smoothing is None:
             raise ValueError("objective has no smoothing parameter")
         return SvmDualObjective(self.A, self.tau, self.p, smooth_eps=eps)
 
@@ -386,38 +377,22 @@ class PortfolioObjective(Objective):
         self.C = np.asarray(C, dtype=float)
         self.means = np.asarray(means, dtype=float)
         self.target = float(target)
-        if not tau > 0.0:
-            raise ValueError("tau must be positive")
-        if p not in (1, 2):
-            raise ValueError("p must be 1 or 2")
-        self.tau = float(tau)
-        self.p = int(p)
-        if p == 1:
-            if smooth_eps is None or not smooth_eps > 0.0:
-                raise ValueError("p = 1 needs a positive smooth_eps")
-            self.smoothing = float(smooth_eps)
+        self.tau, self.p, self.smoothing = _penalty(tau, p, smooth_eps)
 
-    def _shortfall(self, x) -> float:
-        return self.target - float(self.means @ x)
+    def _shortfall(self, x):
+        return _plus_power(self.target - float(self.means @ x), self.p,
+                           self.smoothing)
 
     def value(self, x):
-        t = self._shortfall(x)
-        if self.p == 2:
-            pen = max(t, 0.0) ** 2
-        else:
-            pen = smooth_plus(t, self.smoothing)[0]
-        return float(x @ (self.C @ x)) + (self.tau / self.p) * pen
+        pen = self._shortfall(x)[0]
+        return float(x @ (self.C @ x)) + (self.tau / self.p) * float(pen)
 
     def gradient(self, x):
-        t = self._shortfall(x)
-        if self.p == 2:
-            slope = max(t, 0.0)
-        else:
-            slope = smooth_plus(t, self.smoothing)[1]
+        slope = self._shortfall(x)[1]
         return 2.0 * (self.C @ x) - self.tau * slope * self.means
 
     def with_smoothing(self, eps):
-        if self.p != 1:
+        if self.smoothing is None:
             raise ValueError("objective has no smoothing parameter")
         return PortfolioObjective(self.C, self.means, self.target, self.tau,
                                   self.p, smooth_eps=eps)

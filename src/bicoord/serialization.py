@@ -17,8 +17,7 @@ import numpy as np
 
 from .applications import (MarketModel, PortfolioData, Quote, SvmDataset,
                            build_market, build_svm_dual)
-from .objectives import (QuadraticLogObjective, QuadraticObjective,
-                         SmoothedL1Objective, PortfolioObjective)
+from .objectives import PortfolioObjective, QuadraticObjective
 from .problem import BoxBounds, LinearEquality, ProblemError, ProblemInstance, build_problem
 
 __all__ = ["to_document", "from_document", "save_problem", "load_problem",
@@ -26,6 +25,11 @@ __all__ = ["to_document", "from_document", "save_problem", "load_problem",
 
 OBJECTIVE_KINDS = ("quadratic", "quadratic_log", "quadratic_log_l1",
                    "svm_dual", "portfolio", "market")
+
+# QuadraticObjective's arguments by kind, in order
+_QUADRATIC_PARAMS = {"quadratic": ("matrix",),
+                     "quadratic_log": ("matrix", "c", "xi"),
+                     "quadratic_log_l1": ("matrix", "c", "xi", "tau")}
 
 
 def to_document(p: ProblemInstance) -> dict:
@@ -46,13 +50,8 @@ def to_document(p: ProblemInstance) -> dict:
 
 def _generic_objective(kind: str, params: dict):
     # the quadratic family derives its spec from its arrays
-    if kind == "quadratic":
-        return QuadraticObjective(params["matrix"])
-    if kind == "quadratic_log":
-        return QuadraticLogObjective(params["matrix"], params["c"], params["xi"])
-    if kind == "quadratic_log_l1":
-        return SmoothedL1Objective(params["matrix"], params["c"], params["xi"],
-                                   params["tau"])
+    if kind in _QUADRATIC_PARAMS:
+        return QuadraticObjective(*(params[k] for k in _QUADRATIC_PARAMS[kind]))
     if kind != "portfolio":
         raise ProblemError(f"unknown objective kind {kind!r}")
     obj = PortfolioObjective(
@@ -79,7 +78,7 @@ def from_document(doc: dict) -> ProblemInstance:
     if a.shape != (n,) or lower.shape != (n,) or upper.shape != (n,):
         raise ProblemError("document arrays disagree with n")
 
-    if kind in ("quadratic", "quadratic_log", "quadratic_log_l1", "portfolio"):
+    if kind in _QUADRATIC_PARAMS or kind == "portfolio":
         return build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),
                              _generic_objective(kind, params))
     if kind == "svm_dual":

@@ -140,7 +140,7 @@ class SolveResult:
 
 
 def _require_positive_coefficients(p: ProblemInstance, solver: str) -> None:
-    if np.any(p.equality.a <= 0.0):
+    if p.knapsack.signs is not None:
         raise ProblemError(
             f"{solver} needs positive equality coefficients; "
             "apply normalize_signs first")
@@ -483,8 +483,13 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             point_after=state.x.copy() if cfg.record_points else None))
         f_x = f_new
 
-    # every exit follows a verdict with the state as the verdict left it
-    return _result(p_l, state, g, gap, steps, l + 1, stop_reason, trace)
+    # every exit follows a verdict with the state as the verdict left it; gap
+    # is None when that verdict left the state moved or took no gap
+    if gap is None:
+        g = _refresh(state, g)
+        gap = linear_gap(g, state.x, p_l)
+    return _result(p_l, state.x, state.value(), gap, steps, l + 1, stop_reason,
+                   trace)
 
 
 def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -531,8 +536,6 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
                 problem)
     trace: list[TraceEvent] = []
     steps = 0
-    converged = False
-    stop_reason = ""
 
     while True:
         f_l = p_l.objective
@@ -541,7 +544,6 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         gap = max(0.0, float(g @ x) - best)
         if gap <= cfg.target_accuracy:
             if _tau_reached(p_l, cfg.target_accuracy):
-                converged = True
                 stop_reason = "converged"
                 break
             nxt = stages.stage(l + 1)
@@ -569,17 +571,8 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
             f_before=f_x, f_after=f_new, backtracks=m,
             point_after=x.copy() if cfg.record_points else None))
 
-    return SolveResult(
-        point=x,
-        objective_value=p_l.objective.value(x),
-        error_bound=gap,
-        inner_iterations_total=steps,
-        stages_completed=l + 1,
-        converged=converged,
-        trace=trace,
-        stop_reason=stop_reason,
-        smoothing=p_l.objective.smoothing,
-    )
+    return _result(p_l, x, p_l.objective.value(x), gap, steps, l + 1,
+                   stop_reason, trace)
 
 
 def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -599,17 +592,12 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     return _pair_descent(problem, cfg, None, z0)
 
 
-def _result(p: ProblemInstance, state: PairState, g, gap: float | None,
-            steps: int, stages: int, stop_reason: str,
-            trace: list[TraceEvent]) -> SolveResult:
-    """Result of a pair method; value and gap come from a fresh state. gap is
-    the last verdict's gap on an unmoved state, or None to compute it."""
-    if gap is None:
-        g = _refresh(state, g)
-        gap = linear_gap(g, state.x, p)
+def _result(p: ProblemInstance, x, value: float, gap: float, steps: int,
+            stages: int, stop_reason: str, trace: list[TraceEvent]) -> SolveResult:
+    """Result of a solve that ended on problem p at x."""
     return SolveResult(
-        point=state.x,
-        objective_value=state.value(),
+        point=x,
+        objective_value=value,
         error_bound=gap,
         inner_iterations_total=steps,
         stages_completed=stages,

@@ -6,14 +6,13 @@ from bicoord import (
     CountingObjective,
     LinearObjective,
     PortfolioObjective,
-    QuadraticLogObjective,
     QuadraticObjective,
     SeparableQuadraticObjective,
     SignFlipObjective,
-    SmoothedL1Objective,
     SvmDualObjective,
     smooth_plus,
 )
+import bicoord.objectives
 from bicoord.objectives import is_symmetric
 
 
@@ -104,7 +103,7 @@ def test_quadratic_log_value_and_fd():
     rng = np.random.default_rng(59)
     P = spd_matrix(rng, 4)
     c = rng.uniform(1.0, 3.0, size=4)
-    obj = QuadraticLogObjective(P, c, xi=5.0)
+    obj = QuadraticObjective(P, c, xi=5.0)
     pts = rng.uniform(0.0, 2.0, size=(10, 4))
     x = pts[0]
     expected = 0.5 * x @ (P @ x) - np.log(c @ x + 5.0)
@@ -113,7 +112,7 @@ def test_quadratic_log_value_and_fd():
 
 
 def test_quadratic_log_rejects_nonpositive_argument():
-    obj = QuadraticLogObjective(np.eye(2), np.ones(2), xi=1.0)
+    obj = QuadraticObjective(np.eye(2), np.ones(2), xi=1.0)
     with pytest.raises(ValueError):
         obj.value(np.array([-3.0, 0.0]))
 
@@ -122,9 +121,9 @@ def test_smoothed_l1_value_identity():
     rng = np.random.default_rng(61)
     P = spd_matrix(rng, 4)
     c = rng.uniform(1.0, 3.0, size=4)
-    base = QuadraticLogObjective(P, c, xi=5.0)
+    base = QuadraticObjective(P, c, xi=5.0)
     tau = 0.3
-    obj = SmoothedL1Objective(P, c, xi=5.0, tau=tau)
+    obj = QuadraticObjective(P, c, xi=5.0, tau=tau)
     x = rng.uniform(0.0, 2.0, size=4)
     assert_allclose(obj.value(x),
                     base.value(x) + np.sum(np.sqrt(x**2 + tau**2)),
@@ -136,22 +135,60 @@ def test_smoothed_l1_gap_to_nonsmooth_value():
     rng = np.random.default_rng(67)
     P = spd_matrix(rng, 6)
     c = rng.uniform(1.0, 3.0, size=6)
-    base = QuadraticLogObjective(P, c, xi=5.0)
+    base = QuadraticObjective(P, c, xi=5.0)
     x = rng.uniform(0.0, 1.5, size=6)
     nonsmooth = base.value(x) + np.sum(np.abs(x))
     for tau in (0.5, 0.1, 1e-3):
-        obj = SmoothedL1Objective(P, c, xi=5.0, tau=tau)
+        obj = QuadraticObjective(P, c, xi=5.0, tau=tau)
         gap = obj.value(x) - nonsmooth
         assert 0.0 <= gap <= 6 * tau + 1e-12
 
 
 def test_smoothed_l1_with_smoothing_rebuild():
-    obj = SmoothedL1Objective(np.eye(2), np.ones(2), xi=5.0, tau=1.6)
+    obj = QuadraticObjective(np.eye(2), np.ones(2), xi=5.0, tau=1.6)
     tighter = obj.with_smoothing(0.8)
     assert tighter.smoothing == 0.8
     assert obj.smoothing == 1.6
     x = np.array([0.5, 0.25])
     assert tighter.value(x) < obj.value(x)
+
+
+def test_with_smoothing_shares_the_matrix_without_a_second_check(monkeypatch):
+    obj = QuadraticObjective(np.eye(3), np.ones(3), xi=5.0, tau=1.6)
+    unsmoothed = QuadraticObjective(np.eye(3), np.ones(3), xi=5.0)
+
+    def no_check(M, atol):
+        raise AssertionError("P checked again")
+
+    monkeypatch.setattr(bicoord.objectives, "is_symmetric", no_check)
+    tighter = obj.with_smoothing(0.4)
+    assert tighter.P is obj.P and tighter.c is obj.c
+    assert (tighter.smoothing, tighter.xi) == (0.4, 5.0)
+    assert tighter.spec["params"]["tau"] == 0.4
+    assert obj.spec["params"]["tau"] == 1.6
+    with pytest.raises(ValueError):
+        obj.with_smoothing(0.0)
+    with pytest.raises(ValueError):
+        unsmoothed.with_smoothing(0.4)
+
+
+def test_quadratic_rejects_tau_without_c():
+    with pytest.raises(ValueError, match="needs the log term"):
+        QuadraticObjective(np.eye(2), tau=0.5)
+    with pytest.raises(ValueError):
+        QuadraticObjective(np.eye(2), np.ones(3), xi=5.0)
+
+
+def test_quadratic_spec_kind_follows_the_terms():
+    P, c = np.eye(2), np.ones(2)
+    specs = [QuadraticObjective(P).spec,
+             QuadraticObjective(P, c, xi=5.0).spec,
+             QuadraticObjective(P, c, xi=5.0, tau=0.5).spec]
+    assert [(s["kind"], list(s["params"])) for s in specs] == [
+        ("quadratic", ["matrix"]),
+        ("quadratic_log", ["matrix", "c", "xi"]),
+        ("quadratic_log_l1", ["matrix", "c", "xi", "tau"]),
+    ]
 
 
 def test_svm_dual_value_at_zero():
@@ -234,7 +271,7 @@ def test_sign_flip_composition():
 
 
 def test_sign_flip_smoothing_passthrough():
-    inner = SmoothedL1Objective(np.eye(2), np.ones(2), xi=5.0, tau=0.4)
+    inner = QuadraticObjective(np.eye(2), np.ones(2), xi=5.0, tau=0.4)
     obj = SignFlipObjective(inner, np.array([1.0, -1.0]))
     assert obj.smoothing == 0.4
     tighter = obj.with_smoothing(0.2)
@@ -259,9 +296,9 @@ def test_partials_agree_with_gradient_everywhere():
     A = rng.standard_normal((5, 2))
     objs = [
         QuadraticObjective(spd_matrix(rng, 5)),
-        QuadraticLogObjective(spd_matrix(rng, 5), rng.uniform(1, 2, 5), xi=5.0),
-        SmoothedL1Objective(spd_matrix(rng, 5), rng.uniform(1, 2, 5), xi=5.0,
-                            tau=0.5),
+        QuadraticObjective(spd_matrix(rng, 5), rng.uniform(1, 2, 5), xi=5.0),
+        QuadraticObjective(spd_matrix(rng, 5), rng.uniform(1, 2, 5), xi=5.0,
+                           tau=0.5),
         SvmDualObjective(A, tau=3.0, p=2),
         PortfolioObjective(spd_matrix(rng, 5), rng.uniform(0, 1, 5),
                            target=2.0, tau=3.0, p=2),

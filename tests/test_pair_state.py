@@ -15,11 +15,9 @@ from bicoord import (
     LinearEquality,
     MarketModel,
     PairState,
-    QuadraticLogObjective,
     QuadraticObjective,
     Quote,
     SeparableQuadraticObjective,
-    SmoothedL1Objective,
     SolverConfig,
     armijo_linesearch,
     bcv_solve,
@@ -47,8 +45,8 @@ def family_objective(kind, n, seed):
     if kind == "quadratic":
         return QuadraticObjective(P)
     if kind == "quadratic_log":
-        return QuadraticLogObjective(P, c, 5.0)
-    return SmoothedL1Objective(P, c, 5.0, float(rng.uniform(0.05, 2.0)))
+        return QuadraticObjective(P, c, 5.0)
+    return QuadraticObjective(P, c, 5.0, float(rng.uniform(0.05, 2.0)))
 
 
 def assert_tracks(state, obj, x):
@@ -189,7 +187,7 @@ def log_domain_problem():
     """f = 50 x0^2 - ln(x0 - x1 + 0.1) on x0 + x1 = 1, [0, 1]^2. From
     (1, 0) the first full pair step lands at (0, 1), where the log argument
     is -0.9."""
-    obj = QuadraticLogObjective(np.diag([100.0, 0.0]), np.array([1.0, -1.0]), 0.1)
+    obj = QuadraticObjective(np.diag([100.0, 0.0]), np.array([1.0, -1.0]), 0.1)
     return build_problem(BoxBounds(np.zeros(2), np.ones(2)),
                          LinearEquality(np.ones(2), 1.0), obj)
 

@@ -10,6 +10,7 @@ from bicoord import (
     ProblemError,
     InfeasibleProblemError,
     QuadraticObjective,
+    SeparableQuadraticObjective,
     Stage,
     build_problem,
     gen_nonsmooth_l1,
@@ -97,11 +98,9 @@ def test_normalize_preserves_objective_values():
     rng = np.random.default_rng(3)
     P = rng.standard_normal((3, 3))
     P = P @ P.T + 3 * np.eye(3)
-    p = build_problem(
-        BoxBounds(np.array([-1.0, -2.0, 0.0]), np.array([1.0, -0.5, 2.0])),
-        LinearEquality(np.array([2.0, -1.0, 1.5]), 2.0),
-        QuadraticObjective(P),
-    )
+    bounds = BoxBounds(np.array([-1.0, -2.0, 0.0]), np.array([1.0, -0.5, 2.0]))
+    eq = LinearEquality(np.array([2.0, -1.0, 1.5]), 2.0)
+    p = build_problem(bounds, eq, QuadraticObjective(P))
     q, sign_map = normalize_signs(p)
     for _ in range(5):
         z = rng.uniform(p.bounds.lower, p.bounds.upper)
@@ -109,6 +108,20 @@ def test_normalize_preserves_objective_values():
         y = sign_map.apply(x)
         assert_allclose(q.objective.value(y), p.objective.value(x), rtol=1e-12)
         assert_allclose(sign_map.apply(y), x)
+
+    # a separable quadratic takes the flip into its linear term, exactly
+    sep = SeparableQuadraticObjective(np.array([0.7, -1.3, 0.4]),
+                                      np.array([2.0, 0.5, 1.5]))
+    p = build_problem(bounds, eq, sep)
+    q, sign_map = normalize_signs(p)
+    assert type(q.objective) is SeparableQuadraticObjective
+    for _ in range(5):
+        x = project(rng.uniform(p.bounds.lower, p.bounds.upper), p)
+        y = sign_map.apply(x)
+        assert q.objective.value(y) == p.objective.value(x)
+        assert np.array_equal(q.objective.gradient(y),
+                              sign_map.signs * p.objective.gradient(x))
+        assert q.objective.partial(1, y) == -p.objective.partial(1, x)
 
 
 def test_denormalize_definition_and_involution():
