@@ -1,29 +1,25 @@
-"""Oracle work per pair-selection and linesearch rule.
+"""Oracle work per linesearch rule.
 
-Wraps the objective in a call counter and solves the same instance four
-ways. Max-violation selection scans the whole gradient each iteration but
-takes the best pair; the sweep takes the first pair that clears the
-thresholds. The gradient-difference rule prices steps from two partial
-derivatives instead of backtracking on function values.
+Wraps the objective in a call counter and solves the same instance with
+both backtracking rules under max-violation pair selection. The Armijo rule
+backtracks on function values; the gradient-difference rule prices steps
+from two partial derivatives instead.
 """
 
-from bicoord import (CountingObjective, LinesearchRule, PairStrategy,
-                     ProblemInstance, SolverConfig, bcv_solve, gen_quadratic,
-                     protocol_start)
+from bicoord import (CountingObjective, LinesearchRule, ProblemInstance,
+                     SolverConfig, bcv_solve, gen_quadratic, protocol_start)
 
 base = gen_quadratic(50, 10.0)
 
-print(f"{'pair strategy':<18} {'linesearch':<20} {'iters':>5} "
-      f"{'values':>7} {'grads':>6} {'partials':>8}")
-for strat in PairStrategy:
-    for rule in LinesearchRule:
-        counter = CountingObjective(base.objective)
-        p = ProblemInstance(bounds=base.bounds, equality=base.equality,
-                            objective=counter)
-        cfg = SolverConfig(target_accuracy=0.1, max_inner_iterations=2000,
-                           pair_strategy=strat, linesearch=rule)
-        res = bcv_solve(p, cfg, z0=protocol_start(p))
-        assert res.converged, res.stop_reason
-        print(f"{strat.value:<18} {rule.value:<20} "
-              f"{res.inner_iterations_total:>5} {counter.value_calls:>7} "
-              f"{counter.gradient_calls:>6} {counter.partial_calls:>8}")
+print(f"{'linesearch':<20} {'iters':>5} {'values':>7} {'grads':>6} {'partials':>8}")
+for rule in LinesearchRule:
+    counter = CountingObjective(base.objective)
+    p = ProblemInstance(bounds=base.bounds, equality=base.equality,
+                        objective=counter)
+    cfg = SolverConfig(target_accuracy=0.1, max_inner_iterations=2000,
+                       linesearch=rule)
+    res = bcv_solve(p, cfg, z0=protocol_start(p))
+    assert res.converged, res.stop_reason
+    print(f"{rule.value:<20} {res.inner_iterations_total:>5} "
+          f"{counter.value_calls:>7} {counter.gradient_calls:>6} "
+          f"{counter.partial_calls:>8}")

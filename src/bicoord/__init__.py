@@ -43,7 +43,6 @@ from .solvers import (
     LinesearchError,
     LinesearchRule,
     PairSelection,
-    PairStrategy,
     SolveResult,
     SolverConfig,
     TraceEvent,

@@ -203,6 +203,14 @@ class Quote:
         return self.p + self.q * t
 
 
+def _quotes(rows, side: str) -> tuple[Quote, ...]:
+    """Quotes, each given as itself or as its document row {p, q, cap}."""
+    try:
+        return tuple(q if isinstance(q, Quote) else Quote(**q) for q in rows)
+    except TypeError as exc:
+        raise ProblemError(f"{side} quotes: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class MarketModel:
     """Traders sell at nondecreasing prices, buyers buy at nonincreasing
@@ -213,8 +221,8 @@ class MarketModel:
     b: float = 0.0
 
     def __post_init__(self):
-        traders = tuple(q if isinstance(q, Quote) else Quote(**q) for q in self.traders)
-        buyers = tuple(q if isinstance(q, Quote) else Quote(**q) for q in self.buyers)
+        traders = _quotes(self.traders, "trader")
+        buyers = _quotes(self.buyers, "buyer")
         object.__setattr__(self, "traders", traders)
         object.__setattr__(self, "buyers", buyers)
         object.__setattr__(self, "b", float(self.b))
@@ -235,11 +243,8 @@ def load_market_json(path) -> MarketModel:
     """Scenario file {"traders": [{p, q, cap}], "buyers": [...], "b": ...}."""
     with open(path) as fh:
         doc = json.load(fh)
-    return MarketModel(
-        traders=tuple(Quote(**row) for row in doc.get("traders", ())),
-        buyers=tuple(Quote(**row) for row in doc.get("buyers", ())),
-        b=doc.get("b", 0.0),
-    )
+    return MarketModel(traders=doc.get("traders", ()),
+                       buyers=doc.get("buyers", ()), b=doc.get("b", 0.0))
 
 
 def build_market(model: MarketModel) -> tuple[ProblemInstance, SignMap]:

@@ -2,8 +2,8 @@
 
 Subcommands: solve, bench, project, check, svm, market. Exit codes:
 0 success, 2 infeasible or malformed input, 3 iteration budget exhausted
-before reaching the accuracy, 4 linesearch failure (a pair method's result
-with stop reason "linesearch" is still printed).
+before reaching the accuracy, 4 linesearch failure (the result, with stop
+reason "linesearch", is still printed).
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ from .diagnostics import (InfeasiblePointError, check_stationarity,
 from .geometry import check_feasibility, project
 from .problem import GeometricSchedule, ProblemError
 from .serialization import load_problem
-from .solvers import (LinesearchError, SolverConfig, bcv_solve, cgm_solve,
-                      mbc_solve)
+from .solvers import SolverConfig, bcv_solve, cgm_solve, mbc_solve
 
 __all__ = ["main"]
 
@@ -59,8 +58,6 @@ def _add_solver_options(sp: argparse.ArgumentParser, mu: float = 0.1,
     sp.add_argument("--eps-min", type=float, default=1e-6)
     sp.add_argument("--tau-min", type=float, default=None,
                     help="smoothing floor, defaults to --mu")
-    sp.add_argument("--pair", choices=("max", "sweep"), default="max",
-                    help="pair selection: most violating pair or cyclic sweep")
     sp.add_argument("--linesearch", choices=("armijo", "graddiff"),
                     default="armijo")
     sp.add_argument("--max-backtracks", type=int, default=60)
@@ -71,13 +68,11 @@ def _add_solver_options(sp: argparse.ArgumentParser, mu: float = 0.1,
 
 
 def _run_solver(problem, args):
-    pair = {"max": "max-violation", "sweep": "first-found-sweep"}[args.pair]
     rule = {"armijo": "armijo", "graddiff": "gradient-difference"}[args.linesearch]
     cfg = SolverConfig(
         sigma=args.sigma, theta=args.theta, target_accuracy=args.mu,
         max_inner_iterations=args.max_iters, max_stages=args.max_stages,
-        max_backtracks=args.max_backtracks, pair_strategy=pair,
-        linesearch=rule)
+        max_backtracks=args.max_backtracks, linesearch=rule)
     z0 = _parse_vector(args.start) if args.start else None
     tau_min = args.mu if args.tau_min is None else args.tau_min
     stages = GeometricSchedule(
@@ -264,9 +259,6 @@ def main(argv=None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except LinesearchError as exc:
-        print(f"linesearch failure: {exc}", file=sys.stderr)
-        return EXIT_LINESEARCH
 
 
 if __name__ == "__main__":

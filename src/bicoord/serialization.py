@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import numpy as np
 
-from .applications import (MarketModel, PortfolioData, Quote, SvmDataset,
+from .applications import (MarketModel, PortfolioData, SvmDataset,
                            build_market, build_svm_dual)
 from .objectives import PortfolioObjective, QuadraticObjective
 from .problem import BoxBounds, LinearEquality, ProblemError, ProblemInstance, build_problem
@@ -23,13 +23,16 @@ from .problem import BoxBounds, LinearEquality, ProblemError, ProblemInstance, b
 __all__ = ["to_document", "from_document", "save_problem", "load_problem",
            "OBJECTIVE_KINDS"]
 
-OBJECTIVE_KINDS = ("quadratic", "quadratic_log", "quadratic_log_l1",
-                   "svm_dual", "portfolio", "market")
-
 # QuadraticObjective's arguments by kind, in order
 _QUADRATIC_PARAMS = {"quadratic": ("matrix",),
                      "quadratic_log": ("matrix", "c", "xi"),
                      "quadratic_log_l1": ("matrix", "c", "xi", "tau")}
+# the params each kind must carry
+_REQUIRED_PARAMS = {**_QUADRATIC_PARAMS,
+                    "svm_dual": ("features", "labels", "tau", "p"),
+                    "portfolio": ("covariance", "means", "target", "tau", "p"),
+                    "market": ("traders", "buyers")}
+OBJECTIVE_KINDS = tuple(_REQUIRED_PARAMS)
 
 
 def to_document(p: ProblemInstance) -> dict:
@@ -52,8 +55,6 @@ def _generic_objective(kind: str, params: dict):
     # the quadratic family derives its spec from its arrays
     if kind in _QUADRATIC_PARAMS:
         return QuadraticObjective(*(params[k] for k in _QUADRATIC_PARAMS[kind]))
-    if kind != "portfolio":
-        raise ProblemError(f"unknown objective kind {kind!r}")
     obj = PortfolioObjective(
         params["covariance"], params["means"], params["target"],
         params["tau"], params["p"],
@@ -77,6 +78,12 @@ def from_document(doc: dict) -> ProblemInstance:
         raise ProblemError(f"malformed problem document: {exc}") from exc
     if a.shape != (n,) or lower.shape != (n,) or upper.shape != (n,):
         raise ProblemError("document arrays disagree with n")
+    if kind not in _REQUIRED_PARAMS:
+        raise ProblemError(f"unknown objective kind {kind!r}")
+    missing = [k for k in _REQUIRED_PARAMS[kind] if k not in params]
+    if missing:
+        raise ProblemError(f"{kind!r} objective params lack "
+                           + ", ".join(repr(k) for k in missing))
 
     if kind in _QUADRATIC_PARAMS or kind == "portfolio":
         return build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),
@@ -86,14 +93,10 @@ def from_document(doc: dict) -> ProblemInstance:
         rebuilt = build_svm_dual(data, tau=params["tau"], p=params["p"],
                                  smooth_eps=params.get("smooth_eps", 1e-4),
                                  upper_cap=params.get("upper_cap", 1e3))
-    elif kind == "market":
-        model = MarketModel(
-            traders=tuple(Quote(**row) for row in params["traders"]),
-            buyers=tuple(Quote(**row) for row in params["buyers"]),
-            b=params.get("b", 0.0))
-        rebuilt, _ = build_market(model)
     else:
-        raise ProblemError(f"unknown objective kind {kind!r}")
+        model = MarketModel(traders=params["traders"], buyers=params["buyers"],
+                            b=params.get("b", 0.0))
+        rebuilt, _ = build_market(model)
 
     same = (rebuilt.n == n
             and np.allclose(rebuilt.equality.a, a, atol=1e-9)

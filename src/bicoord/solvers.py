@@ -18,7 +18,7 @@ rule, what happens when no pair qualifies, and the smoothing clause of the
 stop verdict differ. cgm_solve is the conditional-gradient baseline (full
 linear minimization per step). All three stop when the gap Delta(x) falls
 to target_accuracy; bcv and cgm additionally require a smoothed objective's
-parameter to have reached that accuracy. The pair methods end a solve whose
+parameter to have reached that accuracy. All three end a solve whose
 linesearch finds no acceptable step with stop_reason "linesearch" at the
 last accepted iterate.
 
@@ -45,7 +45,6 @@ from .problem import (GeometricSchedule, ProblemError, ProblemInstance, Stage,
                       StageProvider)
 
 __all__ = [
-    "PairStrategy",
     "LinesearchRule",
     "LinesearchError",
     "SolverConfig",
@@ -61,18 +60,15 @@ __all__ = [
 ]
 
 
-class PairStrategy(str, Enum):
-    MAX_VIOLATION = "max-violation"
-    FIRST_FOUND_SWEEP = "first-found-sweep"
-
-
 class LinesearchRule(str, Enum):
     ARMIJO = "armijo"
     GRADIENT_DIFFERENCE = "gradient-difference"
 
 
 class LinesearchError(RuntimeError):
-    """Backtracking exceeded max_backtracks without acceptance."""
+    """Backtracking exceeded max_backtracks without acceptance. The
+    linesearch functions raise it; a solver ends with stop_reason
+    "linesearch" instead."""
 
 
 @dataclass
@@ -83,7 +79,6 @@ class SolverConfig:
     max_inner_iterations: int = 500
     max_stages: int = 1000
     max_backtracks: int = 60
-    pair_strategy: PairStrategy = PairStrategy.MAX_VIOLATION
     linesearch: LinesearchRule = LinesearchRule.ARMIJO
     # keep a copy of x in every trace event: O(n) memory per step
     record_points: bool = False
@@ -98,7 +93,6 @@ class SolverConfig:
         for name in ("max_inner_iterations", "max_stages", "max_backtracks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        self.pair_strategy = PairStrategy(self.pair_strategy)
         self.linesearch = LinesearchRule(self.linesearch)
 
 
@@ -148,30 +142,13 @@ def _require_positive_coefficients(p: ProblemInstance, solver: str) -> None:
 
 def _pair_from_best(h, can_dec, can_inc) -> tuple[int, int] | None:
     """Most violating pair (argmax h over can_dec, argmin h over can_inc),
-    ties to the lowest index, forced distinct."""
+    ties to the lowest index. None when either set is empty, or when one
+    coordinate tops both lists: then no pair has a positive violation."""
     if not can_dec.any() or not can_inc.any():
         return None
-    hm = np.where(can_dec, h, -np.inf)
-    hp = np.where(can_inc, h, np.inf)
-    i = int(np.argmax(hm))
-    j = int(np.argmin(hp))
-    if i != j:
-        return i, j
-    # one coordinate tops both lists; the best distinct pair swaps one side
-    hm2 = hm.copy()
-    hm2[i] = -np.inf
-    hp2 = hp.copy()
-    hp2[j] = np.inf
-    i2 = int(np.argmax(hm2)) if np.isfinite(hm2).any() else -1
-    j2 = int(np.argmin(hp2)) if np.isfinite(hp2).any() else -1
-    alt = []
-    if i2 >= 0:
-        alt.append((hm[i2] - hp[j], (i2, j)))
-    if j2 >= 0:
-        alt.append((hm[i] - hp[j2], (i, j2)))
-    if not alt:
-        return None
-    return max(alt, key=lambda t: t[0])[1]
+    i = int(np.argmax(np.where(can_dec, h, -np.inf)))
+    j = int(np.argmin(np.where(can_inc, h, np.inf)))
+    return None if i == j else (i, j)
 
 
 def _selection(p: ProblemInstance, x, i: int, j: int, h_i: float,
@@ -182,56 +159,29 @@ def _selection(p: ProblemInstance, x, i: int, j: int, h_i: float,
     return PairSelection(i=i, j=j, gamma=float(gamma), mu=float(h_j - h_i))
 
 
-def select_pair(x, stage: Stage, strategy: PairStrategy = PairStrategy.MAX_VIOLATION,
-                start: int = 0, gradient=None) -> PairSelection | None:
-    """Pick a working pair for the stage, or None when no pair clears it.
+def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
+    """The most violating pair for the stage, or None when it does not clear
+    the stage's thresholds.
 
     Eligible donors satisfy x_i >= lower_i + epsilon/a_i, receivers
     x_j <= upper_j - epsilon/a_j, and the pair must violate optimality by
-    h_i - h_j >= delta. MAX_VIOLATION scans the full scaled gradient;
-    FIRST_FOUND_SWEEP walks coordinates cyclically from `start`, evaluating
-    one partial derivative per visited coordinate, and returns the first pair
-    that clears delta.
+    h_i - h_j >= delta. `gradient` is f'(x) when the caller holds it.
     """
     p = stage.problem
     _require_positive_coefficients(p, "select_pair")
     x = np.asarray(x, dtype=float)
     a = p.equality.a
-    lower, upper = p.bounds.lower, p.bounds.upper
     margin = stage.epsilon / a
-
-    if strategy == PairStrategy.MAX_VIOLATION:
-        g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
-        h = g / a
-        can_dec = x >= lower + margin
-        can_inc = x <= upper - margin
-        pair = _pair_from_best(h, can_dec, can_inc)
-        if pair is None:
-            return None
-        i, j = pair
-        if h[i] - h[j] < stage.delta:
-            return None
-        return _selection(p, x, i, j, float(h[i]), float(h[j]))
-
-    n = p.n
-    best_dec: tuple[int, float] | None = None  # (index, h) with largest h so far
-    best_inc: tuple[int, float] | None = None  # (index, h) with smallest h so far
-    for step in range(n):
-        s = (start + step) % n
-        elig_dec = x[s] >= lower[s] + margin[s]
-        elig_inc = x[s] <= upper[s] - margin[s]
-        if not (elig_dec or elig_inc):
-            continue
-        h_s = p.objective.partial(s, x) / a[s]
-        if elig_dec and best_inc is not None and h_s - best_inc[1] >= stage.delta:
-            return _selection(p, x, s, best_inc[0], h_s, best_inc[1])
-        if elig_inc and best_dec is not None and best_dec[1] - h_s >= stage.delta:
-            return _selection(p, x, best_dec[0], s, best_dec[1], h_s)
-        if elig_dec and (best_dec is None or h_s > best_dec[1]):
-            best_dec = (s, h_s)
-        if elig_inc and (best_inc is None or h_s < best_inc[1]):
-            best_inc = (s, h_s)
-    return None
+    g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
+    h = g / a
+    pair = _pair_from_best(h, x >= p.bounds.lower + margin,
+                           x <= p.bounds.upper - margin)
+    if pair is None:
+        return None
+    i, j = pair
+    if h[i] - h[j] < stage.delta:
+        return None
+    return _selection(p, x, i, j, float(h[i]), float(h[j]))
 
 
 def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
@@ -423,7 +373,6 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     g = state.gradient()
     trace: list[TraceEvent] = []
     steps = stage_start = 0
-    sweep_start = 0
 
     # a verdict opens the solve and follows every step, rebuild and restart
     while True:
@@ -434,8 +383,7 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
         if not staged:
             sel = _most_violating(p_l, state.x, g)
         else:
-            sel = select_pair(state.x, cur, cfg.pair_strategy, start=sweep_start,
-                              gradient=g)
+            sel = select_pair(state.x, cur, gradient=g)
         if sel is None and not staged:
             # the maintained gradient may have drifted: rebuild, then take
             # the verdict and select again
@@ -475,7 +423,6 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             stop_reason = "linesearch"
             break
         steps += 1
-        sweep_start = (sel.j + 1) % p_l.n
         g = state.gradient()
         trace.append(TraceEvent(
             stage=l, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
@@ -525,6 +472,10 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     gap on the current surrogate reaches target_accuracy but the parameter
     has not, the next stage objective is adopted without counting an
     iteration. Trace rows use the pair sentinel i = j = -1 and gamma = 1.
+
+    stop_reason is one of "converged", "budget", "max_stages", "stalled"
+    or "linesearch" (no acceptable step within max_backtracks; the result is
+    the last accepted iterate, with the gap computed there).
     """
     cfg = cfg or SolverConfig()
     if stages is None and problem.objective.smoothing is not None:
@@ -562,8 +513,12 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         d = y - x
         mu = -gap
         f_x = f_l.value(x)
-        lam, m, f_new = armijo_linesearch(f_l, x, d, 1.0, mu, cfg.sigma,
-                                          cfg.theta, cfg.max_backtracks, f_x)
+        try:
+            lam, m, f_new = armijo_linesearch(f_l, x, d, 1.0, mu, cfg.sigma,
+                                              cfg.theta, cfg.max_backtracks, f_x)
+        except LinesearchError:
+            stop_reason = "linesearch"
+            break
         x = np.clip(x + lam * d, problem.bounds.lower, problem.bounds.upper)
         steps += 1
         trace.append(TraceEvent(

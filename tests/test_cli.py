@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bicoord import TRACE_COLUMNS, gen_quadratic, project, save_problem
+from bicoord import (TRACE_COLUMNS, gen_convex_log, gen_quadratic, project,
+                     save_problem, to_document)
 from bicoord.cli import main
 
 
@@ -57,8 +58,8 @@ class TestSolve:
         assert len(lines) >= 2
 
     def test_alternate_strategy_flags(self, problem_file, capsys):
-        code = main(["solve", problem_file, "--pair", "sweep",
-                     "--linesearch", "graddiff", "--method", "bcv"])
+        code = main(["solve", problem_file, "--linesearch", "graddiff",
+                     "--method", "bcv"])
         assert code == 0
         assert "converged: True" in capsys.readouterr().out
 
@@ -83,6 +84,23 @@ class TestSolve:
         assert "iterations: 142" in out
         assert "point:" in out
 
+    def test_cgm_linesearch_failure_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "q10.json"
+        save_problem(gen_quadratic(10, 5.0), path)
+        code = main(["solve", str(path), "--method", "cgm",
+                     "--max-backtracks", "1"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "converged: False (linesearch)" in captured.out
+        assert "point:" in captured.out
+        assert captured.err == ""
+
+    def test_pair_flag_is_gone(self, problem_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", problem_file, "--pair", "sweep"])
+        assert exc.value.code == 2
+        assert "--pair" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -92,6 +110,15 @@ class TestSolve:
         path.write_text('{"n": 3}')
         assert main(["solve", str(path)]) == 2
         assert "malformed" in capsys.readouterr().err
+
+    def test_missing_objective_param_exit_two(self, tmp_path, capsys):
+        doc = to_document(gen_convex_log(4, 2.0))
+        del doc["objective"]["params"]["c"]
+        path = tmp_path / "no_c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'c'" in err and "Traceback" not in err
 
 
 class TestProjectAndCheck:
@@ -166,3 +193,11 @@ class TestApplicationsCli:
         price = float([l for l in out.splitlines()
                        if l.startswith("clearing price:")][0].split(":")[1])
         assert price == pytest.approx(2.0, abs=1e-2)
+
+    def test_market_quote_without_slope_exit_two(self, tmp_path, capsys):
+        doc = {"traders": [{"p": 1.0, "cap": 4.0}],
+               "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}], "b": 0.0}
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        assert main(["market", str(path)]) == 2
+        assert "'q'" in capsys.readouterr().err

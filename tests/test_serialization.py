@@ -117,6 +117,20 @@ def test_missing_field_rejected():
         from_document(doc)
 
 
+@pytest.mark.parametrize("kind,path", [("quadratic_log", ("c",)),
+                                       ("market", ("traders", 0, "q")),
+                                       ("market", ("traders",)),
+                                       ("svm_dual", ("features",))])
+def test_missing_objective_param_names_the_field(kind, path):
+    doc = to_document(shipped_instances()[kind])
+    node = doc["objective"]["params"]
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    with pytest.raises(ProblemError, match=repr(path[-1])):
+        from_document(doc)
+
+
 def test_shape_mismatch_rejected():
     doc = to_document(gen_quadratic(3, 1.5))
     doc["n"] = 4

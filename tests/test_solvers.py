@@ -9,7 +9,7 @@ from bicoord import (
     LinearEquality,
     LinearObjective,
     LinesearchError,
-    PairStrategy,
+    LinesearchRule,
     QuadraticObjective,
     SolverConfig,
     Stage,
@@ -31,6 +31,7 @@ from bicoord import (
     build_problem,
 )
 from bicoord.objectives import SeparableQuadraticObjective
+from bicoord.solvers import _most_violating
 
 
 def unit_square(objective, beta=1.0):
@@ -45,21 +46,53 @@ def make_stage(problem, delta, epsilon):
     return Stage(index=0, problem=problem, delta=delta, epsilon=epsilon)
 
 
-def exhaustive_best_violation(x, stage):
-    # reference scan over all pairs admitted by the eligibility sets
-    p = stage.problem
-    a = p.equality.a
-    h = p.objective.gradient(x) / a
-    dec = x >= p.bounds.lower + stage.epsilon / a
-    inc = x <= p.bounds.upper - stage.epsilon / a
-    if not dec.any() or not inc.any():
-        return None
+def best_violation(h, dec, inc):
+    # reference scan over all distinct pairs admitted by the eligibility sets
     best = -np.inf
     for i in np.flatnonzero(dec):
         for j in np.flatnonzero(inc):
             if i != j:
                 best = max(best, h[i] - h[j])
     return None if best == -np.inf else best
+
+
+def exhaustive_best_violation(x, stage):
+    p = stage.problem
+    a = p.equality.a
+    h = p.objective.gradient(x) / a
+    return best_violation(h, x >= p.bounds.lower + stage.epsilon / a,
+                          x <= p.bounds.upper - stage.epsilon / a)
+
+
+def random_linear_instances(rng, count):
+    """(problem, feasible point, cost) triples on small boxes. Half have
+    continuous data; the other half draw costs from {-1, 0, 1, 2} and
+    coefficients from {0.5, 1, 2}, so scaled costs tie, and put a quarter of
+    the coordinates on each bound, so one coordinate can top both the donor
+    and the receiver list."""
+    for k in range(count):
+        n = int(rng.integers(2, 7))
+        if k % 2 == 0:
+            a = rng.uniform(0.5, 2.0, size=n)
+            lower = rng.uniform(-1.0, 0.0, size=n)
+            upper = lower + rng.uniform(0.5, 2.0, size=n)
+            c = rng.standard_normal(n)
+            beta = float(a @ rng.uniform(lower, upper))
+            p = build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),
+                              LinearObjective(c))
+            x = project(rng.uniform(lower, upper), p)
+        else:
+            a = rng.choice([0.5, 1.0, 2.0], size=n)
+            c = rng.choice([-1.0, 0.0, 1.0, 2.0], size=n)
+            lower = rng.uniform(-1.0, 0.0, size=n)
+            upper = lower + rng.uniform(0.5, 2.0, size=n)
+            side = rng.random(n)
+            x = np.where(side < 0.25, lower,
+                         np.where(side > 0.75, upper, rng.uniform(lower, upper)))
+            p = build_problem(BoxBounds(lower, upper),
+                              LinearEquality(a, float(a @ x)),
+                              LinearObjective(c))
+        yield p, x, c
 
 
 def test_select_pair_constant_gradient_returns_none():
@@ -87,16 +120,7 @@ def test_select_pair_respects_lower_bound_eligibility():
 
 def test_select_pair_matches_exhaustive_scan():
     rng = np.random.default_rng(97)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        a = rng.uniform(0.5, 2.0, size=n)
-        lower = rng.uniform(-1.0, 0.0, size=n)
-        upper = lower + rng.uniform(0.5, 2.0, size=n)
-        c = rng.standard_normal(n)
-        beta = float(a @ rng.uniform(lower, upper))
-        p = build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),
-                          LinearObjective(c))
-        x = project(rng.uniform(lower, upper), p)
+    for p, x, c in random_linear_instances(rng, 400):
         st = make_stage(p, delta=float(rng.uniform(0.05, 1.0)),
                         epsilon=float(rng.uniform(0.01, 0.3)))
         sel = select_pair(x, st)
@@ -104,49 +128,29 @@ def test_select_pair_matches_exhaustive_scan():
         if sel is None:
             assert best is None or best < st.delta
         else:
-            h = c / a
+            h = c / p.equality.a
             assert_allclose(h[sel.i] - h[sel.j], best, rtol=1e-12)
             assert sel.i != sel.j
             assert sel.gamma >= st.epsilon - 1e-12
             assert sel.mu <= -st.delta + 1e-12
 
 
-def test_select_pair_sweep_returns_valid_pair():
-    rng = np.random.default_rng(101)
-    for _ in range(100):
-        n = int(rng.integers(3, 8))
-        a = rng.uniform(0.5, 2.0, size=n)
-        lower = np.zeros(n)
-        upper = rng.uniform(1.0, 2.0, size=n)
-        c = rng.standard_normal(n)
-        beta = float(a @ rng.uniform(lower, upper))
-        p = build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),
-                          LinearObjective(c))
-        x = project(rng.uniform(lower, upper), p)
-        st = make_stage(p, delta=float(rng.uniform(0.05, 0.5)),
-                        epsilon=float(rng.uniform(0.01, 0.2)))
-        sweep = select_pair(x, st, PairStrategy.FIRST_FOUND_SWEEP,
-                            start=int(rng.integers(0, n)))
-        reference = select_pair(x, st, PairStrategy.MAX_VIOLATION)
-        if reference is None:
-            assert sweep is None
+def test_most_violating_matches_exhaustive_scan():
+    # mbc's rule: strict eligibility, and any violation above rounding noise
+    rng = np.random.default_rng(131)
+    for p, x, c in random_linear_instances(rng, 400):
+        h = c / p.equality.a
+        sel = _most_violating(p, x, c)
+        best = best_violation(h, x > p.bounds.lower, x < p.bounds.upper)
+        if sel is None:
+            assert best is None or best <= 1e-12 * max(1.0, np.abs(h).max())
         else:
-            assert sweep is not None
-            h = c / a
-            assert h[sweep.i] - h[sweep.j] >= st.delta - 1e-12
-            assert sweep.gamma >= st.epsilon - 1e-12
-
-
-def test_sweep_uses_fewer_partials_than_full_gradient():
-    p = gen_quadratic(50, 20.0)
-    counting = CountingObjective(p.objective)
-    probe = build_problem(p.bounds, p.equality, counting)
-    st = make_stage(probe, delta=0.05, epsilon=1e-4)
-    x = protocol_start(probe)
-    sel = select_pair(x, st, PairStrategy.FIRST_FOUND_SWEEP, gradient=None)
-    assert sel is not None
-    assert counting.gradient_calls == 0
-    assert counting.partial_calls < 2 * probe.n
+            assert h[sel.i] - h[sel.j] == best
+            assert sel.i != sel.j
+            assert x[sel.i] > p.bounds.lower[sel.i]
+            assert x[sel.j] < p.bounds.upper[sel.j]
+            assert sel.gamma > 0.0
+            assert sel.mu == h[sel.j] - h[sel.i]
 
 
 def test_armijo_hand_example():
@@ -323,10 +327,8 @@ def test_bcv_restart_leaves_no_violating_pair():
         assert best is None or best < st.delta
 
 
-@pytest.mark.parametrize("strategy", [PairStrategy.MAX_VIOLATION,
-                                      PairStrategy.FIRST_FOUND_SWEEP])
-def test_bcv_strategies_agree_on_convergence(strategy):
-    cfg = SolverConfig(pair_strategy=strategy, max_stages=10_000)
+def test_bcv_max_violation_converges_on_small_grid():
+    cfg = SolverConfig(max_stages=10_000)
     for gen, needs_tau in ((gen_quadratic, False), (gen_convex_log, False),
                            (gen_nonsmooth_l1, True)):
         for beta in (5.0, 10.0, 20.0):
@@ -463,6 +465,28 @@ def test_linesearch_stall_ends_the_solve_at_the_last_step():
     assert 0.0 < result.error_bound < 1e-6
 
 
+@pytest.mark.parametrize("solve", [bcv_solve, cgm_solve, mbc_solve])
+def test_linesearch_failure_ends_every_method(solve):
+    # from the default start no first step is accepted within one backtrack
+    p = gen_quadratic(10, 5.0)
+    result = solve(p, SolverConfig(max_backtracks=1))
+    assert result.stop_reason == "linesearch"
+    assert not result.converged
+    assert result.inner_iterations_total == 0
+    assert check_feasibility(result.point, p).feasible
+    assert result.error_bound == error_bound(p, result.point)
+
+
+def test_cgm_linesearch_failure_keeps_the_last_step():
+    p = gen_quadratic(10, 5.0)
+    result = cgm_solve(p, SolverConfig(max_backtracks=4, record_points=True))
+    assert result.stop_reason == "linesearch"
+    assert result.inner_iterations_total == 3
+    assert np.array_equal(result.point, result.trace[-1].point_after)
+    assert result.objective_value == p.objective.value(result.point)
+    assert result.error_bound == error_bound(p, result.point)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(sigma=0.0)
@@ -473,7 +497,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_inner_iterations=0)
     with pytest.raises(ValueError):
-        SolverConfig(pair_strategy="definitely-not-a-strategy")
-    cfg = SolverConfig(pair_strategy="first-found-sweep",
-                       linesearch="gradient-difference")
-    assert cfg.pair_strategy is PairStrategy.FIRST_FOUND_SWEEP
+        SolverConfig(linesearch="definitely-not-a-rule")
+    cfg = SolverConfig(linesearch="gradient-difference")
+    assert cfg.linesearch is LinesearchRule.GRADIENT_DIFFERENCE
