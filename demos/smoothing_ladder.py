@@ -12,7 +12,7 @@ from bicoord import (GeometricSchedule, SolverConfig, bcv_solve,
                      gen_nonsmooth_l1, protocol_start)
 
 p = gen_nonsmooth_l1(20, 5.0)
-sched = GeometricSchedule(p, tau_min=0.1)
+sched = GeometricSchedule(p, 0.1)
 
 print("stage ladder (first 6 rungs):")
 for l in range(6):

@@ -7,9 +7,8 @@ the primal weights come back as features^T y.
 
 import numpy as np
 
-from bicoord import (GeometricSchedule, SolverConfig, SvmDataset, bcv_solve,
-                     build_svm_dual, protocol_start, svm_cap_binding,
-                     svm_primal)
+from bicoord import (SolverConfig, SvmDataset, bcv_solve, build_svm_dual,
+                     protocol_start, svm_cap_binding, svm_primal)
 
 rng = np.random.default_rng(11)
 n_per = 40
@@ -21,8 +20,7 @@ data = SvmDataset(features=features, labels=labels)
 
 inst = build_svm_dual(data, tau=10.0, upper_cap=1e3)
 cfg = SolverConfig(target_accuracy=1e-3, max_inner_iterations=50_000)
-res = bcv_solve(inst, cfg, stages=GeometricSchedule(inst, tau_min=1e-3),
-                z0=protocol_start(inst))
+res = bcv_solve(inst, cfg, z0=protocol_start(inst))
 print(f"dual solve: {res.inner_iterations_total} iterations, "
       f"gap {res.error_bound:.2e} ({res.stop_reason})")
 

@@ -43,6 +43,7 @@ __all__ = [
     "build_portfolio",
     "build_market",
     "split_market_point",
+    "svm_cap_binding",
     "svm_primal",
     "verify_market_equilibrium",
 ]

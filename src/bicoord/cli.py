@@ -19,7 +19,7 @@ from .benchmark import BenchmarkSpec, render_csv, render_markdown, run_benchmark
 from .diagnostics import (InfeasiblePointError, check_stationarity,
                           error_bound, write_trace_csv)
 from .geometry import check_feasibility, project
-from .problem import GeometricSchedule, ProblemError
+from .problem import GeometricSchedule, ProblemError, SignMap, normalize_signs
 from .serialization import load_problem
 from .solvers import SolverConfig, bcv_solve, cgm_solve, mbc_solve
 
@@ -54,10 +54,6 @@ def _add_solver_options(sp: argparse.ArgumentParser, mu: float = 0.1,
     sp.add_argument("--nu", type=float, default=0.5)
     sp.add_argument("--delta0", type=float, default=1.0)
     sp.add_argument("--eps0", type=float, default=1.0)
-    sp.add_argument("--delta-min", type=float, default=1e-6)
-    sp.add_argument("--eps-min", type=float, default=1e-6)
-    sp.add_argument("--tau-min", type=float, default=None,
-                    help="smoothing floor, defaults to --mu")
     sp.add_argument("--linesearch", choices=("armijo", "graddiff"),
                     default="armijo")
     sp.add_argument("--max-backtracks", type=int, default=60)
@@ -67,17 +63,17 @@ def _add_solver_options(sp: argparse.ArgumentParser, mu: float = 0.1,
                     help="write the iteration trace to this CSV file")
 
 
-def _run_solver(problem, args):
+def _run_solver(problem, args, signs: SignMap | None = None):
     rule = {"armijo": "armijo", "graddiff": "gradient-difference"}[args.linesearch]
     cfg = SolverConfig(
         sigma=args.sigma, theta=args.theta, target_accuracy=args.mu,
         max_inner_iterations=args.max_iters, max_stages=args.max_stages,
         max_backtracks=args.max_backtracks, linesearch=rule)
     z0 = _parse_vector(args.start) if args.start else None
-    tau_min = args.mu if args.tau_min is None else args.tau_min
-    stages = GeometricSchedule(
-        problem, delta0=args.delta0, eps0=args.eps0, nu=args.nu,
-        delta_min=args.delta_min, eps_min=args.eps_min, tau_min=tau_min)
+    if z0 is not None and signs is not None:
+        z0 = signs.apply(z0)
+    stages = GeometricSchedule(problem, args.mu, delta0=args.delta0,
+                               eps0=args.eps0, nu=args.nu)
     if args.method == "bcv":
         return bcv_solve(problem, cfg, stages=stages, z0=z0)
     if args.method == "cgm":
@@ -106,8 +102,10 @@ def _exit_code(result) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem = load_problem(args.problem)
-    result = _run_solver(problem, args)
+    # bcv and mbc need a > 0: solve in y = signs * x and map the point back
+    problem, signs = normalize_signs(load_problem(args.problem))
+    result = _run_solver(problem, args, signs)
+    result.point = signs.apply(result.point)
     _print_result(result, args.trace)
     return _exit_code(result)
 

@@ -70,9 +70,6 @@ class BoxBounds:
     def n(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, x: np.ndarray, tol: float = 0.0) -> bool:
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
 
 @dataclass(frozen=True)
 class LinearEquality:
@@ -178,7 +175,10 @@ class SignMap:
             raise ProblemError("signs must be +-1")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.signs * np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.signs.shape:
+            raise ProblemError("point has wrong length")
+        return self.signs * x
 
 
 def normalize_signs(p: ProblemInstance) -> tuple[ProblemInstance, SignMap]:
@@ -210,7 +210,6 @@ def normalize_signs(p: ProblemInstance) -> tuple[ProblemInstance, SignMap]:
 class Stage:
     """One rung of the schedule: problem data plus pair tolerances."""
 
-    index: int
     problem: ProblemInstance
     delta: float
     epsilon: float
@@ -228,57 +227,47 @@ class StageProvider:
 
 
 class GeometricSchedule(StageProvider):
-    """delta_l = max(delta_min, nu^l delta_0), same for epsilon, and for
-    objectives with a smoothing parameter tau_l = max(tau_min, nu^l tau_0).
+    """delta_l = max(f, nu^l delta_0), same for epsilon, with f = min(1e-6,
+    1e-2 accuracy), and for objectives with a smoothing parameter
+    tau_l = max(min(tau_0, accuracy), nu^l tau_0), never above tau_0.
 
     The feasible set is the same at every stage; only the smoothing parameter
     changes the objective, and stages at equal parameters share the same
     problem object.
     """
 
-    def __init__(self, problem: ProblemInstance, delta0: float = 1.0,
-                 eps0: float = 1.0, nu: float = 0.5, delta_min: float = 1e-6,
-                 eps_min: float = 1e-6, tau_min: float = 1e-6):
+    def __init__(self, problem: ProblemInstance, accuracy: float,
+                 delta0: float = 1.0, eps0: float = 1.0, nu: float = 0.5):
         if not 0.0 < nu < 1.0:
             raise ProblemError("nu must lie in (0, 1)")
-        for name, v in (("delta0", delta0), ("eps0", eps0),
-                        ("delta_min", delta_min), ("eps_min", eps_min),
-                        ("tau_min", tau_min)):
+        for name, v in (("accuracy", accuracy), ("delta0", delta0),
+                        ("eps0", eps0)):
             if not v > 0.0:
                 raise ProblemError(f"{name} must be positive")
         self.problem = problem
+        self.accuracy = float(accuracy)
         self.delta0 = float(delta0)
         self.eps0 = float(eps0)
         self.nu = float(nu)
-        self.delta_min = float(delta_min)
-        self.eps_min = float(eps_min)
-        self.tau_min = float(tau_min)
+        self._floor = min(1e-6, 1e-2 * self.accuracy)
         self._by_tau: dict[float, ProblemInstance] = {}
 
     def tau(self, l: int) -> float | None:
         tau0 = self.problem.objective.smoothing
         if tau0 is None:
             return None
-        return max(self.tau_min, tau0 * self.nu**l)
-
-    def _problem_at(self, l: int) -> ProblemInstance:
-        tau = self.tau(l)
-        if tau is None or tau == self.problem.objective.smoothing:
-            return self.problem
-        if tau not in self._by_tau:
-            p = self.problem
-            self._by_tau[tau] = ProblemInstance(
-                bounds=p.bounds, equality=p.equality,
-                objective=p.objective.with_smoothing(tau))
-        return self._by_tau[tau]
+        return max(min(tau0, self.accuracy), tau0 * self.nu**l)
 
     def stage(self, l: int) -> Stage:
         if l < 0:
             raise ProblemError("stage index must be nonnegative")
-        return Stage(
-            index=l,
-            problem=self._problem_at(l),
-            delta=max(self.delta_min, self.delta0 * self.nu**l),
-            epsilon=max(self.eps_min, self.eps0 * self.nu**l),
-        )
-
+        p, tau = self.problem, self.tau(l)
+        if tau is not None and tau != p.objective.smoothing:
+            if tau not in self._by_tau:
+                self._by_tau[tau] = ProblemInstance(
+                    bounds=p.bounds, equality=p.equality,
+                    objective=p.objective.with_smoothing(tau))
+            p = self._by_tau[tau]
+        return Stage(problem=p,
+                     delta=max(self._floor, self.delta0 * self.nu**l),
+                     epsilon=max(self._floor, self.eps0 * self.nu**l))

@@ -33,6 +33,11 @@ _REQUIRED_PARAMS = {**_QUADRATIC_PARAMS,
                     "portfolio": ("covariance", "means", "target", "tau", "p"),
                     "market": ("traders", "buyers")}
 OBJECTIVE_KINDS = tuple(_REQUIRED_PARAMS)
+# the JSON type of each param that holds a number or an array of numbers
+_PARAM_TYPES = {**dict.fromkeys(("xi", "tau", "p", "target", "smooth_eps",
+                                 "upper_cap", "b"), (int, float)),
+                **dict.fromkeys(("matrix", "c", "features", "labels",
+                                 "covariance", "means"), list)}
 
 
 def to_document(p: ProblemInstance) -> dict:
@@ -78,12 +83,18 @@ def from_document(doc: dict) -> ProblemInstance:
         raise ProblemError(f"malformed problem document: {exc}") from exc
     if a.shape != (n,) or lower.shape != (n,) or upper.shape != (n,):
         raise ProblemError("document arrays disagree with n")
-    if kind not in _REQUIRED_PARAMS:
+    if kind not in OBJECTIVE_KINDS:
         raise ProblemError(f"unknown objective kind {kind!r}")
+    if not isinstance(params, dict):
+        raise ProblemError(f"{kind!r} objective params must be an object")
     missing = [k for k in _REQUIRED_PARAMS[kind] if k not in params]
     if missing:
         raise ProblemError(f"{kind!r} objective params lack "
                            + ", ".join(repr(k) for k in missing))
+    for k, v in params.items():
+        if not isinstance(v, _PARAM_TYPES.get(k, object)):
+            raise ProblemError(f"{kind!r} objective param {k!r} has the "
+                               f"wrong type: {v!r:.60}")
 
     if kind in _QUADRATIC_PARAMS or kind == "portfolio":
         return build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),

@@ -443,21 +443,21 @@ def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
               stages: StageProvider | None = None, z0=None) -> SolveResult:
     """Two-level selective bi-coordinate descent.
 
-    Stages come from `stages` (default: geometric ladder on `problem` with
-    delta0 = eps0 = 1, ratio 0.5, floors 1e-6). Convergence means the gap
-    Delta(x) on the current stage objective is at most
+    Stages come from `stages` (default: GeometricSchedule(problem,
+    cfg.target_accuracy), whose floors follow the target). Convergence
+    means the gap Delta(x) on the current stage objective is at most
     cfg.target_accuracy, and for smoothed objectives that the smoothing
     parameter has decreased to that accuracy as well. One iteration is one
     accepted pair step; stage restarts and projections are free. Budgets:
     max_inner_iterations accepted steps in total, max_stages stages.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
-    (a restart changed nothing and the next stage is identical) or
-    "linesearch" (no acceptable step within max_backtracks; the result is
-    the last accepted iterate).
+    (a restart changed nothing and the next stage is identical, so the
+    ladder is at its floors) or "linesearch" (no acceptable step within
+    max_backtracks; the result is the last accepted iterate).
     """
     cfg = cfg or SolverConfig()
-    stages = stages or GeometricSchedule(problem)
+    stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
     _require_positive_coefficients(problem, "bcv_solve")
     return _pair_descent(problem, cfg, stages, z0)
 
@@ -468,21 +468,21 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
 
     Each iteration minimizes the linearized objective over the feasible set
     and backtracks along d = y - x from unit step. For smoothed objectives a
-    stage provider supplies the shrinking approximation parameter: when the
-    gap on the current surrogate reaches target_accuracy but the parameter
-    has not, the next stage objective is adopted without counting an
-    iteration. Trace rows use the pair sentinel i = j = -1 and gamma = 1.
+    stage provider (default: GeometricSchedule(problem, cfg.target_accuracy))
+    supplies the shrinking approximation parameter: when the gap on the
+    current surrogate reaches target_accuracy but the parameter has not, the
+    next stage objective is adopted without counting an iteration. Trace
+    rows use the pair sentinel i = j = -1 and gamma = 1.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
     or "linesearch" (no acceptable step within max_backtracks; the result is
     the last accepted iterate, with the gap computed there).
     """
     cfg = cfg or SolverConfig()
-    if stages is None and problem.objective.smoothing is not None:
-        stages = GeometricSchedule(problem)
+    stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
 
     l = 0
-    p_l = stages.stage(l).problem if stages is not None else problem
+    p_l = stages.stage(l).problem
     x = project(_default_start(problem) if z0 is None else np.asarray(z0, float),
                 problem)
     trace: list[TraceEvent] = []

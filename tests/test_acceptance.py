@@ -181,7 +181,7 @@ def test_criterion_02_smoothed_family_converges_with_exact_tau_ladder(grid):
                     f"tau {run.cell.tau}")
 
     # ladder check: the provider must realize tau_{l+1} = max(mu, nu tau_l)
-    sched = GeometricSchedule(gen_nonsmooth_l1(10, 5.0, 1.6), tau_min=ACCURACY)
+    sched = GeometricSchedule(gen_nonsmooth_l1(10, 5.0, 1.6), ACCURACY)
     tau, ladder_ok = 1.6, True
     for l in range(12):
         ladder_ok = ladder_ok and sched.tau(l) == tau
@@ -330,7 +330,7 @@ def test_criterion_07_stationarity_at_termination(grid):
     for inst, accuracy in tight:
         cfg = SolverConfig(target_accuracy=accuracy,
                            max_inner_iterations=200_000, max_stages=10_000)
-        stages = GeometricSchedule(inst, tau_min=accuracy)
+        stages = GeometricSchedule(inst, accuracy)
         res = bcv_solve(inst, cfg, stages=stages, z0=protocol_start(inst))
         if not res.converged:
             failures.append(f"tight solve did not converge (n {inst.n})")

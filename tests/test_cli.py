@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+import shlex
 import subprocess
 import sys
 
@@ -6,9 +8,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bicoord import (TRACE_COLUMNS, gen_convex_log, gen_quadratic, project,
-                     save_problem, to_document)
-from bicoord.cli import main
+from bicoord import (TRACE_COLUMNS, BoxBounds, LinearEquality,
+                     QuadraticObjective, SolverConfig, bcv_solve, build_problem,
+                     error_bound, gen_convex_log, gen_nonsmooth_l1, gen_quadratic,
+                     project, save_problem, to_document)
+from bicoord.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _printed_point(out):
+    line = [l for l in out.splitlines() if l.startswith("point: ")][0]
+    return np.array([float(v) for v in line[len("point: "):].split(",")])
 
 
 @pytest.fixture()
@@ -120,6 +131,64 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "'c'" in err and "Traceback" not in err
 
+    def test_null_objective_param_exit_two(self, tmp_path, capsys):
+        doc = to_document(gen_convex_log(4, 2.0))
+        doc["objective"]["params"]["xi"] = None
+        path = tmp_path / "null_xi.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'xi'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["bcv", "cgm", "mbc"])
+    def test_negative_coefficients(self, tmp_path, method, capsys):
+        # a = (1, -1, 2): the pair methods solve the sign-normalized problem,
+        # and the point comes back in the document's coordinates
+        a = np.array([1.0, -1.0, 2.0])
+        p = build_problem(BoxBounds(np.zeros(3), np.ones(3)),
+                          LinearEquality(a, 1.0),
+                          QuadraticObjective(np.diag([1.0, 2.0, 3.0])))
+        path = tmp_path / "signed.json"
+        save_problem(p, path)
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", str(path), "--method", method, "--mu", "1e-3",
+                     "--max-iters", "5000", "--start", "0.5,0.5,0.5",
+                     "--trace", str(trace)]) == 0
+        x = _printed_point(capsys.readouterr().out)
+        assert abs(a @ x - 1.0) <= 1e-12
+        assert x.min() >= 0.0 and x.max() <= 1.0
+        assert error_bound(p, x) <= 1e-3
+        # --start is read in the document's coordinates, where (0.5, 0.5,
+        # 0.5) is feasible: the first step starts there
+        first = trace.read_text().splitlines()[1].split(",")
+        f_before = float(first[TRACE_COLUMNS.index("f_before")])
+        assert f_before == p.objective.value(np.full(3, 0.5))
+
+    @pytest.mark.parametrize("flag", ["--delta-min", "--eps-min", "--tau-min"])
+    def test_floor_flags_are_gone(self, problem_file, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", problem_file, flag, "1e-6"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make, mu", [(lambda: gen_quadratic(10, 5.0), "1e-6"),
+                                          (lambda: gen_nonsmooth_l1(10, 5.0), "1e-3")])
+    def test_default_schedule_matches_library(self, tmp_path, make, mu, capsys):
+        # the CLI at default flags and bcv_solve with no schedule run the
+        # same stages, so every step and the point agree
+        p = make()
+        path = tmp_path / "p.json"
+        save_problem(p, path)
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", str(path), "--mu", mu, "--trace", str(trace)]) == 0
+        out = capsys.readouterr().out
+        res = bcv_solve(p, SolverConfig(target_accuracy=float(mu)))
+        assert f"iterations: {res.inner_iterations_total}" in out
+        assert f"stages: {res.stages_completed}" in out
+        assert np.array_equal(_printed_point(out), res.point)
+        rows = trace.read_text().strip().split("\n")[1:]
+        assert [int(r.split(",")[0]) for r in rows] == [e.stage for e in res.trace]
+
 
 class TestProjectAndCheck:
     def test_project_matches_library(self, problem_file, capsys):
@@ -182,6 +251,12 @@ class TestApplicationsCli:
         assert "support rows:" in captured.out
         assert "warning" not in captured.err
 
+    def test_svm_ladder_keeps_a_tighter_smoothing(self, svm_file, capsys):
+        # --smooth-eps below --mu is the objective's own tau; no stage
+        # raises it to the target
+        assert main(["svm", svm_file, "--p", "1", "--smooth-eps", "1e-4"]) == 0
+        assert "smoothing: 0.0001\n" in capsys.readouterr().out
+
     def test_svm_cap_warning(self, svm_file, capsys):
         assert main(["svm", svm_file, "--cap", "1e-4", "--mu", "1e-6"]) == 0
         assert "raise --cap" in capsys.readouterr().err
@@ -201,3 +276,14 @@ class TestApplicationsCli:
         path.write_text(json.dumps(doc))
         assert main(["market", str(path)]) == 2
         assert "'q'" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # every `bicoord ...` line of the README's command block names only
+    # subcommands and flags that exist
+    lines = [l.strip() for l in README.read_text().splitlines()
+             if l.startswith("bicoord ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -182,7 +182,7 @@ def test_gap_and_stationarity_agree_after_solve():
 def test_audit_accepts_genuine_trace():
     p = gen_quadratic(10, 5.0)
     cfg = SolverConfig(record_points=True)
-    sched = GeometricSchedule(p)
+    sched = GeometricSchedule(p, 0.1)
     result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
     audit = audit_trace(result.trace, cfg, stages=sched, problem=p)
     assert audit.passed
@@ -193,7 +193,7 @@ def test_audit_accepts_genuine_trace():
 def test_audit_flags_tampered_objective_record():
     p = gen_quadratic(10, 5.0)
     cfg = SolverConfig(record_points=True)
-    sched = GeometricSchedule(p)
+    sched = GeometricSchedule(p, 0.1)
     result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
     import dataclasses
     bad = list(result.trace)

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 import pkgutil
 
 import pytest
@@ -19,3 +21,16 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), "duplicate __all__ entries"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"bicoord.{name}.__all__ names missing objects: {missing}"
+
+
+def test_reexported_names_are_in_their_submodule_all():
+    # every `from .module import name` in the package root names a member
+    # of that module's __all__
+    tree = ast.parse(Path(bicoord.__file__).read_text())
+    missing = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"bicoord.{node.module}")
+            missing += [f"{node.module}.{a.name}" for a in node.names
+                        if a.name not in module.__all__]
+    assert not missing, f"re-exported but not in __all__: {missing}"

@@ -144,9 +144,24 @@ def small_market():
     return build_market(MarketModel(traders=tuple(traders), buyers=tuple(buyers)))[0]
 
 
+def stall_problem(kind):
+    """Balance 1000 over [0, 1000]^2 with a scaled-gradient difference of
+    about 5e-9 across the pair: below the threshold floor of 1e-8 at target
+    1e-6, while the gap at (500, 500) is 2.5e-6. The quadratic kind is the
+    log term -ln(2000 - x0 - (1 + 5e-6) x1), the market kind the market's
+    separable objective with a linear cost."""
+    if kind == "quadratic":
+        obj = QuadraticObjective(np.zeros((2, 2)), np.array([-1.0, -1.0 - 5e-6]),
+                                 2000.0)
+    else:
+        obj = SeparableQuadraticObjective(np.array([1.0, 1.0 + 5e-9]), np.zeros(2))
+    return build_problem(BoxBounds(np.zeros(2), np.full(2, 1000.0)),
+                         LinearEquality(np.ones(2), 1000.0), obj)
+
+
 # (solver, config, stop reason); budget stops after 7 steps, before the
 # quadratic state's first self-rebuild, so its last verdict ran on a moved
-# state
+# state. The stall runs on stall_problem.
 EXITS = [
     (bcv_solve, {}, "converged"),
     (mbc_solve, {}, "converged"),
@@ -169,7 +184,10 @@ EXIT_CASES = [(kind, *case) for kind in ("quadratic", "market") for case in EXIT
 @pytest.mark.parametrize("kind, solve, options, reason", EXIT_CASES,
                          ids=[f"{k}-{s.__name__}-{r}" for k, s, _, r in EXIT_CASES])
 def test_reported_gap_is_fresh_at_every_exit(kind, solve, options, reason):
-    if kind == "quadratic":
+    if reason == "stalled":
+        p = stall_problem(kind)
+        z0 = np.array([500.0, 500.0])
+    elif kind == "quadratic":
         p = gen_quadratic(10, 5.0)
         z0 = protocol_start(p)
     else:

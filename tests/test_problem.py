@@ -145,33 +145,48 @@ def test_partial_matches_gradient_component():
 def test_stage_requires_positive_tolerances():
     p = unit_square()
     with pytest.raises(ValueError):
-        Stage(index=0, problem=p, delta=0.0, epsilon=1.0)
+        Stage(problem=p, delta=0.0, epsilon=1.0)
     with pytest.raises(ValueError):
-        Stage(index=0, problem=p, delta=1.0, epsilon=-1.0)
+        Stage(problem=p, delta=1.0, epsilon=-1.0)
 
 
 def test_geometric_schedule_values():
-    sched = GeometricSchedule(unit_square(), delta0=1.0, eps0=1.0, nu=0.5)
+    sched = GeometricSchedule(unit_square(), 0.1, delta0=1.0, eps0=1.0, nu=0.5)
     assert_allclose(sched.stage(3).delta, 0.125)
 
 
 def test_geometric_schedule_floor():
-    sched = GeometricSchedule(unit_square(), delta0=1.0, nu=0.5, delta_min=0.1)
-    for l in range(4, 12):
-        assert sched.stage(l).delta == 0.1
+    # the threshold floor is min(1e-6, 1e-2 accuracy): 1e-6 down to an
+    # accuracy of 1e-4, then a hundredth of the accuracy
+    for accuracy, floor, first in ((0.1, 1e-6, 20), (1e-4, 1e-6, 20),
+                                   (1e-6, 1e-8, 27), (1e-12, 1e-14, 47)):
+        sched = GeometricSchedule(unit_square(), accuracy, nu=0.5)
+        assert sched.stage(first - 1).delta > floor
+        for l in range(first, first + 5):
+            st = sched.stage(l)
+            assert st.delta == st.epsilon == min(1e-6, 1e-2 * accuracy)
+            assert_allclose(st.delta, floor, rtol=1e-12)
 
 
 def test_smoothing_ladder_matches_update_rule():
     p = gen_nonsmooth_l1(6, 3.0, tau=1.6)
-    sched = GeometricSchedule(p, nu=0.5, tau_min=0.1)
+    sched = GeometricSchedule(p, 0.1, nu=0.5)
     taus = [sched.stage(l).problem.objective.smoothing for l in range(6)]
     assert taus == [1.6, 0.8, 0.4, 0.2, 0.1, 0.1]
 
 
+def test_smoothing_ladder_never_loosens_tau():
+    # tau_0 below the accuracy stays where it is
+    p = gen_nonsmooth_l1(6, 3.0, tau=1e-4)
+    sched = GeometricSchedule(p, 0.1)
+    for l in range(5):
+        assert sched.tau(l) == 1e-4
+        assert sched.stage(l).problem is p
+
+
 def test_schedule_monotone_and_floored():
     p = gen_nonsmooth_l1(6, 3.0, tau=1.6)
-    sched = GeometricSchedule(p, delta0=2.0, eps0=0.5, nu=0.3,
-                              delta_min=1e-3, eps_min=1e-4, tau_min=0.05)
+    sched = GeometricSchedule(p, 0.05, delta0=2.0, eps0=0.5, nu=0.3)
     prev = None
     for l in range(20):
         st = sched.stage(l)
@@ -180,21 +195,28 @@ def test_schedule_monotone_and_floored():
             assert st.delta <= prev[0]
             assert st.epsilon <= prev[1]
             assert tau <= prev[2]
-        assert st.delta >= 1e-3
-        assert st.epsilon >= 1e-4
+        assert st.delta >= 1e-6
+        assert st.epsilon >= 1e-6
         assert tau >= 0.05
         prev = (st.delta, st.epsilon, tau)
+    assert (st.delta, st.epsilon, tau) == (1e-6, 1e-6, 0.05)
 
 
 def test_schedule_reuses_problem_once_tau_freezes():
     p = gen_nonsmooth_l1(6, 3.0, tau=1.6)
-    sched = GeometricSchedule(p, nu=0.5, tau_min=0.1)
+    sched = GeometricSchedule(p, 0.1, nu=0.5)
     assert sched.stage(4).problem is sched.stage(5).problem
     assert sched.stage(0).problem is not sched.stage(1).problem
 
 
 def test_schedule_rejects_bad_ratio():
     with pytest.raises(ValueError):
-        GeometricSchedule(unit_square(), nu=1.0)
+        GeometricSchedule(unit_square(), 0.1, nu=1.0)
     with pytest.raises(ValueError):
-        GeometricSchedule(unit_square(), nu=0.0)
+        GeometricSchedule(unit_square(), 0.1, nu=0.0)
+
+
+def test_schedule_rejects_nonpositive_accuracy():
+    for accuracy in (0.0, -1e-3):
+        with pytest.raises(ValueError):
+            GeometricSchedule(unit_square(), accuracy)

@@ -131,6 +131,35 @@ def test_missing_objective_param_names_the_field(kind, path):
         from_document(doc)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("xi", None, "'xi'"),
+    ("kind", ["x"], "kind"),
+    ("params", None, "params"),
+])
+def test_wrongly_typed_field_names_the_field(field, value, match):
+    doc = to_document(gen_convex_log(4, 2.0))
+    if field == "xi":
+        doc["objective"]["params"]["xi"] = value
+    else:
+        doc["objective"][field] = value
+    with pytest.raises(ProblemError, match=match):
+        from_document(doc)
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("quadratic_log", "c", None),
+    ("quadratic_log", "matrix", {"a": 1}),
+    ("quadratic_log_l1", "tau", "x"),
+    ("svm_dual", "upper_cap", None),
+    ("market", "b", [1]),
+])
+def test_wrongly_typed_param_is_a_problem_error(kind, field, value):
+    doc = to_document(shipped_instances()[kind])
+    doc["objective"]["params"][field] = value
+    with pytest.raises(ProblemError, match=repr(field)):
+        from_document(doc)
+
+
 def test_shape_mismatch_rejected():
     doc = to_document(gen_quadratic(3, 1.5))
     doc["n"] = 4

@@ -43,7 +43,7 @@ def unit_square(objective, beta=1.0):
 
 
 def make_stage(problem, delta, epsilon):
-    return Stage(index=0, problem=problem, delta=delta, epsilon=epsilon)
+    return Stage(problem=problem, delta=delta, epsilon=epsilon)
 
 
 def best_violation(h, dec, inc):
@@ -290,7 +290,7 @@ def test_bcv_benchmark_instance_converges():
 def test_bcv_trace_step_sizes_and_stage_sums():
     p = gen_quadratic(20, 10.0)
     cfg = SolverConfig(record_points=True)
-    sched = GeometricSchedule(p)
+    sched = GeometricSchedule(p, 0.1)
     result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
     assert result.converged
     assert result.trace
@@ -311,7 +311,7 @@ def test_bcv_trace_step_sizes_and_stage_sums():
 
 def test_bcv_restart_leaves_no_violating_pair():
     p = gen_quadratic(10, 5.0)
-    sched = GeometricSchedule(p)
+    sched = GeometricSchedule(p, 0.1)
     result = bcv_solve(p, SolverConfig(record_points=True), stages=sched,
                        z0=protocol_start(p))
     by_stage = {}
@@ -334,10 +334,28 @@ def test_bcv_max_violation_converges_on_small_grid():
         for beta in (5.0, 10.0, 20.0):
             for n in (10, 20):
                 p = gen(n, beta)
-                sched = GeometricSchedule(p, tau_min=0.1) if needs_tau else None
+                sched = GeometricSchedule(p, 0.1) if needs_tau else None
                 result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
                 assert result.converged, (gen.__name__, beta, n)
                 assert result.error_bound <= 0.1
+
+
+@pytest.mark.parametrize("accuracy, rules", [
+    (1e-6, ("armijo", "gradient-difference")),
+    (1e-8, ("gradient-difference",)),
+])
+def test_bcv_converges_at_high_accuracy(accuracy, rules):
+    # the threshold floors follow the target, min(1e-6, 1e-2 accuracy); a
+    # floor of 1e-6 would stall most of these solves at gaps of 1e-6 to 2e-6
+    for gen in (gen_quadratic, gen_convex_log, gen_nonsmooth_l1):
+        for n in (10, 50):
+            p = gen(n, 5.0)
+            for rule in rules:
+                cfg = SolverConfig(target_accuracy=accuracy, linesearch=rule,
+                                   max_inner_iterations=3000)
+                result = bcv_solve(p, cfg, z0=protocol_start(p))
+                assert result.stop_reason == "converged", (gen.__name__, n, rule)
+                assert result.error_bound <= accuracy
 
 
 def test_bcv_budget_semantics():
@@ -381,7 +399,7 @@ def test_mbc_first_pair_matches_bcv_at_vanishing_threshold():
     p = unit_square(obj)
     z0 = np.array([1.0, 0.0])
     mbc = mbc_solve(p, SolverConfig(target_accuracy=1e-6), z0=z0)
-    sched = GeometricSchedule(p, delta0=1e-9, eps0=1e-9)
+    sched = GeometricSchedule(p, 1e-6, delta0=1e-9, eps0=1e-9)
     bcv = bcv_solve(p, SolverConfig(target_accuracy=1e-6), stages=sched,
                     z0=z0)
     assert mbc.trace and bcv.trace
@@ -416,8 +434,17 @@ def test_mbc_stops_at_accuracy_or_budget():
 
 def tied_pair_problem():
     """<(1, 1 + 1e-14), x> on x0 + x1 = 1: the pair's violation is 1e-14,
-    below mbc's noise floor and below bcv's threshold floors."""
+    below mbc's noise floor."""
     return unit_square(LinearObjective(np.array([1.0, 1.0 + 1e-14])))
+
+
+def flat_pair_problem():
+    """<(1, 1 + 5e-9), x> on x0 + x1 = 1000 in [0, 1000]^2. From (500, 500)
+    the gap is 2.5e-6, but the pair's violation 5e-9 is below the threshold
+    floor of 1e-8 that a target of 1e-6 sets."""
+    return build_problem(BoxBounds(np.zeros(2), np.full(2, 1000.0)),
+                         LinearEquality(np.ones(2), 1000.0),
+                         LinearObjective(np.array([1.0, 1.0 + 5e-9])))
 
 
 def test_mbc_stops_when_no_descent_pair_remains():
@@ -430,14 +457,16 @@ def test_mbc_stops_when_no_descent_pair_remains():
 
 
 def test_bcv_stalls_once_the_ladder_reaches_its_floors():
-    # delta and epsilon halve from 1 to the 1e-6 floor at stage 20; stage 21
+    # delta and epsilon halve from 1 to the 1e-8 floor at stage 27; stage 28
     # would repeat it
-    result = bcv_solve(tied_pair_problem(), SolverConfig(target_accuracy=1e-30),
-                       z0=np.array([0.5, 0.5]))
+    p = flat_pair_problem()
+    result = bcv_solve(p, SolverConfig(target_accuracy=1e-6),
+                       z0=np.array([500.0, 500.0]))
     assert result.stop_reason == "stalled"
     assert not result.converged
     assert result.inner_iterations_total == 0
-    assert result.stages_completed == 21
+    assert result.stages_completed == 28
+    assert result.error_bound == error_bound(p, result.point) > 1e-6
 
 
 def test_mbc_budget_counts_accepted_steps():
