@@ -179,9 +179,12 @@ def _cmd_svm(args) -> int:
 def _cmd_market(args) -> int:
     model = load_market_json(args.model)
     problem, sign_map = build_market(model)
-    result = _run_solver(problem, args)
-    _print_result(result, args.trace)
+    # as in _cmd_solve: --start and the printed point are in the document's
+    # coordinates, the solve in the sign-normalized ones
+    result = _run_solver(problem, args, sign_map)
     x, y = split_market_point(model, result.point, sign_map)
+    result.point = sign_map.apply(result.point)
+    _print_result(result, args.trace)
     rep = verify_market_equilibrium(model, x, y, tol=args.tol)
     print(f"trader quantities: {_format_vector(x)}")
     print(f"buyer quantities: {_format_vector(y)}")

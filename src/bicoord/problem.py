@@ -137,6 +137,12 @@ class ProblemInstance:
                             _read_only(a * (upper - lower)),
                             self.equality.beta - float(a @ lower))
 
+    @cached_property
+    def box_radius(self) -> np.ndarray:
+        """max(|lower_i|, |upper_i|), the largest |x_i| over the box."""
+        return _read_only(np.maximum(np.abs(self.bounds.lower),
+                                     np.abs(self.bounds.upper)))
+
 
 def build_problem(bounds: BoxBounds, equality: LinearEquality,
                   objective: Objective) -> ProblemInstance:
@@ -217,6 +223,15 @@ class Stage:
     def __post_init__(self):
         if not (self.delta > 0.0 and self.epsilon > 0.0):
             raise ProblemError("stage tolerances must be strictly positive")
+
+    @cached_property
+    def pair_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """select_pair's eligibility thresholds, lower + epsilon/a for donors
+        and upper - epsilon/a for receivers, computed on first use."""
+        p = self.problem
+        margin = self.epsilon / p.equality.a
+        return (_read_only(p.bounds.lower + margin),
+                _read_only(p.bounds.upper - margin))
 
 
 class StageProvider:

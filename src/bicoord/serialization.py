@@ -12,7 +12,9 @@ require the document's feasible set to match the rebuilt one.
 
 from __future__ import annotations
 
+from functools import partial
 import json
+
 import numpy as np
 
 from .applications import (MarketModel, PortfolioData, SvmDataset,
@@ -70,15 +72,29 @@ def _generic_objective(kind: str, params: dict):
     return obj
 
 
+_FLOATS = partial(np.asarray, dtype=float)
+
+
+def _numeric(doc: dict, name: str, convert):
+    """convert(doc[name]); a value it rejects is a ProblemError that names
+    the field."""
+    value = doc[name]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"problem document field {name!r} is not numeric: "
+                           f"{value!r:.60}") from exc
+
+
 def from_document(doc: dict) -> ProblemInstance:
     try:
         kind = doc["objective"]["kind"]
         params = doc["objective"]["params"]
-        n = int(doc["n"])
-        a = np.asarray(doc["a"], dtype=float)
-        beta = float(doc["beta"])
-        lower = np.asarray(doc["lower"], dtype=float)
-        upper = np.asarray(doc["upper"], dtype=float)
+        n = _numeric(doc, "n", int)
+        a = _numeric(doc, "a", _FLOATS)
+        beta = _numeric(doc, "beta", float)
+        lower = _numeric(doc, "lower", _FLOATS)
+        upper = _numeric(doc, "upper", _FLOATS)
     except (KeyError, TypeError) as exc:
         raise ProblemError(f"malformed problem document: {exc}") from exc
     if a.shape != (n,) or lower.shape != (n,) or upper.shape != (n,):

@@ -23,9 +23,13 @@ linesearch finds no acceptable step with stop_reason "linesearch" at the
 last accepted iterate.
 
 The pair methods follow the iterate through the objective's PairState, so a
-step costs O(n) plus one sort for the gap on objectives that keep P x up to
-date. Besides the state's own periodic rebuild, the loop rebuilds it from
-x at a stage restart that changes the point or the objective, before a stop
+step costs O(n) on objectives that keep P x up to date. The stop verdict
+needs no sort while the selected pair proves the gap above the target:
+moving gamma of balance along (i, j) is feasible, so
+Delta(x) >= (h_i - h_j) gamma. The exact gap, an O(n log n) knapsack, runs
+only where that bound cannot settle the verdict, and once at exit. Besides
+the state's own periodic rebuild, the loop rebuilds it from x at a stage
+restart that changes the point or the objective, before a converging
 verdict and at exit, so every reported gap comes from a fresh gradient.
 """
 
@@ -170,12 +174,10 @@ def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
     p = stage.problem
     _require_positive_coefficients(p, "select_pair")
     x = np.asarray(x, dtype=float)
-    a = p.equality.a
-    margin = stage.epsilon / a
     g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
-    h = g / a
-    pair = _pair_from_best(h, x >= p.bounds.lower + margin,
-                           x <= p.bounds.upper - margin)
+    h = g / p.equality.a
+    donor_floor, receiver_ceiling = stage.pair_bounds
+    pair = _pair_from_best(h, x >= donor_floor, x <= receiver_ceiling)
     if pair is None:
         return None
     i, j = pair
@@ -317,15 +319,33 @@ def _refresh(state: PairState, g) -> np.ndarray:
     return state.gradient()
 
 
+def _gap_rounding(p: ProblemInstance, g) -> float:
+    """A bound on the rounding of linear_gap(g, x, p) for x in the box: the
+    gap cancels <g, x> against the knapsack's best, and both run over n
+    terms of size at most |g_i| max(|lower_i|, |upper_i|)."""
+    return p.n * 2.0**-49 * float(np.abs(g) @ p.box_radius)
+
+
 def _converged(cfg: SolverConfig, p: ProblemInstance, state: PairState, g,
-               tau_clause: bool) -> tuple[np.ndarray, bool, float | None]:
-    """Convergence verdict: the gap on the maintained gradient, confirmed on a
-    rebuilt state; with tau_clause, a smoothed objective must also have
-    reached the accuracy. Returns the gradient, the verdict, and the gap when
-    the verdict computed one on an unmoved state (None otherwise)."""
+               tau_clause: bool, sel: PairSelection | None
+               ) -> tuple[np.ndarray, bool, float | None]:
+    """Convergence verdict; with tau_clause, a smoothed objective must first
+    have reached the accuracy. sel is the pair selected on g at the state's
+    point. Its bound -mu gamma <= Delta(x) settles "not converged" without
+    a sort when it exceeds the accuracy by more than the exact gap's
+    rounding. Otherwise the verdict takes the exact gap on the maintained
+    gradient and confirms a converging one on a rebuilt state; the caller
+    selects again when the returned gradient is a rebuilt one. Returns the
+    gradient, the verdict, and the gap when the verdict computed one on an
+    unmoved state (None otherwise)."""
     acc = cfg.target_accuracy
     if tau_clause and not _tau_reached(p, acc):
         return g, False, None
+    if sel is not None:
+        bound = -sel.mu * sel.gamma
+        # the dot product of the margin is paid only where it can settle
+        if bound > acc and bound > acc + _gap_rounding(p, g):
+            return g, False, None
     gap = linear_gap(g, state.x, p)
     if gap > acc:
         return g, False, None if state.moves else gap
@@ -348,6 +368,14 @@ def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
     if h[i] - h[j] <= 1e-12 * max(1.0, abs(h[i]), abs(h[j])):
         return None
     return _selection(p, x, i, j, float(h[i]), float(h[j]))
+
+
+def _select(stage: Stage | None, p: ProblemInstance, x, g) -> PairSelection | None:
+    """The pair rule of _pair_descent: select_pair under the stage's
+    thresholds, or _most_violating when there is no stage."""
+    if stage is None:
+        return _most_violating(p, x, g)
+    return select_pair(x, stage, gradient=g)
 
 
 def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
@@ -374,16 +402,18 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     trace: list[TraceEvent] = []
     steps = stage_start = 0
 
-    # a verdict opens the solve and follows every step, rebuild and restart
+    # a selection and a verdict open the solve and follow every step,
+    # rebuild and restart
     while True:
-        g, converged, gap = _converged(cfg, p_l, state, g, staged)
+        sel = _select(cur, p_l, state.x, g)
+        g_selected = g
+        g, converged, gap = _converged(cfg, p_l, state, g, staged, sel)
         if converged:
             stop_reason = "converged"
             break
-        if not staged:
-            sel = _most_violating(p_l, state.x, g)
-        else:
-            sel = select_pair(state.x, cur, gradient=g)
+        if g is not g_selected:
+            # the verdict rebuilt the state: select on the fresh gradient
+            sel = _select(cur, p_l, state.x, g)
         if sel is None and not staged:
             # the maintained gradient may have drifted: rebuild, then take
             # the verdict and select again
@@ -431,7 +461,7 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
         f_x = f_new
 
     # every exit follows a verdict with the state as the verdict left it; gap
-    # is None when that verdict left the state moved or took no gap
+    # is None when that verdict left the state moved or took no exact gap
     if gap is None:
         g = _refresh(state, g)
         gap = linear_gap(g, state.x, p_l)

@@ -269,6 +269,23 @@ class TestApplicationsCli:
                        if l.startswith("clearing price:")][0].split(":")[1])
         assert price == pytest.approx(2.0, abs=1e-2)
 
+    def test_market_point_in_document_coordinates(self, market_file, capsys):
+        # buyer quantities are positive in the document, and so in the point
+        assert main(["market", market_file]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        point = [l for l in lines if l.startswith("point:")][0]
+        buyers = [l for l in lines if l.startswith("buyer quantities:")][0]
+        x = [float(v) for v in point.split(":")[1].split(",")]
+        assert x[1] > 0.0
+        assert x[1] == float(buyers.split(":")[1])
+
+    def test_market_start_in_document_coordinates(self, market_file, capsys):
+        # (1, 1) clears the market exactly: one unit sold and bought at 2
+        assert main(["market", market_file, "--start", "1,1"]) == 0
+        out = capsys.readouterr().out
+        assert "iterations: 0\n" in out
+        assert "point: 1.0,1.0\n" in out
+
     def test_market_quote_without_slope_exit_two(self, tmp_path, capsys):
         doc = {"traders": [{"p": 1.0, "cap": 4.0}],
                "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}], "b": 0.0}

@@ -1,0 +1,131 @@
+"""The stop verdict's screen: the selected pair's bound on the gap.
+
+Moving gamma of balance along a selected pair (i, j) stays feasible, so
+Delta(x) >= (h_i - h_j) gamma = -mu gamma. The pair methods settle "not
+converged" from that bound when it clears the accuracy by more than the
+exact gap's rounding, and take the exact knapsack gap only otherwise and
+at exit. These tests check the bound over random instances with signed
+coefficients, tied scaled gradients, points on their bounds, n = 2 and
+beta at either end of its range, and count the exact gaps of a budgeted
+market solve.
+"""
+
+from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+
+from bicoord import (
+    BoxBounds,
+    LinearEquality,
+    MarketModel,
+    Quote,
+    SeparableQuadraticObjective,
+    SolverConfig,
+    Stage,
+    bcv_solve,
+    build_market,
+    build_problem,
+    mbc_solve,
+    normalize_signs,
+)
+from bicoord import solvers
+from bicoord.geometry import linear_gap
+from bicoord.solvers import _converged, _gap_rounding, _most_violating, select_pair
+
+# few distinct values, so scaled gradients and step bounds tie often
+MAGNITUDES = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+SCALED = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+                   st.floats(-5.0, 5.0))
+TOLERANCES = st.one_of(st.sampled_from([1e-9, 1e-3, 0.1, 0.5, 1.0]),
+                       st.floats(1e-12, 4.0))
+
+
+@st.composite
+def screened_points(draw):
+    """(p, x, g): a sign-normalized instance, a feasible point on it and a
+    gradient-like vector with tied scaled entries."""
+    n = draw(st.integers(2, 7))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    a = np.array(signs) * draw(st.lists(MAGNITUDES, min_size=n, max_size=n))
+    lower = np.array(draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0]),
+                                   min_size=n, max_size=n)))
+    upper = lower + np.array(draw(st.lists(MAGNITUDES, min_size=n, max_size=n)))
+    # beta at the lower or upper end of its range, or a point with some
+    # coordinates on their bounds and the rest inside
+    end = draw(st.sampled_from(["low", "high", "inside"]))
+    if end == "inside":
+        t = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5]),
+                                   min_size=n, max_size=n)))
+    else:
+        t = (a > 0.0) == (end == "high")
+        t = t.astype(float)
+    x_raw = lower + t * (upper - lower)
+    raw = build_problem(BoxBounds(lower, upper), LinearEquality(a, float(a @ x_raw)),
+                        SeparableQuadraticObjective(np.zeros(n), np.ones(n)))
+    p, sign_map = normalize_signs(raw)
+    x = sign_map.apply(x_raw)
+    h = np.array(draw(st.lists(SCALED, min_size=n, max_size=n)))
+    return p, x, h * p.equality.a
+
+
+def selections(p, x, g, delta, epsilon):
+    sels = [select_pair(x, Stage(p, delta, epsilon), gradient=g),
+            _most_violating(p, x, g)]
+    return [s for s in sels if s is not None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=screened_points(), delta=TOLERANCES, epsilon=TOLERANCES)
+def test_selected_pair_bounds_the_gap_from_below(case, delta, epsilon):
+    p, x, g = case
+    gap = linear_gap(g, x, p)
+    for sel in selections(p, x, g, delta, epsilon):
+        assert sel.gamma >= 0.0
+        assert -sel.mu * sel.gamma <= gap + _gap_rounding(p, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=screened_points(), delta=TOLERANCES, epsilon=TOLERANCES,
+       scale=st.sampled_from([1.0, 1.0 + 2.0**-52, 1.5, 4.0]))
+def test_screen_never_rejects_a_converged_point(case, delta, epsilon, scale):
+    p, x, g = case
+    gap = linear_gap(g, x, p)
+    # an accuracy the exact gap meets, on the edge or clear of it
+    cfg = SolverConfig(target_accuracy=max(gap * scale, 1e-300))
+    for sel in selections(p, x, g, delta, epsilon):
+        state = p.objective.pair_state(x.copy())
+        _, converged, verdict_gap = _converged(cfg, p, state, g, False, sel)
+        assert converged
+        assert verdict_gap == gap
+
+
+def seeded_market(agents: int, seed: int):
+    rng = np.random.default_rng(seed)
+    m = agents // 2
+    k = agents - m
+    traders = [Quote(*q) for q in zip(rng.uniform(1.0, 3.0, m), rng.uniform(0.5, 2.0, m),
+                                      rng.uniform(0.5, 2.0, m))]
+    buyers = [Quote(p, -q, c) for p, q, c in zip(
+        rng.uniform(2.0, 4.0, k), rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, k))]
+    problem, _ = build_market(MarketModel(traders, buyers, 0.0))
+    return problem
+
+
+@pytest.mark.parametrize("solve", [bcv_solve, mbc_solve])
+def test_budgeted_market_takes_one_exact_gap_at_exit(solve, monkeypatch):
+    # far from the accuracy, every verdict is settled by the selected pair,
+    # so the knapsack runs once: for the reported error bound
+    problem = seeded_market(10_000, 3)
+    gaps = []
+
+    def counted(g, x, p):
+        gaps.append(linear_gap(g, x, p))
+        return gaps[-1]
+
+    monkeypatch.setattr(solvers, "linear_gap", counted)
+    cfg = SolverConfig(target_accuracy=1e-12, max_inner_iterations=5,
+                       max_stages=10_000)
+    r = solve(problem, cfg, z0=np.zeros(problem.n))
+    assert (r.stop_reason, r.inner_iterations_total) == ("budget", 5)
+    assert gaps == [r.error_bound]
+    assert r.error_bound > 1e-12

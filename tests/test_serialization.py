@@ -160,6 +160,20 @@ def test_wrongly_typed_param_is_a_problem_error(kind, field, value):
         from_document(doc)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", "x"),
+    ("a", ["x", 1, 1]),
+    ("beta", "x"),
+    ("lower", "abc"),
+    ("upper", [1.0, None, {}]),
+])
+def test_non_numeric_field_names_the_field(field, value):
+    doc = to_document(gen_quadratic(3, 1.5))
+    doc[field] = value
+    with pytest.raises(ProblemError, match=f"field {field!r} is not numeric"):
+        from_document(doc)
+
+
 def test_shape_mismatch_rejected():
     doc = to_document(gen_quadratic(3, 1.5))
     doc["n"] = 4
