@@ -8,15 +8,16 @@ marginal prices meet at a single clearing price.
 
 import numpy as np
 
-from bicoord import (MarketModel, Quote, SolverConfig, bcv_solve,
-                     build_market, protocol_start, split_market_point,
+from bicoord import (MarketModel, SolverConfig, bcv_solve, build_market,
+                     protocol_start, split_market_point,
                      verify_market_equilibrium)
 
+# one row (p, q, cap) per agent: price p + q t for a quantity t in [0, cap]
 model = MarketModel(
-    traders=(Quote(p=1.0, q=1.0, cap=4.0),   # asks 1 + t
-             Quote(p=2.5, q=0.5, cap=3.0)),  # asks 2.5 + t/2
-    buyers=(Quote(p=6.0, q=-1.0, cap=5.0),   # bids 6 - s
-            Quote(p=3.0, q=-0.5, cap=2.0)),  # bids 3 - s/2
+    traders=[(1.0, 1.0, 4.0),     # asks 1 + t
+             (2.5, 0.5, 3.0)],    # asks 2.5 + t/2
+    buyers=[(6.0, -1.0, 5.0),     # bids 6 - s
+            (3.0, -0.5, 2.0)],    # bids 3 - s/2
     b=0.0,
 )
 
@@ -29,10 +30,12 @@ print(f"solve: {res.inner_iterations_total} iterations, "
       f"gap {res.error_bound:.2e}")
 print("trader quantities:", np.round(x, 4))
 print("buyer quantities: ", np.round(y, 4))
-for k, (q, t) in enumerate(zip(model.traders, x)):
-    print(f"  trader {k} asks {q.price(t):.4f} at its quantity")
-for k, (q, s) in enumerate(zip(model.buyers, y)):
-    print(f"  buyer  {k} bids {q.price(s):.4f} at its quantity")
+# each agent's price at its own quantity is its scaled partial g_i / a_i
+prices = inst.objective.gradient(res.point) / inst.equality.a
+for k, price in enumerate(prices[:len(x)]):
+    print(f"  trader {k} asks {price:.4f} at its quantity")
+for k, price in enumerate(prices[len(x):]):
+    print(f"  buyer  {k} bids {price:.4f} at its quantity")
 
 rep = verify_market_equilibrium(model, x, y, tol=1e-2)
 print(f"\nequilibrium: {rep.equilibrium}, clearing price {rep.price:.4f}, "

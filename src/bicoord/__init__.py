@@ -57,13 +57,13 @@ from .applications import (
     MarketEquilibriumReport,
     MarketModel,
     PortfolioData,
-    Quote,
     SvmDataset,
     build_market,
     build_portfolio,
     build_svm_dual,
     load_market_json,
     load_svm_csv,
+    market_from_document,
     split_market_point,
     svm_cap_binding,
     svm_primal,

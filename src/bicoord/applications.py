@@ -14,10 +14,12 @@ Market: traders i sell x_i in [0, cap_i] at increasing price p_i + q_i t,
 buyers j buy y_j in [0, cap_j] at nonincreasing price p_j + q_j t, net supply
 fixed at sum x - sum y = b. Equilibrium allocations minimize the potential
     phi(u) = sum_i (p_i x_i + q_i x_i^2/2) - sum_j (p_j y_j + q_j y_j^2/2),
-a separable convex quadratic once buyers are written as v_j = -y_j; every
-scaled partial derivative of the normalized potential is the corresponding
-agent's price at its own quantity, so multiplier stationarity is exactly the
-single-price equilibrium condition.
+a separable convex quadratic once buyers are written as v_j = -y_j. The
+model keeps each side's quotes as columns (p, q, cap), from the document to
+the instance. Every scaled partial derivative of the normalized potential is
+the corresponding agent's price at its own quantity, so the single-price
+equilibrium condition is multiplier stationarity, and
+verify_market_equilibrium tests it with check_stationarity.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import json
 import numpy as np
 
+from .diagnostics import check_stationarity
 from .objectives import (PortfolioObjective, SeparableQuadraticObjective,
                          SvmDualObjective, is_symmetric)
 from .problem import (BoxBounds, LinearEquality, ProblemError, ProblemInstance,
@@ -34,11 +37,12 @@ from .problem import (BoxBounds, LinearEquality, ProblemError, ProblemInstance,
 __all__ = [
     "SvmDataset",
     "PortfolioData",
-    "Quote",
+    "QUOTE_FIELDS",
     "MarketModel",
     "MarketEquilibriumReport",
     "load_svm_csv",
     "load_market_json",
+    "market_from_document",
     "build_svm_dual",
     "build_portfolio",
     "build_market",
@@ -152,10 +156,15 @@ class PortfolioData:
     def __post_init__(self):
         C = np.asarray(self.covariance, dtype=float)
         m = np.asarray(self.means, dtype=float)
+        target = float(self.target)
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ProblemError("covariance must be square")
         if m.shape != (C.shape[0],):
             raise ProblemError("means must match the covariance size")
+        if not np.isfinite(m).all():
+            raise ProblemError("means must be finite")
+        if not np.isfinite(target):
+            raise ProblemError("target must be finite")
         scale = max(1.0, float(max(C.max(), -C.min())))
         if not is_symmetric(C, atol=1e-10 * scale):
             raise ProblemError("covariance must be symmetric")
@@ -163,7 +172,7 @@ class PortfolioData:
             raise ProblemError("covariance must be positive semidefinite")
         object.__setattr__(self, "covariance", C)
         object.__setattr__(self, "means", m)
-        object.__setattr__(self, "target", float(self.target))
+        object.__setattr__(self, "target", target)
 
 
 def build_portfolio(data: PortfolioData, tau: float = 10.0, p: int = 2,
@@ -186,95 +195,110 @@ def build_portfolio(data: PortfolioData, tau: float = 10.0, p: int = 2,
     )
 
 
-@dataclass(frozen=True)
-class Quote:
-    """Affine price schedule p + q t on [0, cap]."""
-
-    p: float
-    q: float
-    cap: float
-
-    def __post_init__(self):
-        for name in ("p", "q", "cap"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not self.cap > 0.0:
-            raise ProblemError("cap must be positive")
-
-    def price(self, t: float) -> float:
-        return self.p + self.q * t
-
-
-def _quotes(rows, side: str) -> tuple[Quote, ...]:
-    """Quotes, each given as itself or as its document row {p, q, cap}."""
-    try:
-        return tuple(q if isinstance(q, Quote) else Quote(**q) for q in rows)
-    except TypeError as exc:
-        raise ProblemError(f"{side} quotes: {exc}") from exc
+QUOTE_FIELDS = ("p", "q", "cap")
 
 
 @dataclass(frozen=True)
 class MarketModel:
     """Traders sell at nondecreasing prices, buyers buy at nonincreasing
-    prices, net supply is fixed at b."""
+    prices, net supply is fixed at b. traders and buyers are read-only
+    (k, 3) float arrays with columns QUOTE_FIELDS: the agent (p, q, cap)
+    trades a quantity t in [0, cap] at price p + q t."""
 
-    traders: tuple[Quote, ...]
-    buyers: tuple[Quote, ...]
+    traders: np.ndarray
+    buyers: np.ndarray
     b: float = 0.0
 
     def __post_init__(self):
-        traders = _quotes(self.traders, "trader")
-        buyers = _quotes(self.buyers, "buyer")
-        object.__setattr__(self, "traders", traders)
-        object.__setattr__(self, "buyers", buyers)
+        for side in ("trader", "buyer"):
+            quotes = np.array(getattr(self, side + "s"), dtype=float)
+            if quotes.size == 0:
+                quotes = quotes.reshape(0, 3)
+            if quotes.ndim != 2 or quotes.shape[1] != 3:
+                raise ProblemError(f"{side} quotes must be rows (p, q, cap)")
+            for name, column in zip(QUOTE_FIELDS, quotes.T):
+                if not np.isfinite(column).all():
+                    raise ProblemError(f"{side} quote field {name!r} must be finite")
+            if not (quotes[:, 2] > 0.0).all():
+                raise ProblemError("cap must be positive")
+            quotes.setflags(write=False)
+            object.__setattr__(self, side + "s", quotes)
         object.__setattr__(self, "b", float(self.b))
-        if len(traders) + len(buyers) < 2:
+        if len(self.traders) + len(self.buyers) < 2:
             raise ProblemError("need at least two agents")
-        if any(q.q < 0 for q in traders):
+        if (self.traders[:, 1] < 0.0).any():
             raise ProblemError("trader price slopes must be >= 0")
-        if any(q.q > 0 for q in buyers):
+        if (self.buyers[:, 1] > 0.0).any():
             raise ProblemError("buyer price slopes must be <= 0")
-        lo = -sum(q.cap for q in buyers)
-        hi = sum(q.cap for q in traders)
+        # summed left to right, a running total of the caps
+        lo = -sum(self.buyers[:, 2].tolist())
+        hi = sum(self.traders[:, 2].tolist())
         if not lo <= self.b <= hi:
             raise ProblemError(
                 f"net supply b={self.b} outside attainable [{lo}, {hi}]")
 
 
+def market_from_document(doc: dict) -> MarketModel:
+    """The market of a document {"traders": [{p, q, cap}], "buyers": [...],
+    "b": ...}, where an absent side has no agents and an absent b is 0. A
+    missing, unknown or non-numeric field is a ProblemError that names it."""
+    sides = []
+    for side in ("trader", "buyer"):
+        rows = doc.get(side + "s", ())
+        columns = []
+        for name in QUOTE_FIELDS:
+            try:
+                columns.append(np.fromiter((row[name] for row in rows), float,
+                                           len(rows)))
+            except KeyError:
+                raise ProblemError(f"{side} quote lacks field {name!r}") from None
+            except (TypeError, ValueError) as exc:
+                raise ProblemError(f"{side} quote field {name!r} is not numeric") from exc
+        if sum(map(len, rows)) != len(QUOTE_FIELDS) * len(rows):
+            extra = set().union(*rows) - set(QUOTE_FIELDS)
+            raise ProblemError(f"{side} quote has unknown field {min(extra)!r}")
+        sides.append(np.column_stack(columns))
+    return MarketModel(*sides, b=doc.get("b", 0.0))
+
+
 def load_market_json(path) -> MarketModel:
     """Scenario file {"traders": [{p, q, cap}], "buyers": [...], "b": ...}."""
     with open(path) as fh:
-        doc = json.load(fh)
-    return MarketModel(traders=doc.get("traders", ()),
-                       buyers=doc.get("buyers", ()), b=doc.get("b", 0.0))
+        return market_from_document(json.load(fh))
+
+
+class _MarketPotential(SeparableQuadraticObjective):
+    """The potential in build_market's coordinates; the serialization spec
+    is the model's document, built only when a document is written."""
+
+    def __init__(self, model: MarketModel):
+        t, s = model.traders, model.buyers
+        super().__init__(np.concatenate([t[:, 0], s[:, 0]]),
+                         np.concatenate([t[:, 1], -s[:, 1]]))
+        self.model = model
+
+    @property
+    def spec(self):
+        m = self.model
+        return {"kind": "market", "params": {
+            side: [dict(zip(QUOTE_FIELDS, r)) for r in getattr(m, side).tolist()]
+            for side in ("traders", "buyers")} | {"b": m.b}}
 
 
 def build_market(model: MarketModel) -> tuple[ProblemInstance, SignMap]:
     """Potential minimization over allocations, in normalized coordinates.
 
-    Raw variables are (x_traders, y_buyers) with <(+1, -1), u> = b; the
-    returned instance is sign-normalized (buyer coordinates negated) and the
-    map converts solution points back: u = sign_map.apply(point).
+    The raw variables (x_traders, y_buyers) satisfy <(+1, -1), u> = b. The
+    instance is their sign normalization: buyer coordinates are -y in
+    [-cap, -0.0] and every equality coefficient is 1. The map converts
+    solution points back: u = sign_map.apply(point).
     """
     m, k = len(model.traders), len(model.buyers)
-    lin = np.array([q.p for q in model.traders] + [-q.p for q in model.buyers])
-    quad = np.array([q.q for q in model.traders] + [-q.q for q in model.buyers])
-    caps = np.array([q.cap for q in model.traders] + [q.cap for q in model.buyers])
-    a = np.concatenate([np.ones(m), -np.ones(k)])
-    raw = build_problem(
-        BoxBounds(np.zeros(m + k), caps),
-        LinearEquality(a, model.b),
-        SeparableQuadraticObjective(lin, quad),
-    )
-    norm, sign_map = normalize_signs(raw)
-    norm.objective.spec = {
-        "kind": "market",
-        "params": {
-            "traders": [{"p": q.p, "q": q.q, "cap": q.cap} for q in model.traders],
-            "buyers": [{"p": q.p, "q": q.q, "cap": q.cap} for q in model.buyers],
-            "b": model.b,
-        },
-    }
-    return norm, sign_map
+    bounds = BoxBounds(np.concatenate([np.zeros(m), -model.buyers[:, 2]]),
+                       np.concatenate([model.traders[:, 2], np.full(k, -0.0)]))
+    problem = build_problem(bounds, LinearEquality(np.ones(m + k), model.b),
+                            _MarketPotential(model))
+    return problem, SignMap(np.concatenate([np.ones(m), -np.ones(k)]))
 
 
 def split_market_point(model: MarketModel, point, sign_map: SignMap):
@@ -299,49 +323,28 @@ def verify_market_equilibrium(model: MarketModel, x, y, tol: float = 1e-2,
     A clearing price lam satisfies, with each agent's price taken at its own
     quantity: selling traders (x_i > 0) ask at most lam, traders with spare
     capacity ask at least lam; buyers with remaining demand (y_j < cap) bid
-    at most lam, buying ones (y_j > 0) bid at least lam; interior agents sit
-    exactly at lam. The balance sum x - sum y = b must hold. max_violation
-    is how far the tightest lower limit on lam exceeds the tightest upper
-    limit, floored at zero; equilibrium means it is at most tol and the
-    balance holds to tol relative.
+    at most lam, buying ones (y_j > 0) bid at least lam. The balance
+    sum x - sum y = b must hold. Each price is the scaled partial of
+    build_market's potential, so this is check_stationarity at the
+    allocation (boundary_tol defaults to tol): max_violation is its worst
+    violation, price its multiplier (0 when no agent limits lam), and
+    equilibrium means max_violation <= tol with the balance held to tol
+    relative.
     """
-    if boundary_tol is None:
-        boundary_tol = tol
+    btol = tol if boundary_tol is None else boundary_tol
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (len(model.traders),) or y.shape != (len(model.buyers),):
         raise ValueError("allocation lengths do not match the model")
-
-    lam_lo, lam_hi = -np.inf, np.inf
-    for q, t in zip(model.traders, x):
-        if t < -boundary_tol or t > q.cap + boundary_tol:
-            raise ValueError("trader allocation outside [0, cap]")
-        price = q.price(t)
-        if t > boundary_tol:            # selling: marginal cost at most lam
-            lam_lo = max(lam_lo, price)
-        if t < q.cap - boundary_tol:    # spare capacity: would sell above lam
-            lam_hi = min(lam_hi, price)
-    for q, t in zip(model.buyers, y):
-        if t < -boundary_tol or t > q.cap + boundary_tol:
-            raise ValueError("buyer allocation outside [0, cap]")
-        price = q.price(t)
-        if t < q.cap - boundary_tol:    # remaining demand: values extras below lam
-            lam_lo = max(lam_lo, price)
-        if t > boundary_tol:            # buying: marginal value at least lam
-            lam_hi = min(lam_hi, price)
-
-    violation = max(0.0, lam_lo - lam_hi)
-    if np.isfinite(lam_lo) and np.isfinite(lam_hi):
-        price = 0.5 * (lam_lo + lam_hi)
-    elif np.isfinite(lam_lo):
-        price = lam_lo
-    elif np.isfinite(lam_hi):
-        price = lam_hi
-    else:
-        price = 0.0
+    for side, t, quotes in (("trader", x, model.traders), ("buyer", y, model.buyers)):
+        if not ((t >= -btol) & (t <= quotes[:, 2] + btol)).all():
+            raise ValueError(f"{side} allocation outside [0, cap]")
+    problem, sign_map = build_market(model)
+    rep = check_stationarity(problem, sign_map.apply(np.concatenate([x, y])),
+                             tol, btol)
     residual = float(x.sum() - y.sum()) - model.b
-    equilibrium = (violation <= tol
-                   and abs(residual) <= tol * max(1.0, abs(model.b)))
-    return MarketEquilibriumReport(equilibrium=equilibrium, price=price,
-                                   max_violation=violation,
-                                   balance_residual=residual)
+    return MarketEquilibriumReport(
+        equilibrium=(rep.stationary
+                     and abs(residual) <= tol * max(1.0, abs(model.b))),
+        price=0.0 if rep.multiplier is None else rep.multiplier,
+        max_violation=rep.worst_violation, balance_residual=residual)

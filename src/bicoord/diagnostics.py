@@ -14,7 +14,7 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 
-from .geometry import check_feasibility, linear_gap
+from .geometry import check_feasibility, floor_zero, linear_gap
 from .problem import ProblemInstance, Stage, StageProvider
 
 __all__ = [
@@ -64,14 +64,9 @@ class StationarityReport:
 
     @property
     def multiplier(self) -> float | None:
-        lo, hi = self.multiplier_interval
-        if np.isfinite(lo) and np.isfinite(hi):
-            return 0.5 * (lo + hi)
-        if np.isfinite(lo):
-            return lo
-        if np.isfinite(hi):
-            return hi
-        return None
+        """The midpoint of the interval's finite ends, None if it has none."""
+        ends = [v for v in self.multiplier_interval if np.isfinite(v)]
+        return float(np.mean(ends)) if ends else None
 
 
 def check_stationarity(p: ProblemInstance, x, tol: float,
@@ -92,13 +87,11 @@ def check_stationarity(p: ProblemInstance, x, tol: float,
     g = p.objective.gradient(x)
     h = g / a
 
-    at_lower = (x - p.bounds.lower) <= boundary_tol
-    at_upper = (p.bounds.upper - x) <= boundary_tol
-    statuses = tuple(
-        "at_lower" if lo_ and (not up_ or x[i] - p.bounds.lower[i] <= p.bounds.upper[i] - x[i])
-        else "at_upper" if up_
-        else "interior"
-        for i, (lo_, up_) in enumerate(zip(at_lower, at_upper)))
+    below, above = x - p.bounds.lower, p.bounds.upper - x
+    at_lower = below <= boundary_tol
+    at_upper = above <= boundary_tol
+    statuses = tuple(np.where(at_lower & (~at_upper | (below <= above)), "at_lower",
+                              np.where(at_upper, "at_upper", "interior")).tolist())
 
     can_decrease = ~at_lower
     can_increase = ~at_upper
@@ -106,7 +99,7 @@ def check_stationarity(p: ProblemInstance, x, tol: float,
     # and those are exactly the coordinates free to decrease
     lam_lo = float(np.max(h[can_decrease])) if can_decrease.any() else -np.inf
     lam_hi = float(np.min(h[can_increase])) if can_increase.any() else np.inf
-    worst = max(0.0, lam_lo - lam_hi)
+    worst = floor_zero(lam_lo - lam_hi)
     return StationarityReport(
         stationary=worst <= tol,
         worst_violation=worst,

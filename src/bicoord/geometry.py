@@ -14,8 +14,8 @@ import numpy as np
 
 from .problem import ProblemInstance
 
-__all__ = ["project", "minimize_linear", "linear_gap", "check_feasibility",
-           "FeasibilityReport"]
+__all__ = ["project", "minimize_linear", "floor_zero", "linear_gap",
+           "check_feasibility", "FeasibilityReport"]
 
 
 def _balance(lam: float, z, a, lower, upper, buf) -> float:
@@ -166,11 +166,17 @@ def minimize_linear(c, p: ProblemInstance) -> tuple[np.ndarray, float]:
     return y, float(c @ y)
 
 
+def floor_zero(v: float) -> float:
+    """max(0.0, v), but NaN stays NaN: max would return 0 and certify it."""
+    return 0.0 if v <= 0.0 else v
+
+
 def linear_gap(g, x, p: ProblemInstance) -> float:
     """<g, x> - min_{y in D} <g, y>, floored at zero: with g = f'(x) this is
-    the gap Delta(x), zero exactly at stationary points."""
+    the gap Delta(x), zero exactly at stationary points, and NaN when g or x
+    holds NaN."""
     _, best = minimize_linear(g, p)
-    return max(0.0, float(g @ x) - best)
+    return floor_zero(float(g @ x) - best)
 
 
 @dataclass(frozen=True)

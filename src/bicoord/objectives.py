@@ -233,7 +233,11 @@ class QuadraticObjective(Objective):
             self.c = np.asarray(c, dtype=float)
             if self.c.shape != (P.shape[0],):
                 raise ValueError("c has wrong length")
+            if not np.isfinite(self.c).all():
+                raise ValueError("c must be finite")
         self.xi = float(xi)
+        if not math.isfinite(self.xi):
+            raise ValueError("xi must be finite")
         if tau is not None:
             if c is None:
                 raise ValueError("the smoothed-l1 term needs the log term's c")

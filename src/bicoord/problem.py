@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objectives import Objective, SeparableQuadraticObjective, SignFlipObjective
+from .objectives import Objective, SignFlipObjective
 
 __all__ = [
     "ProblemError",
@@ -192,22 +192,15 @@ def normalize_signs(p: ProblemInstance) -> tuple[ProblemInstance, SignMap]:
 
     Coordinates with a_i < 0 are replaced by their negation: bounds swap and
     flip, the objective is composed with the sign map, beta is unchanged.
-    A separable quadratic takes the flip into its linear term, which gives
-    the same bits as the composition since the signs are +-1. Instances
-    that are already normalized are returned as-is.
+    Instances that are already normalized are returned as-is.
     """
     ks = p.knapsack
     if ks.signs is None:
         return p, SignMap(np.ones(p.n))
-    obj = p.objective
-    if type(obj) is SeparableQuadraticObjective:
-        obj = SeparableQuadraticObjective(obj.lin * ks.signs, obj.quad)
-    else:
-        obj = SignFlipObjective(obj, ks.signs)
     flipped = build_problem(
         BoxBounds(ks.lower, ks.upper),
         LinearEquality(ks.a, p.equality.beta),
-        obj,
+        SignFlipObjective(p.objective, ks.signs),
     )
     return flipped, SignMap(ks.signs)
 

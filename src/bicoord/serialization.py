@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from functools import partial
 import json
+import operator
 
 import numpy as np
 
-from .applications import (MarketModel, PortfolioData, SvmDataset,
-                           build_market, build_svm_dual)
+from .applications import (PortfolioData, SvmDataset, build_market,
+                           build_svm_dual, market_from_document)
 from .objectives import PortfolioObjective, QuadraticObjective
 from .problem import BoxBounds, LinearEquality, ProblemError, ProblemInstance, build_problem
 
@@ -75,14 +76,14 @@ def _generic_objective(kind: str, params: dict):
 _FLOATS = partial(np.asarray, dtype=float)
 
 
-def _numeric(doc: dict, name: str, convert):
+def _numeric(doc: dict, name: str, convert, what: str = "numeric"):
     """convert(doc[name]); a value it rejects is a ProblemError that names
     the field."""
     value = doc[name]
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
-        raise ProblemError(f"problem document field {name!r} is not numeric: "
+        raise ProblemError(f"problem document field {name!r} is not {what}: "
                            f"{value!r:.60}") from exc
 
 
@@ -90,7 +91,7 @@ def from_document(doc: dict) -> ProblemInstance:
     try:
         kind = doc["objective"]["kind"]
         params = doc["objective"]["params"]
-        n = _numeric(doc, "n", int)
+        n = _numeric(doc, "n", operator.index, "an integer")
         a = _numeric(doc, "a", _FLOATS)
         beta = _numeric(doc, "beta", float)
         lower = _numeric(doc, "lower", _FLOATS)
@@ -121,9 +122,7 @@ def from_document(doc: dict) -> ProblemInstance:
                                  smooth_eps=params.get("smooth_eps", 1e-4),
                                  upper_cap=params.get("upper_cap", 1e3))
     else:
-        model = MarketModel(traders=params["traders"], buyers=params["buyers"],
-                            b=params.get("b", 0.0))
-        rebuilt, _ = build_market(model)
+        rebuilt, _ = build_market(market_from_document(params))
 
     same = (rebuilt.n == n
             and np.allclose(rebuilt.equality.a, a, atol=1e-9)

@@ -43,7 +43,8 @@ import numpy as np
 
 # check_feasibility is not called here, but perfbench's tracer wraps it, like
 # the other geometry kernels, under the name this module binds
-from .geometry import check_feasibility, linear_gap, minimize_linear, project
+from .geometry import (check_feasibility, floor_zero, linear_gap,
+                       minimize_linear, project)
 from .objectives import DomainError, Objective, PairState
 from .problem import (GeometricSchedule, ProblemError, ProblemInstance, Stage,
                       StageProvider)
@@ -522,7 +523,7 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         f_l = p_l.objective
         g = f_l.gradient(x)
         y, best = minimize_linear(g, problem)
-        gap = max(0.0, float(g @ x) - best)
+        gap = floor_zero(float(g @ x) - best)
         if gap <= cfg.target_accuracy:
             if _tau_reached(p_l, cfg.target_accuracy):
                 stop_reason = "converged"

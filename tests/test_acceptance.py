@@ -20,7 +20,6 @@ from bicoord import (
     LinearObjective,
     MarketModel,
     PortfolioData,
-    Quote,
     SolverConfig,
     SvmDataset,
     audit_trace,
@@ -308,8 +307,8 @@ def _application_instances():
                       means=np.array([1.0, 0.5]), target=0.8),
         tau=10.0, p=2)
     market, _ = build_market(
-        MarketModel(traders=(Quote(1.0, 1.0, 4.0),),
-                    buyers=(Quote(3.0, -1.0, 2.0),), b=0.0))
+        MarketModel(traders=[(1.0, 1.0, 4.0)], buyers=[(3.0, -1.0, 2.0)],
+                    b=0.0))
     return {"svm_dual": svm, "portfolio": portfolio, "market": market}
 
 
@@ -427,8 +426,8 @@ def test_criterion_09_market_scenarios_clear():
     failures = []
     cfg = SolverConfig(target_accuracy=1e-4, max_inner_iterations=20_000)
 
-    base = MarketModel(traders=(Quote(1.0, 1.0, 4.0),),
-                       buyers=(Quote(3.0, -1.0, 2.0),), b=0.0)
+    base = MarketModel(traders=[(1.0, 1.0, 4.0)], buyers=[(3.0, -1.0, 2.0)],
+                       b=0.0)
     p, sign_map = build_market(base)
     res = bcv_solve(p, cfg, z0=protocol_start(p))
     x, y = split_market_point(base, res.point, sign_map)
@@ -441,14 +440,15 @@ def test_criterion_09_market_scenarios_clear():
 
     rng = np.random.default_rng(909)
     for k in range(20):
-        traders = tuple(Quote(rng.uniform(1.0, 5.0), rng.uniform(0.0, 2.0),
-                              rng.uniform(0.5, 2.0))
-                        for _ in range(int(rng.integers(1, 4))))
-        buyers = tuple(Quote(rng.uniform(1.0, 5.0), rng.uniform(-2.0, 0.0),
-                             rng.uniform(0.5, 2.0))
-                       for _ in range(int(rng.integers(1, 4))))
-        lo = -sum(q.cap for q in buyers)
-        hi = sum(q.cap for q in traders)
+        # one row (p, q, cap) per agent
+        traders = [(rng.uniform(1.0, 5.0), rng.uniform(0.0, 2.0),
+                    rng.uniform(0.5, 2.0))
+                   for _ in range(int(rng.integers(1, 4)))]
+        buyers = [(rng.uniform(1.0, 5.0), rng.uniform(-2.0, 0.0),
+                   rng.uniform(0.5, 2.0))
+                  for _ in range(int(rng.integers(1, 4)))]
+        lo = -sum(cap for _, _, cap in buyers)
+        hi = sum(cap for _, _, cap in traders)
         b = float(rng.uniform(0.3 * lo, 0.3 * hi))
         model = MarketModel(traders=traders, buyers=buyers, b=b)
         p, sign_map = build_market(model)

@@ -1,5 +1,6 @@
 import json
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +9,6 @@ from bicoord import (
     MarketModel,
     PortfolioData,
     ProblemError,
-    Quote,
     SolverConfig,
     SvmDataset,
     bcv_solve,
@@ -18,6 +18,7 @@ from bicoord import (
     check_stationarity,
     load_market_json,
     load_svm_csv,
+    market_from_document,
     split_market_point,
     svm_cap_binding,
     svm_primal,
@@ -159,6 +160,14 @@ class TestPortfolio:
         with pytest.raises(ProblemError, match="semidefinite"):
             PortfolioData(covariance=C, means=np.ones(2), target=1.0)
 
+    @pytest.mark.parametrize("means, target, name", [
+        ([np.nan, 1.0, 2.0], 1.0, "means"), ([0.0, np.inf, 2.0], 1.0, "means"),
+        ([0.0, 1.0, 2.0], np.nan, "target"), ([0.0, 1.0, 2.0], -np.inf, "target")])
+    def test_rejects_non_finite_returns(self, means, target, name):
+        # a NaN mean once gave a converged solve with error bound 0
+        with pytest.raises(ProblemError, match=f"{name} must be finite"):
+            PortfolioData(covariance=np.eye(3), means=means, target=target)
+
     def test_rejects_mean_shape_mismatch(self):
         with pytest.raises(ProblemError, match="means"):
             PortfolioData(covariance=np.eye(2), means=np.ones(3), target=1.0)
@@ -203,28 +212,69 @@ class TestPortfolio:
 class TestMarketModel:
     def test_rejects_single_agent(self):
         with pytest.raises(ProblemError, match="two agents"):
-            MarketModel(traders=(Quote(1.0, 1.0, 1.0),), buyers=())
+            MarketModel(traders=[(1.0, 1.0, 1.0)], buyers=[])
 
     def test_rejects_decreasing_trader_price(self):
         with pytest.raises(ProblemError, match="trader"):
-            MarketModel(traders=(Quote(1.0, -1.0, 1.0),),
-                        buyers=(Quote(3.0, -1.0, 1.0),))
+            MarketModel(traders=[(1.0, -1.0, 1.0)], buyers=[(3.0, -1.0, 1.0)])
 
     def test_rejects_increasing_buyer_price(self):
         with pytest.raises(ProblemError, match="buyer"):
-            MarketModel(traders=(Quote(1.0, 1.0, 1.0),),
-                        buyers=(Quote(3.0, 1.0, 1.0),))
+            MarketModel(traders=[(1.0, 1.0, 1.0)], buyers=[(3.0, 1.0, 1.0)])
 
     def test_rejects_unreachable_net_supply(self):
         with pytest.raises(ProblemError, match="net supply"):
-            MarketModel(traders=(Quote(1.0, 1.0, 1.0),),
-                        buyers=(Quote(3.0, -1.0, 1.0),), b=2.0)
+            MarketModel(traders=[(1.0, 1.0, 1.0)], buyers=[(3.0, -1.0, 1.0)],
+                        b=2.0)
+
+    def test_rejects_nonpositive_cap(self):
+        with pytest.raises(ProblemError, match="cap must be positive"):
+            MarketModel(traders=[(1.0, 1.0, 0.0)], buyers=[(3.0, -1.0, 1.0)])
+
+    @pytest.mark.parametrize("side, column, name", [
+        ("traders", 0, "'p'"), ("buyers", 1, "'q'"), ("traders", 2, "'cap'")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_quote(self, side, column, name, value):
+        quotes = {"traders": [[1.0, 1.0, 4.0]], "buyers": [[3.0, -1.0, 2.0]]}
+        quotes[side][0][column] = value
+        with pytest.raises(ProblemError, match=f"{side[:-1]} quote field {name}"):
+            MarketModel(**quotes)
+
+    def test_rejects_rows_of_the_wrong_width(self):
+        with pytest.raises(ProblemError, match=r"rows \(p, q, cap\)"):
+            MarketModel(traders=[(1.0, 1.0)], buyers=[(3.0, -1.0, 2.0)])
+
+    def test_columns_are_read_only_copies(self):
+        traders = np.array([[1.0, 2.0, 1.0]])
+        m = MarketModel(traders=traders, buyers=[(3.0, -1.0, 2.0)])
+        assert m.traders.dtype == float and m.buyers.shape == (1, 3)
+        assert not m.traders.flags.writeable
+        traders[0, 0] = 9.0
+        assert m.traders[0, 0] == 1.0
 
     def test_coerces_dict_quotes(self):
-        m = MarketModel(traders=({"p": 1.0, "q": 2.0, "cap": 1.0},),
-                        buyers=({"p": 3.0, "q": -1.0, "cap": 2.0},))
-        assert isinstance(m.traders[0], Quote)
-        assert m.traders[0].price(0.5) == pytest.approx(2.0)
+        m = market_from_document(
+            {"traders": [{"p": 1.0, "q": 2.0, "cap": 1.0}],
+             "buyers": [{"p": 3, "q": -1, "cap": 2}]})
+        assert m.traders.tolist() == [[1.0, 2.0, 1.0]]
+        assert m.buyers.tolist() == [[3.0, -1.0, 2.0]]
+        assert m.b == 0.0
+
+    @pytest.mark.parametrize("row, match", [
+        ({"p": 1.0, "cap": 4.0}, "lacks field 'q'"),
+        ({"p": "x", "q": 1.0, "cap": 4.0}, "field 'p' is not numeric"),
+        ({"p": 1.0, "q": [1.0], "cap": 4.0}, "field 'q' is not numeric"),
+        ({"p": 1.0, "q": 1.0, "cap": {}}, "field 'cap' is not numeric"),
+        ({"p": 1.0, "q": 1.0, "cap": None}, "field 'cap' must be finite"),
+        ({"p": float("nan"), "q": 1.0, "cap": 4.0}, "field 'p' must be finite"),
+        ({"p": 1.0, "q": 1.0, "cap": 4.0, "c": 1.0}, "unknown field 'c'"),
+        ([1.0, 1.0, 4.0], "field 'p' is not numeric"),
+    ])
+    def test_document_row_errors_name_the_field(self, row, match):
+        doc = {"traders": [{"p": 1.0, "q": 1.0, "cap": 4.0}, row],
+               "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}]}
+        with pytest.raises(ProblemError, match=f"trader quote.*{match}"):
+            market_from_document(doc)
 
     def test_json_round_trip(self, tmp_path):
         doc = {"traders": [{"p": 1.0, "q": 2.0, "cap": 1.5}],
@@ -233,14 +283,16 @@ class TestMarketModel:
         path.write_text(json.dumps(doc))
         m = load_market_json(path)
         assert m.b == 0.25
-        assert m.traders[0].cap == 1.5
-        assert m.buyers[0].q == -1.0
+        assert m.traders[0, 2] == 1.5
+        assert m.buyers[0, 1] == -1.0
+        assert build_market(m)[0].objective.spec == {"kind": "market",
+                                                     "params": doc}
 
 
 def one_trader_one_buyer():
     # marginal cost 1 + t, marginal value 3 - s: clears at t = s = 1, price 2
-    return MarketModel(traders=(Quote(1.0, 1.0, 4.0),),
-                       buyers=(Quote(3.0, -1.0, 2.0),), b=0.0)
+    return MarketModel(traders=[(1.0, 1.0, 4.0)], buyers=[(3.0, -1.0, 2.0)],
+                       b=0.0)
 
 
 class TestMarketBuild:
@@ -253,8 +305,8 @@ class TestMarketBuild:
         assert_allclose(sign_map.signs, [1.0, -1.0])
 
     def test_traders_only_supply_split(self):
-        m = MarketModel(traders=(Quote(1.0, 1.0, 3.0), Quote(1.0, 1.0, 3.0)),
-                        buyers=(), b=2.0)
+        m = MarketModel(traders=[(1.0, 1.0, 3.0), (1.0, 1.0, 3.0)],
+                        buyers=[], b=2.0)
         p, sign_map = build_market(m)
         assert_allclose(p.equality.a, np.ones(2))
         assert p.equality.beta == 2.0
@@ -270,16 +322,26 @@ class TestMarketBuild:
         point = np.array([1.5, -0.75])
         x, y = split_market_point(m, point, sign_map)
         h = p.objective.gradient(point) / p.equality.a
-        assert h[0] == pytest.approx(m.traders[0].price(x[0]))
-        assert h[1] == pytest.approx(m.buyers[0].price(y[0]))
+        (tp, tq, _), (bp, bq, _) = m.traders[0], m.buyers[0]
+        assert h[0] == tp + tq * x[0]
+        assert h[1] == bp + bq * y[0]
 
     def test_split_lengths(self):
-        m = MarketModel(traders=(Quote(1.0, 0.5, 1.0), Quote(2.0, 0.0, 1.0)),
-                        buyers=(Quote(5.0, -1.0, 1.0),))
+        m = MarketModel(traders=[(1.0, 0.5, 1.0), (2.0, 0.0, 1.0)],
+                        buyers=[(5.0, -1.0, 1.0)])
         p, sign_map = build_market(m)
         x, y = split_market_point(m, np.zeros(3), sign_map)
         assert x.shape == (2,)
         assert y.shape == (1,)
+
+    def test_document_round_trip_keeps_the_columns(self):
+        m = MarketModel(traders=[(1.0, 0.0, 1.0)], buyers=[(0.0, -0.0, 2.0)],
+                        b=-0.5)
+        p, _ = build_market(m)
+        back = market_from_document(p.objective.spec["params"])
+        assert back.traders.tobytes() == m.traders.tobytes()
+        assert back.buyers.tobytes() == m.buyers.tobytes()
+        assert back.b == m.b
 
 
 class TestMarketEquilibrium:
@@ -298,8 +360,8 @@ class TestMarketEquilibrium:
 
     def test_priced_out_market(self):
         # cheapest ask 3 meets highest bid 3 only at zero volume
-        m = MarketModel(traders=(Quote(3.0, 1.0, 0.5),),
-                        buyers=(Quote(3.0, -1.0, 2.0),), b=0.0)
+        m = MarketModel(traders=[(3.0, 1.0, 0.5)], buyers=[(3.0, -1.0, 2.0)],
+                        b=0.0)
         report = verify_market_equilibrium(m, [0.0], [0.0], tol=1e-6)
         assert report.equilibrium
         assert report.price == pytest.approx(3.0)
@@ -321,20 +383,31 @@ class TestMarketEquilibrium:
             verify_market_equilibrium(m, [5.0], [1.0])
         with pytest.raises(ValueError, match="buyer"):
             verify_market_equilibrium(m, [1.0], [-1.0])
+        with pytest.raises(ValueError, match="buyer"):
+            verify_market_equilibrium(m, [1.0], [np.nan])
 
     def test_allocation_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="lengths"):
             verify_market_equilibrium(one_trader_one_buyer(), [1.0, 2.0], [1.0])
+
+    def test_unlimited_price_is_zero(self):
+        # caps within 2 boundary_tol pin both agents at both bounds, so no
+        # agent limits the price
+        m = MarketModel(traders=[(1.0, 1.0, 1e-3)], buyers=[(3.0, -1.0, 1e-3)])
+        report = verify_market_equilibrium(m, [5e-4], [5e-4], tol=1e-2)
+        assert report.equilibrium
+        assert report.price == 0.0
+        assert report.max_violation == 0.0
 
     def test_random_markets_clear_and_match_stationarity(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             n_t = int(rng.integers(1, 4))
             n_b = int(rng.integers(1, 4))
-            traders = tuple(Quote(rng.uniform(1.0, 5.0), rng.uniform(0.0, 2.0),
-                                  rng.uniform(0.5, 2.0)) for _ in range(n_t))
-            buyers = tuple(Quote(rng.uniform(1.0, 5.0), rng.uniform(-2.0, 0.0),
-                                 rng.uniform(0.5, 2.0)) for _ in range(n_b))
+            traders = [(rng.uniform(1.0, 5.0), rng.uniform(0.0, 2.0),
+                        rng.uniform(0.5, 2.0)) for _ in range(n_t)]
+            buyers = [(rng.uniform(1.0, 5.0), rng.uniform(-2.0, 0.0),
+                       rng.uniform(0.5, 2.0)) for _ in range(n_b)]
             m = MarketModel(traders=traders, buyers=buyers, b=0.0)
             p, sign_map = build_market(m)
             res = solve_to(p, 1e-4, max_iter=10000)
@@ -343,9 +416,114 @@ class TestMarketEquilibrium:
 
             report = verify_market_equilibrium(m, x, y, tol=1e-2)
             assert report.equilibrium
-            # single-price clearing is exactly multiplier stationarity of the
+            # single-price clearing is multiplier stationarity of the
             # potential in normalized coordinates, at the same tolerance
-            stat = check_stationarity(p, res.point, tol=1e-2)
-            assert stat.stationary
-            assert report.max_violation == pytest.approx(
-                stat.worst_violation, abs=1e-12)
+            assert check_stationarity(p, res.point, tol=1e-2).stationary
+
+
+def per_agent_equilibrium(model, x, y, tol, boundary_tol=None):
+    """verify_market_equilibrium as a loop over agents, the way it was
+    written before it called check_stationarity; the reference for the
+    property test below. Returns (equilibrium, price, max_violation,
+    balance_residual)."""
+    if boundary_tol is None:
+        boundary_tol = tol
+    lam_lo, lam_hi = -np.inf, np.inf
+    for (p, q, cap), t in zip(model.traders.tolist(), x.tolist()):
+        price = p + q * t
+        if t > boundary_tol:            # selling: marginal cost at most lam
+            lam_lo = max(lam_lo, price)
+        if t < cap - boundary_tol:      # spare capacity: would sell above lam
+            lam_hi = min(lam_hi, price)
+    for (p, q, cap), t in zip(model.buyers.tolist(), y.tolist()):
+        price = p + q * t
+        if t < cap - boundary_tol:      # remaining demand: values extras below lam
+            lam_lo = max(lam_lo, price)
+        if t > boundary_tol:            # buying: marginal value at least lam
+            lam_hi = min(lam_hi, price)
+    violation = max(0.0, lam_lo - lam_hi)
+    if np.isfinite(lam_lo) and np.isfinite(lam_hi):
+        price = 0.5 * (lam_lo + lam_hi)
+    elif np.isfinite(lam_lo):
+        price = lam_lo
+    elif np.isfinite(lam_hi):
+        price = lam_hi
+    else:
+        price = 0.0
+    residual = float(x.sum() - y.sum()) - model.b
+    equilibrium = (violation <= tol
+                   and abs(residual) <= tol * max(1.0, abs(model.b)))
+    return equilibrium, price, violation, residual
+
+
+@st.composite
+def market_allocations(draw):
+    """A market of 2 to 40 agents, a tolerance, and an allocation in the box
+    with some agents exactly at 0 or at cap and some within 2 tol of one.
+
+    Prices are either drawn freely or placed within a few tol of one
+    clearing price at the allocation, where every agent's bound status can
+    move the verdict and the price."""
+    tol = draw(st.sampled_from([1e-2, 1e-6]))
+    n = draw(st.integers(2, 40))
+    m = draw(st.integers(0, n))
+    near_clearing = draw(st.booleans())
+    lam = draw(st.floats(-5.0, 5.0))
+    # 0.5 puts "near" agents exactly tol from their bound
+    unit = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+    quotes, alloc = [], []
+    for i in range(n):
+        q = draw(st.floats(0.0, 2.0)) * (1.0 if i < m else -1.0)
+        cap = draw(st.floats(1e-3, 10.0))
+        kind = draw(st.sampled_from(["zero", "cap", "inside", "near zero",
+                                     "near cap"]))
+        u = draw(unit)
+        t = {"zero": 0.0, "cap": cap, "inside": u * cap,
+             "near zero": min(cap, 2.0 * tol * u),
+             "near cap": max(0.0, cap - 2.0 * tol * u)}[kind]
+        # excluded: within rounding of cap - tol, t < cap - tol (the loop)
+        # and cap - t <= tol (check_stationarity) may disagree
+        assume(abs(t - (cap - tol)) > 4.0 * np.spacing(cap))
+        if near_clearing:
+            p = lam - q * t + tol * draw(st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0]))
+        else:
+            p = draw(st.floats(-5.0, 5.0))
+        quotes.append((p, q, cap))
+        alloc.append(t)
+    balanced = float(sum(alloc[:m]) - sum(alloc[m:]))
+    model = MarketModel(traders=quotes[:m], buyers=quotes[m:],
+                        b=draw(st.sampled_from([balanced, 0.0])))
+    return model, np.array(alloc[:m]), np.array(alloc[m:]), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=market_allocations())
+def test_equilibrium_report_matches_the_per_agent_loop(case):
+    model, x, y, tol = case
+    rep = verify_market_equilibrium(model, x, y, tol=tol)
+    assert (rep.equilibrium, rep.price, rep.max_violation,
+            rep.balance_residual) == per_agent_equilibrium(model, x, y, tol)
+
+
+@pytest.mark.parametrize("side, bound", [("trader", "zero"), ("trader", "cap"),
+                                         ("buyer", "zero"), ("buyer", "cap")])
+def test_agent_exactly_boundary_tol_from_a_bound_counts_as_at_it(side, bound):
+    # dyadic data, so cap - tol and cap - t are exact and both tests agree;
+    # the agent under test asks or bids 3.5, every other agent 2
+    tol, cap = 0.25, 4.0
+    t = tol if bound == "zero" else cap - tol
+    quotes = {"trader": [(2.0, 0.0, cap), (2.0, 0.0, cap)],
+              "buyer": [(2.0, 0.0, cap), (2.0, 0.0, cap)]}
+    quotes[side][0] = (3.5, 0.0, cap)
+    model = MarketModel(traders=quotes["trader"], buyers=quotes["buyer"])
+    x = np.array([t if side == "trader" else 1.0, 1.0])
+    y = np.array([t if side == "buyer" else 1.0, 1.0])
+    rep = verify_market_equilibrium(model, x, y, tol=tol)
+    expected = per_agent_equilibrium(model, x, y, tol)
+    assert (rep.equilibrium, rep.price, rep.max_violation,
+            rep.balance_residual) == expected
+    # the agent is out of the price limits that would flag it: a trader
+    # at 0 or a buyer at cap sets no lower limit, the others no upper one
+    assert rep.max_violation == (0.0 if (side, bound) in (("trader", "zero"),
+                                                          ("buyer", "cap"))
+                                 else 1.5)

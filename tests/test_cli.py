@@ -9,8 +9,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bicoord import (TRACE_COLUMNS, BoxBounds, LinearEquality,
-                     QuadraticObjective, SolverConfig, bcv_solve, build_problem,
-                     error_bound, gen_convex_log, gen_nonsmooth_l1, gen_quadratic,
+                     QuadraticObjective, SolverConfig, bcv_solve, build_market,
+                     build_problem, error_bound, gen_convex_log,
+                     gen_nonsmooth_l1, gen_quadratic, load_market_json,
                      project, save_problem, to_document)
 from bicoord.cli import build_parser, main
 
@@ -293,6 +294,46 @@ class TestApplicationsCli:
         path.write_text(json.dumps(doc))
         assert main(["market", str(path)]) == 2
         assert "'q'" in capsys.readouterr().err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("flags, golden", [
+    ((), "market_demo.out"),
+    (("--method", "mbc", "--mu", "1e-6"), "market_demo_mbc.out")])
+def test_market_output_is_byte_identical_to_golden(flags, golden, capsys):
+    # tests/data/market_demo.json holds the four agents of
+    # demos/market_clearing.py; the second buyer is priced out
+    assert main(["market", str(DATA / "market_demo.json"), *flags]) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
+def test_market_document_is_byte_identical_to_golden(tmp_path):
+    path = tmp_path / "market.json"
+    save_problem(build_market(load_market_json(DATA / "market_demo.json"))[0], path)
+    assert path.read_bytes() == (DATA / "market_demo_problem.json").read_bytes()
+
+
+def test_market_with_nan_quote_exits_two_naming_the_field(tmp_path, capsys):
+    # Python's json reads NaN; this market once printed "converged: True"
+    # with objective nan and error bound 0
+    path = tmp_path / "market.json"
+    path.write_text('{"traders": [{"p": NaN, "q": 1.0, "cap": 4.0}], '
+                    '"buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}], "b": 0.0}')
+    assert main(["market", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "trader quote field 'p' must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_fractional_n_exits_two_naming_the_field(tmp_path, capsys):
+    doc = to_document(gen_quadratic(3, 1.5))
+    doc["n"] = 3.9
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path)]) == 2
+    assert "field 'n' is not an integer" in capsys.readouterr().err
 
 
 def test_readme_commands_parse():

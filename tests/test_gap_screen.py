@@ -18,7 +18,6 @@ from bicoord import (
     BoxBounds,
     LinearEquality,
     MarketModel,
-    Quote,
     SeparableQuadraticObjective,
     SolverConfig,
     Stage,
@@ -103,10 +102,10 @@ def seeded_market(agents: int, seed: int):
     rng = np.random.default_rng(seed)
     m = agents // 2
     k = agents - m
-    traders = [Quote(*q) for q in zip(rng.uniform(1.0, 3.0, m), rng.uniform(0.5, 2.0, m),
-                                      rng.uniform(0.5, 2.0, m))]
-    buyers = [Quote(p, -q, c) for p, q, c in zip(
-        rng.uniform(2.0, 4.0, k), rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, k))]
+    traders = np.column_stack([rng.uniform(1.0, 3.0, m), rng.uniform(0.5, 2.0, m),
+                               rng.uniform(0.5, 2.0, m)])
+    buyers = np.column_stack([rng.uniform(2.0, 4.0, k), -rng.uniform(0.5, 2.0, k),
+                              rng.uniform(0.5, 2.0, k)])
     problem, _ = build_market(MarketModel(traders, buyers, 0.0))
     return problem
 

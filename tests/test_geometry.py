@@ -15,7 +15,7 @@ from bicoord import (
     normalize_signs,
     project,
 )
-from bicoord.geometry import _balance
+from bicoord.geometry import _balance, floor_zero, linear_gap
 
 
 def make_instance(a, lower, upper, beta):
@@ -390,3 +390,16 @@ def test_knapsack_constants_are_cached_read_only_views():
     assert q.knapsack.a.tolist() == [1.0, 2.0]
     assert q.knapsack.lower.tolist() == [0.0, -1.0]
     assert q.knapsack.upper.tolist() == [1.0, 1.0]
+
+
+def test_floor_zero_keeps_nan_and_the_bits_of_max():
+    for v in (-1.0, -0.0, 0.0, 5e-324, 2.5, np.inf, -np.inf):
+        assert np.array(floor_zero(v)).tobytes() == np.array(max(0.0, v)).tobytes()
+    assert np.isnan(floor_zero(np.nan))
+
+
+def test_linear_gap_of_a_nan_gradient_is_nan():
+    p = make_instance([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.0)
+    x = np.array([0.5, 0.25, 0.25])
+    assert linear_gap(np.array([0.0, 1.0, 2.0]), x, p) == 0.75
+    assert np.isnan(linear_gap(np.array([np.nan, 1.0, 2.0]), x, p))

@@ -313,3 +313,12 @@ def test_partials_agree_with_gradient_everywhere():
 def test_base_with_smoothing_requires_parameter():
     with pytest.raises(ValueError):
         LinearObjective(np.ones(2)).with_smoothing(0.1)
+
+
+@pytest.mark.parametrize("c, xi, name", [([np.nan, 1.0], 1.0, "c"),
+                                         ([1.0, np.inf], 1.0, "c"),
+                                         ([1.0, 1.0], np.nan, "xi"),
+                                         ([1.0, 1.0], -np.inf, "xi")])
+def test_quadratic_log_rejects_non_finite_data(c, xi, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        QuadraticObjective(np.eye(2), c, xi)

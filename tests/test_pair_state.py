@@ -16,7 +16,6 @@ from bicoord import (
     MarketModel,
     PairState,
     QuadraticObjective,
-    Quote,
     SeparableQuadraticObjective,
     SolverConfig,
     armijo_linesearch,
@@ -137,11 +136,11 @@ def test_reported_gap_comes_from_a_fresh_gradient(gen, solve):
 
 def small_market():
     rng = np.random.default_rng(3)
-    traders = [Quote(float(p), float(q), float(c)) for p, q, c in
-               zip(rng.uniform(1, 3, 6), rng.uniform(0.5, 2, 6), rng.uniform(0.5, 2, 6))]
-    buyers = [Quote(float(p), -float(q), float(c)) for p, q, c in
-              zip(rng.uniform(2, 4, 6), rng.uniform(0.5, 2, 6), rng.uniform(0.5, 2, 6))]
-    return build_market(MarketModel(traders=tuple(traders), buyers=tuple(buyers)))[0]
+    traders = np.column_stack([rng.uniform(1, 3, 6), rng.uniform(0.5, 2, 6),
+                               rng.uniform(0.5, 2, 6)])
+    buyers = np.column_stack([rng.uniform(2, 4, 6), -rng.uniform(0.5, 2, 6),
+                              rng.uniform(0.5, 2, 6)])
+    return build_market(MarketModel(traders=traders, buyers=buyers))[0]
 
 
 def stall_problem(kind):

@@ -8,7 +8,6 @@ from bicoord import (
     MarketModel,
     PortfolioData,
     ProblemError,
-    Quote,
     SvmDataset,
     build_market,
     build_portfolio,
@@ -30,8 +29,8 @@ def shipped_instances():
     svm_data = SvmDataset(features=np.array([[1.0, 0.2], [-0.5, 1.0],
                                              [0.3, -1.0], [-1.0, -0.4]]),
                           labels=np.array([1.0, 1.0, -1.0, -1.0]))
-    market = MarketModel(traders=(Quote(1.0, 1.0, 4.0), Quote(2.0, 0.5, 2.0)),
-                         buyers=(Quote(5.0, -1.0, 3.0),), b=0.5)
+    market = MarketModel(traders=[(1.0, 1.0, 4.0), (2.0, 0.5, 2.0)],
+                         buyers=[(5.0, -1.0, 3.0)], b=0.5)
     portfolio = PortfolioData(covariance=np.array([[2.0, 0.3], [0.3, 1.0]]),
                               means=np.array([1.0, 0.5]), target=0.8)
     return {
@@ -166,11 +165,14 @@ def test_wrongly_typed_param_is_a_problem_error(kind, field, value):
     ("beta", "x"),
     ("lower", "abc"),
     ("upper", [1.0, None, {}]),
+    ("n", 3.9),
 ])
 def test_non_numeric_field_names_the_field(field, value):
     doc = to_document(gen_quadratic(3, 1.5))
     doc[field] = value
-    with pytest.raises(ProblemError, match=f"field {field!r} is not numeric"):
+    # n is a count, so a fractional n is rejected too
+    what = "an integer" if field == "n" else "numeric"
+    with pytest.raises(ProblemError, match=f"field {field!r} is not {what}"):
         from_document(doc)
 
 
