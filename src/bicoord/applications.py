@@ -241,7 +241,8 @@ class MarketModel:
 def market_from_document(doc: dict) -> MarketModel:
     """The market of a document {"traders": [{p, q, cap}], "buyers": [...],
     "b": ...}, where an absent side has no agents and an absent b is 0. A
-    missing, unknown or non-numeric field is a ProblemError that names it."""
+    missing, unknown, non-numeric or non-finite field is a ProblemError that
+    names it."""
     sides = []
     for side in ("trader", "buyer"):
         rows = doc.get(side + "s", ())
@@ -258,7 +259,11 @@ def market_from_document(doc: dict) -> MarketModel:
             extra = set().union(*rows) - set(QUOTE_FIELDS)
             raise ProblemError(f"{side} quote has unknown field {min(extra)!r}")
         sides.append(np.column_stack(columns))
-    return MarketModel(*sides, b=doc.get("b", 0.0))
+    try:
+        b = float(doc.get("b", 0.0))
+    except (TypeError, ValueError):
+        raise ProblemError("market field 'b' is not numeric") from None
+    return MarketModel(*sides, b=b)
 
 
 def load_market_json(path) -> MarketModel:

@@ -64,9 +64,14 @@ class StationarityReport:
 
     @property
     def multiplier(self) -> float | None:
-        """The midpoint of the interval's finite ends, None if it has none."""
-        ends = [v for v in self.multiplier_interval if np.isfinite(v)]
-        return float(np.mean(ends)) if ends else None
+        lo, hi = self.multiplier_interval
+        if np.isfinite(lo) and np.isfinite(hi):
+            return 0.5 * (lo + hi)
+        if np.isfinite(lo):
+            return lo
+        if np.isfinite(hi):
+            return hi
+        return None
 
 
 def check_stationarity(p: ProblemInstance, x, tol: float,

@@ -276,6 +276,13 @@ class TestMarketModel:
         with pytest.raises(ProblemError, match=f"trader quote.*{match}"):
             market_from_document(doc)
 
+    @pytest.mark.parametrize("b", [None, "x", [0.0]])
+    def test_non_numeric_b_names_the_field(self, b):
+        doc = {"traders": [{"p": 1.0, "q": 1.0, "cap": 4.0}],
+               "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}], "b": b}
+        with pytest.raises(ProblemError, match="market field 'b' is not numeric"):
+            market_from_document(doc)
+
     def test_json_round_trip(self, tmp_path):
         doc = {"traders": [{"p": 1.0, "q": 2.0, "cap": 1.5}],
                "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}], "b": 0.25}
@@ -416,9 +423,12 @@ class TestMarketEquilibrium:
 
             report = verify_market_equilibrium(m, x, y, tol=1e-2)
             assert report.equilibrium
-            # single-price clearing is multiplier stationarity of the
+            # single-price clearing is exactly multiplier stationarity of the
             # potential in normalized coordinates, at the same tolerance
-            assert check_stationarity(p, res.point, tol=1e-2).stationary
+            stat = check_stationarity(p, res.point, tol=1e-2)
+            assert stat.stationary
+            assert report.max_violation == pytest.approx(
+                stat.worst_violation, abs=1e-12)
 
 
 def per_agent_equilibrium(model, x, y, tol, boundary_tol=None):

@@ -295,6 +295,16 @@ class TestApplicationsCli:
         assert main(["market", str(path)]) == 2
         assert "'q'" in capsys.readouterr().err
 
+    def test_market_with_null_b_exits_two_naming_the_field(self, tmp_path,
+                                                           capsys):
+        # a null b once escaped as a TypeError traceback with exit 1
+        doc = {"traders": [{"p": 1.0, "q": 1.0, "cap": 4.0}],
+               "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}], "b": None}
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        assert main(["market", str(path)]) == 2
+        assert "market field 'b' is not numeric" in capsys.readouterr().err
+
 
 DATA = Path(__file__).resolve().parent / "data"
 
