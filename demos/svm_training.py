@@ -2,7 +2,7 @@
 
 Two Gaussian clouds in the plane, labels +1/-1. The dual weights live in
 a box with one balance constraint, so the pair solver applies directly;
-the primal weights come back as features^T y.
+the primal weights come back as features^T (labels * y).
 """
 
 import numpy as np

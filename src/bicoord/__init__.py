@@ -13,7 +13,6 @@ from .problem import (
     Stage,
     StageProvider,
     build_problem,
-    normalize_signs,
 )
 from .objectives import (
     CountingObjective,
@@ -24,7 +23,6 @@ from .objectives import (
     PortfolioObjective,
     QuadraticObjective,
     SeparableQuadraticObjective,
-    SignFlipObjective,
     SvmDualObjective,
 )
 from .smoothing import smooth_abs_sqrt, smooth_plus

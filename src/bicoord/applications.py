@@ -5,7 +5,8 @@ y live on 0 <= y <= cap with sum_i gamma_i y_i = 0. The hard constraints
 |<w, b^i> margins| are moved into a penalty, leaving
     f(y) = (tau/p) sum_j [ (s_j - 1)_+^p + (-s_j - 1)_+^p ] - sum_i y_i,
     s = A^T y, A[i, j] = gamma_i b^i_j.
-Sign normalization then makes every equality coefficient +1.
+The instance keeps these coordinates: the labels are the equality's signed
+coefficients, which the pair rule reads directly.
 
 Portfolio: minimize risk x' C x on the simplex with an expected-return
 shortfall penalty (tau/p) (w - <m, x>)_+^p.
@@ -32,7 +33,7 @@ from .diagnostics import check_stationarity
 from .objectives import (PortfolioObjective, SeparableQuadraticObjective,
                          SvmDualObjective, is_symmetric)
 from .problem import (BoxBounds, LinearEquality, ProblemError, ProblemInstance,
-                      SignMap, build_problem, normalize_signs)
+                      SignMap, build_problem)
 
 __all__ = [
     "SvmDataset",
@@ -92,40 +93,33 @@ def load_svm_csv(path) -> SvmDataset:
 def build_svm_dual(data: SvmDataset, tau: float = 10.0, p: int = 2,
                    smooth_eps: float = 1e-4,
                    upper_cap: float = 1e3) -> ProblemInstance:
-    """Penalized dual as a normalized instance.
-
-    After normalization the variables are y_tilde_i = gamma_i y_i, the
-    equality is sum_i y_tilde_i = 0 with unit coefficients, and the primal
-    weights are recovered as w = features^T y_tilde.
-    """
+    """Penalized dual in its own coordinates: dual weights y in
+    [0, upper_cap] with sum_i gamma_i y_i = 0, so a = labels. The primal
+    weights are w = features^T (labels * y) (svm_primal)."""
     if not upper_cap > 0.0:
         raise ProblemError("upper_cap must be positive")
     A = data.labels[:, None] * data.features
     obj = SvmDualObjective(A, tau, p, smooth_eps if p == 1 else None)
     n = data.n_rows
-    raw = build_problem(
-        BoxBounds(np.zeros(n), np.full(n, float(upper_cap))),
-        LinearEquality(data.labels, 0.0),
-        obj,
-    )
-    norm, _ = normalize_signs(raw)
-    norm.objective.spec = {
+    obj.spec = {
         "kind": "svm_dual",
         "params": {"features": data.features.tolist(),
                    "labels": data.labels.tolist(), "tau": float(tau),
                    "p": int(p), "smooth_eps": float(smooth_eps),
                    "upper_cap": float(upper_cap)},
     }
-    return norm
+    return build_problem(BoxBounds(np.zeros(n), np.full(n, float(upper_cap))),
+                         LinearEquality(data.labels, 0.0), obj)
 
 
-def svm_primal(data: SvmDataset, y_norm,
+def svm_primal(data: SvmDataset, y,
                support_tol: float = 1e-8) -> tuple[np.ndarray, float, int]:
-    """Primal weights, bias estimate and support count from a normalized dual
-    point. Bias averages gamma_i - <w, b^i> over rows with active duals."""
-    y_norm = np.asarray(y_norm, dtype=float)
-    w = data.features.T @ y_norm
-    active = np.abs(y_norm) > support_tol
+    """Primal weights w = features^T (labels * y), bias estimate and support
+    count from dual weights y. Bias averages gamma_i - <w, b^i> over rows
+    with active duals."""
+    y = np.asarray(y, dtype=float)
+    w = data.features.T @ (data.labels * y)
+    active = y > support_tol
     if active.any():
         bias = float(np.mean(data.labels[active]
                              - data.features[active] @ w))
@@ -134,15 +128,14 @@ def svm_primal(data: SvmDataset, y_norm,
     return w, bias, int(active.sum())
 
 
-def svm_cap_binding(y_norm, upper_cap: float, margin: float = 1e-6) -> np.ndarray:
+def svm_cap_binding(y, upper_cap: float, margin: float = 1e-6) -> np.ndarray:
     """Indices of dual weights pressed against the box cap.
 
     The dual only requires y_i >= 0; the cap keeps the box finite, so a
     binding cap means the solution is clipped by an artifact of the problem
     format and upper_cap should be raised.
     """
-    y_norm = np.asarray(y_norm, dtype=float)
-    return np.flatnonzero(np.abs(y_norm) >= upper_cap - margin)
+    return np.flatnonzero(np.asarray(y, dtype=float) >= upper_cap - margin)
 
 
 @dataclass(frozen=True)

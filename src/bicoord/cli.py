@@ -19,7 +19,7 @@ from .benchmark import BenchmarkSpec, render_csv, render_markdown, run_benchmark
 from .diagnostics import (InfeasiblePointError, check_stationarity,
                           error_bound, write_trace_csv)
 from .geometry import check_feasibility, project
-from .problem import GeometricSchedule, ProblemError, SignMap, normalize_signs
+from .problem import GeometricSchedule, ProblemError, SignMap
 from .serialization import load_problem
 from .solvers import SolverConfig, bcv_solve, cgm_solve, mbc_solve
 
@@ -102,10 +102,7 @@ def _exit_code(result) -> int:
 
 
 def _cmd_solve(args) -> int:
-    # bcv and mbc need a > 0: solve in y = signs * x and map the point back
-    problem, signs = normalize_signs(load_problem(args.problem))
-    result = _run_solver(problem, args, signs)
-    result.point = signs.apply(result.point)
+    result = _run_solver(load_problem(args.problem), args)
     _print_result(result, args.trace)
     return _exit_code(result)
 
@@ -179,8 +176,8 @@ def _cmd_svm(args) -> int:
 def _cmd_market(args) -> int:
     model = load_market_json(args.model)
     problem, sign_map = build_market(model)
-    # as in _cmd_solve: --start and the printed point are in the document's
-    # coordinates, the solve in the sign-normalized ones
+    # --start and the printed point are in the document's coordinates, the
+    # solve in the sign-normalized ones
     result = _run_solver(problem, args, sign_map)
     x, y = split_market_point(model, result.point, sign_map)
     result.point = sign_map.apply(result.point)

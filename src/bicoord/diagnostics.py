@@ -3,8 +3,10 @@
 error_bound computes the gap function Delta(x) = max_{y in D} <f'(x), x - y>,
 which is zero exactly at stationary points and serves as the stopping
 quantity. check_stationarity reports the multiplier form of the optimality
-conditions: h_i = g_i / a_i must be >= lambda at the lower bound, = lambda in
-the interior, <= lambda at the upper bound, for a single scalar lambda.
+conditions: with h_i = g_i / a_i and a single scalar lambda, h_i = lambda in
+the interior, and at a bound h_i >= lambda where x_i cannot give balance
+(a_i > 0 at the lower bound, a_i < 0 at the upper), h_i <= lambda where it
+cannot take it.
 audit_trace replays a recorded run against the solver's invariants.
 """
 
@@ -79,11 +81,13 @@ def check_stationarity(p: ProblemInstance, x, tol: float,
     """Multiplier test for stationarity of x at tolerance tol.
 
     Coordinates within boundary_tol of a bound (default: tol itself) count as
-    at that bound. worst_violation is the largest h_i - h_j over pairs where
-    i may decrease and j may increase; it is <= tol iff a multiplier interval
-    satisfying the sign conditions up to tol exists, which is what
-    `stationary` reports. multiplier_interval is (max of lower limits, min of
-    upper limits); the two cross by at most tol at a stationary point.
+    at that bound, which `statuses` names. worst_violation is the largest
+    h_i - h_j over pairs where i can give balance and j can take it (a
+    coordinate with a_i > 0 gives by decreasing, one with a_i < 0 by
+    increasing); it is <= tol iff a multiplier interval satisfying the sign
+    conditions up to tol exists, which is what `stationary` reports.
+    multiplier_interval is (max of lower limits, min of upper limits); the
+    two cross by at most tol at a stationary point.
     """
     if boundary_tol is None:
         boundary_tol = tol
@@ -98,12 +102,13 @@ def check_stationarity(p: ProblemInstance, x, tol: float,
     statuses = tuple(np.where(at_lower & (~at_upper | (below <= above)), "at_lower",
                               np.where(at_upper, "at_upper", "interior")).tolist())
 
-    can_decrease = ~at_lower
-    can_increase = ~at_upper
-    # lower limits on lambda come from at-upper and interior coordinates,
-    # and those are exactly the coordinates free to decrease
-    lam_lo = float(np.max(h[can_decrease])) if can_decrease.any() else -np.inf
-    lam_hi = float(np.min(h[can_increase])) if can_increase.any() else np.inf
+    # lower limits on lambda come from the coordinates free to give balance,
+    # upper limits from those free to take it
+    positive = a > 0.0
+    can_give = np.where(positive, ~at_lower, ~at_upper)
+    can_take = np.where(positive, ~at_upper, ~at_lower)
+    lam_lo = float(np.max(h[can_give])) if can_give.any() else -np.inf
+    lam_hi = float(np.min(h[can_take])) if can_take.any() else np.inf
     worst = floor_zero(lam_lo - lam_hi)
     return StationarityReport(
         stationary=worst <= tol,

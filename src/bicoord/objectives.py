@@ -32,7 +32,6 @@ __all__ = [
     "SvmDualObjective",
     "PortfolioObjective",
     "SeparableQuadraticObjective",
-    "SignFlipObjective",
     "CountingObjective",
 ]
 
@@ -419,32 +418,6 @@ class SeparableQuadraticObjective(Objective):
 
     def partial(self, i, x):
         return float(self.lin[i] + self.quad[i] * x[i])
-
-
-class SignFlipObjective(Objective):
-    """f_tilde(y) = f(signs * y) for a +-1 vector of signs."""
-
-    def __init__(self, inner: Objective, signs):
-        self.inner = inner
-        self.signs = np.asarray(signs, dtype=float)
-        if not np.all(np.abs(self.signs) == 1.0):
-            raise ValueError("signs must be +-1")
-
-    @property
-    def smoothing(self):
-        return self.inner.smoothing
-
-    def value(self, y):
-        return self.inner.value(self.signs * y)
-
-    def gradient(self, y):
-        return self.signs * self.inner.gradient(self.signs * y)
-
-    def partial(self, i, y):
-        return float(self.signs[i]) * self.inner.partial(i, self.signs * y)
-
-    def with_smoothing(self, eps):
-        return SignFlipObjective(self.inner.with_smoothing(eps), self.signs)
 
 
 class CountingObjective(Objective):

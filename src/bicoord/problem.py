@@ -1,7 +1,9 @@
 """Problem data model.
 
 A problem instance is a box [lower, upper], one linear equality <a, x> = beta
-with all a_i nonzero, and an objective oracle. Solvers additionally consume a
+with all a_i nonzero and of either sign, and an objective oracle. Solvers
+read it as is; its knapsack form is the same set with every a_i made positive
+by the change of sign y_i = -x_i where a_i < 0. Solvers additionally consume a
 stage schedule: a sequence of (problem_l, delta_l, epsilon_l) with the
 tolerances decreasing geometrically to positive floors, and, for smoothed
 objectives, the approximation parameter shrinking on the same ladder.
@@ -15,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .objectives import Objective, SignFlipObjective
+from .objectives import Objective
 
 __all__ = [
     "ProblemError",
@@ -29,7 +31,6 @@ __all__ = [
     "StageProvider",
     "GeometricSchedule",
     "build_problem",
-    "normalize_signs",
 ]
 
 
@@ -96,9 +97,10 @@ class KnapsackForm(NamedTuple):
     """The feasible set with every a_i made positive, as a continuous
     knapsack: y = signs * x lies in [lower, upper] with <a, y> = beta, and
     raising y_i from lower_i to upper_i spends caps_i of the budget
-    beta - <a, lower> that the lower corner leaves. signs is None when every
-    a_i is already positive, and then a, lower and upper are the instance's
-    own arrays. Every array is read-only."""
+    beta - <a, lower> that the lower corner leaves. The linear minimizer and
+    the pair rule work in y and map their points back to x. signs is None
+    when every a_i is already positive, and then a, lower and upper are the
+    instance's own arrays. Every array is read-only."""
 
     signs: np.ndarray | None
     a: np.ndarray
@@ -171,7 +173,8 @@ def build_problem(bounds: BoxBounds, equality: LinearEquality,
 
 @dataclass(frozen=True)
 class SignMap:
-    """Coordinatewise +-1 change of variables y_i = signs_i * x_i. Involutive."""
+    """Coordinatewise +-1 change of variables y_i = signs_i * x_i, between
+    build_market's instance and the market's own quantities. Involutive."""
 
     signs: np.ndarray
 
@@ -185,24 +188,6 @@ class SignMap:
         if x.shape != self.signs.shape:
             raise ProblemError("point has wrong length")
         return self.signs * x
-
-
-def normalize_signs(p: ProblemInstance) -> tuple[ProblemInstance, SignMap]:
-    """Rewrite the instance so all equality coefficients are positive.
-
-    Coordinates with a_i < 0 are replaced by their negation: bounds swap and
-    flip, the objective is composed with the sign map, beta is unchanged.
-    Instances that are already normalized are returned as-is.
-    """
-    ks = p.knapsack
-    if ks.signs is None:
-        return p, SignMap(np.ones(p.n))
-    flipped = build_problem(
-        BoxBounds(ks.lower, ks.upper),
-        LinearEquality(ks.a, p.equality.beta),
-        SignFlipObjective(p.objective, ks.signs),
-    )
-    return flipped, SignMap(ks.signs)
 
 
 @dataclass(frozen=True)
@@ -219,12 +204,12 @@ class Stage:
 
     @cached_property
     def pair_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """select_pair's eligibility thresholds, lower + epsilon/a for donors
-        and upper - epsilon/a for receivers, computed on first use."""
-        p = self.problem
-        margin = self.epsilon / p.equality.a
-        return (_read_only(p.bounds.lower + margin),
-                _read_only(p.bounds.upper - margin))
+        """select_pair's eligibility thresholds in the knapsack form,
+        lower + epsilon/a for donors and upper - epsilon/a for receivers,
+        computed on first use."""
+        ks = self.problem.knapsack
+        margin = self.epsilon / ks.a
+        return _read_only(ks.lower + margin), _read_only(ks.upper - margin)
 
 
 class StageProvider:

@@ -4,13 +4,15 @@ bcv_solve is the two-level selective bi-coordinate method: an outer loop over
 stages (problem_l, delta_l, epsilon_l) with tolerances shrinking to positive
 floors, and an inner loop that moves balance between one pair of coordinates
 per step. The pair (i, j) must have scaled partial derivatives
-h_i = g_i / a_i, h_j = g_j / a_j with h_i - h_j >= delta_l, i free to move
-down by at least epsilon_l of balance and j free to move up by the same; the
-step direction is d_i = -1/a_i, d_j = +1/a_j, which keeps <a, x> constant,
-and the step length comes from a backtracking linesearch capped at the bound
-distance gamma = min(a_i (x_i - lower_i), a_j (upper_j - x_j)). When no pair
-clears the thresholds the stage restarts with tighter tolerances (and, for
-smoothed objectives, a tighter approximation).
+h_i = g_i / a_i, h_j = g_j / a_j with h_i - h_j >= delta_l, i free to give
+at least epsilon_l of balance and j free to take the same; the step
+direction is d_i = -1/a_i, d_j = +1/a_j, which keeps <a, x> constant, and
+the step length comes from a backtracking linesearch capped at the bound
+distance gamma = min(|a_i| dist_i, |a_j| dist_j), dist_k being x_k's
+distance to the bound it moves toward. Either sign of a_k is read directly:
+in the knapsack form y = signs * x every a_k is positive, i moves down and j
+up. When no pair clears the thresholds the stage restarts with tighter
+tolerances (and, for smoothed objectives, a tighter approximation).
 
 mbc_solve, the classic most-violating bi-coordinate baseline, is the same
 loop (_pair_descent) under one stage with zero thresholds; only the pair
@@ -46,8 +48,7 @@ import numpy as np
 from .geometry import (check_feasibility, floor_zero, linear_gap,
                        minimize_linear, project)
 from .objectives import DomainError, Objective, PairState
-from .problem import (GeometricSchedule, ProblemError, ProblemInstance, Stage,
-                      StageProvider)
+from .problem import GeometricSchedule, ProblemInstance, Stage, StageProvider
 
 __all__ = [
     "LinesearchRule",
@@ -138,13 +139,6 @@ class SolveResult:
     smoothing: float | None = None
 
 
-def _require_positive_coefficients(p: ProblemInstance, solver: str) -> None:
-    if p.knapsack.signs is not None:
-        raise ProblemError(
-            f"{solver} needs positive equality coefficients; "
-            "apply normalize_signs first")
-
-
 def _pair_from_best(h, can_dec, can_inc) -> tuple[int, int] | None:
     """Most violating pair (argmax h over can_dec, argmin h over can_inc),
     ties to the lowest index. None when either set is empty, or when one
@@ -156,11 +150,18 @@ def _pair_from_best(h, can_dec, can_inc) -> tuple[int, int] | None:
     return None if i == j else (i, j)
 
 
-def _selection(p: ProblemInstance, x, i: int, j: int, h_i: float,
+def _knapsack_point(p: ProblemInstance, x) -> np.ndarray:
+    """x in the knapsack coordinates y = signs * x; x itself when every a_i
+    is positive."""
+    signs = p.knapsack.signs
+    return x if signs is None else signs * x
+
+
+def _selection(p: ProblemInstance, y, i: int, j: int, h_i: float,
                h_j: float) -> PairSelection:
-    a = p.equality.a
-    gamma = min(a[i] * (x[i] - p.bounds.lower[i]),
-                a[j] * (p.bounds.upper[j] - x[j]))
+    """The pair (i, j) at the knapsack point y."""
+    ks = p.knapsack
+    gamma = min(ks.a[i] * (y[i] - ks.lower[i]), ks.a[j] * (ks.upper[j] - y[j]))
     return PairSelection(i=i, j=j, gamma=float(gamma), mu=float(h_j - h_i))
 
 
@@ -168,23 +169,26 @@ def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
     """The most violating pair for the stage, or None when it does not clear
     the stage's thresholds.
 
-    Eligible donors satisfy x_i >= lower_i + epsilon/a_i, receivers
-    x_j <= upper_j - epsilon/a_j, and the pair must violate optimality by
-    h_i - h_j >= delta. `gradient` is f'(x) when the caller holds it.
+    Eligibility reads the knapsack form y = signs * x, where every a_i is
+    positive (p.knapsack): donors satisfy y_i >= lower_i + epsilon/a_i,
+    receivers y_j <= upper_j - epsilon/a_j, and the pair must violate
+    optimality by h_i - h_j >= delta, where h = g / a in either form. A
+    coordinate with a_i < 0 thus gives balance by rising. `gradient` is
+    f'(x) when the caller holds it.
     """
     p = stage.problem
-    _require_positive_coefficients(p, "select_pair")
     x = np.asarray(x, dtype=float)
     g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
     h = g / p.equality.a
+    y = _knapsack_point(p, x)
     donor_floor, receiver_ceiling = stage.pair_bounds
-    pair = _pair_from_best(h, x >= donor_floor, x <= receiver_ceiling)
+    pair = _pair_from_best(h, y >= donor_floor, y <= receiver_ceiling)
     if pair is None:
         return None
     i, j = pair
     if h[i] - h[j] < stage.delta:
         return None
-    return _selection(p, x, i, j, float(h[i]), float(h[j]))
+    return _selection(p, y, i, j, float(h[i]), float(h[j]))
 
 
 def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
@@ -265,21 +269,27 @@ def gradient_difference_linesearch(objective: Objective, a, x, i: int, j: int,
 
 def _pair_coordinates(x, p: ProblemInstance, sel: PairSelection,
                       lam: float) -> tuple[float, float]:
-    """New (x_i, x_j) after moving lam of balance from i to j; bounds are hit
+    """New (x_i, x_j) after moving lam of balance from i to j, stepped in the
+    knapsack coordinates y = signs * x and mapped back; bounds are hit
     exactly."""
-    a = p.equality.a
-    lower, upper = p.bounds.lower, p.bounds.upper
+    ks = p.knapsack
+    a, lower, upper = ks.a, ks.lower, ks.upper
     i, j = sel.i, sel.j
+    s_i = s_j = 1.0
+    if ks.signs is not None:
+        s_i, s_j = ks.signs[i], ks.signs[j]
+    y_i, y_j = s_i * x[i], s_j * x[j]
     # full step lands exactly on whichever bound defined gamma
-    if lam == sel.gamma and sel.gamma == a[i] * (x[i] - lower[i]):
-        xi = lower[i]
+    if lam == sel.gamma and sel.gamma == a[i] * (y_i - lower[i]):
+        y_i = lower[i]
     else:
-        xi = x[i] - lam / a[i]
-    if lam == sel.gamma and sel.gamma == a[j] * (upper[j] - x[j]):
-        xj = upper[j]
+        y_i = y_i - lam / a[i]
+    if lam == sel.gamma and sel.gamma == a[j] * (upper[j] - y_j):
+        y_j = upper[j]
     else:
-        xj = x[j] + lam / a[j]
-    return (min(max(xi, lower[i]), upper[i]), min(max(xj, lower[j]), upper[j]))
+        y_j = y_j + lam / a[j]
+    return (s_i * min(max(y_i, lower[i]), upper[i]),
+            s_j * min(max(y_j, lower[j]), upper[j]))
 
 
 def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
@@ -358,17 +368,20 @@ def _converged(cfg: SolverConfig, p: ProblemInstance, state: PairState, g,
 
 def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
     """Zero-threshold selection: the extreme pair over donors strictly above
-    their lower bound and receivers strictly below their upper bound, when its
-    violation h_i - h_j is above rounding noise."""
+    their lower bound and receivers strictly below their upper bound, both in
+    the knapsack coordinates, when its violation h_i - h_j is above rounding
+    noise."""
+    ks = p.knapsack
     h = g / p.equality.a
-    pair = _pair_from_best(h, x > p.bounds.lower, x < p.bounds.upper)
+    y = _knapsack_point(p, x)
+    pair = _pair_from_best(h, y > ks.lower, y < ks.upper)
     if pair is None:
         return None
     i, j = pair
     # sub-ulp "violations" are noise, not descent
     if h[i] - h[j] <= 1e-12 * max(1.0, abs(h[i]), abs(h[j])):
         return None
-    return _selection(p, x, i, j, float(h[i]), float(h[j]))
+    return _selection(p, y, i, j, float(h[i]), float(h[j]))
 
 
 def _select(stage: Stage | None, p: ProblemInstance, x, g) -> PairSelection | None:
@@ -489,7 +502,6 @@ def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
-    _require_positive_coefficients(problem, "bcv_solve")
     return _pair_descent(problem, cfg, stages, z0)
 
 
@@ -506,8 +518,9 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     rows use the pair sentinel i = j = -1 and gamma = 1.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
-    or "linesearch" (no acceptable step within max_backtracks; the result is
-    the last accepted iterate, with the gap computed there).
+    (the next stage is the same problem, or the gap is NaN) or "linesearch"
+    (no acceptable step within max_backtracks; the result is the last
+    accepted iterate, with the gap computed there).
     """
     cfg = cfg or SolverConfig()
     stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
@@ -524,6 +537,10 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         g = f_l.gradient(x)
         y, best = minimize_linear(g, problem)
         gap = floor_zero(float(g @ x) - best)
+        if math.isnan(gap):
+            # a NaN gradient gives no direction, as no pair qualifies in bcv
+            stop_reason = "stalled"
+            break
         if gap <= cfg.target_accuracy:
             if _tau_reached(p_l, cfg.target_accuracy):
                 stop_reason = "converged"
@@ -574,7 +591,6 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     max_backtracks; the result is the last accepted iterate).
     """
     cfg = cfg or SolverConfig()
-    _require_positive_coefficients(problem, "mbc_solve")
     return _pair_descent(problem, cfg, None, z0)
 
 

@@ -64,18 +64,20 @@ class TestSvmDual:
                           labels=np.array([1.0, -1.0]))
 
     def test_two_point_instance_shape(self):
+        # the dual's own coordinates: weights in [0, cap], a = labels
         p = build_svm_dual(self.two_point_data(), upper_cap=10.0)
         assert p.n == 2
         assert p.equality.beta == 0.0
-        assert_allclose(p.equality.a, np.ones(2))
-        assert_allclose(p.bounds.lower, [0.0, -10.0])
-        assert_allclose(p.bounds.upper, [10.0, 0.0])
+        assert_allclose(p.equality.a, [1.0, -1.0])
+        assert_allclose(p.bounds.lower, [0.0, 0.0])
+        assert_allclose(p.bounds.upper, [10.0, 10.0])
 
     def test_two_point_solution_balances(self):
         p = build_svm_dual(self.two_point_data(), tau=10.0, upper_cap=10.0)
         res = solve_to(p, 1e-6)
         assert res.stop_reason == "converged"
-        assert abs(res.point.sum()) <= 1e-10
+        assert abs(p.equality.a @ res.point) <= 1e-10
+        assert res.point.min() >= 0.0
 
     def test_value_at_zero_p2(self):
         # all hinge arguments are -1 at y = 0, so only -sum y survives
@@ -109,7 +111,8 @@ class TestSvmDual:
 
     def test_primal_recovery_formula(self):
         data = self.two_point_data()
-        y = np.array([0.5, -0.5])
+        # w = features^T (labels * y)
+        y = np.array([0.5, 0.5])
         w, bias, support = svm_primal(data, y)
         assert_allclose(w, [1.0])
         # rows give 1 - 0.5*... symmetric, bias averages to zero
@@ -123,7 +126,7 @@ class TestSvmDual:
         assert support == 0
 
     def test_cap_binding_detection(self):
-        y = np.array([0.0, 999.9999999, -1e3, 4.0])
+        y = np.array([0.0, 999.9999999, 1e3, 4.0])
         hits = svm_cap_binding(y, 1e3)
         assert hits.tolist() == [1, 2]
 

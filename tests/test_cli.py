@@ -143,8 +143,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("method", ["bcv", "cgm", "mbc"])
     def test_negative_coefficients(self, tmp_path, method, capsys):
-        # a = (1, -1, 2): the pair methods solve the sign-normalized problem,
-        # and the point comes back in the document's coordinates
+        # a = (1, -1, 2): every method solves the document's problem
+        # directly, in its coordinates
         a = np.array([1.0, -1.0, 2.0])
         p = build_problem(BoxBounds(np.zeros(3), np.ones(3)),
                           LinearEquality(a, 1.0),
@@ -207,6 +207,24 @@ class TestProjectAndCheck:
         assert "multiplier interval:" in out
         assert "stationary at tol" in out
 
+    def test_check_signed_coefficients(self, tmp_path, capsys):
+        # a_1 < 0: x_1 at its lower bound can give balance by rising, so it
+        # sets no lower limit on the multiplier
+        p = build_problem(BoxBounds(np.zeros(3), np.ones(3)),
+                          LinearEquality(np.array([1.0, -1.0, 2.0]), 1.0),
+                          QuadraticObjective(np.diag([1.0, 2.0, 3.0])))
+        path = tmp_path / "signed.json"
+        save_problem(p, path)
+        assert main(["check", str(path), "--tol", "1e-6", "--point",
+                     "0.42857143237812373,9.251858538542975e-18,"
+                     "0.2857142838109381"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "error bound: 2.85502e-09" in lines
+        worst = float(lines[lines.index("error bound: 2.85502e-09") + 1]
+                      .split(":")[1])
+        assert 5e-9 < worst < 1e-8
+        assert lines[-1] == "stationary at tol 1e-06: True"
+
     def test_check_infeasible_exit_two(self, problem_file, capsys):
         assert main(["check", problem_file, "--point", "0,0,0,0,0,0"]) == 2
         out = capsys.readouterr().out
@@ -251,6 +269,15 @@ class TestApplicationsCli:
         assert "weights:" in captured.out
         assert "support rows:" in captured.out
         assert "warning" not in captured.err
+
+    def test_svm_point_is_dual_weights(self, svm_file, capsys):
+        # the dual's own coordinates: weights in [0, cap] with
+        # sum_i label_i y_i = 0
+        assert main(["svm", svm_file, "--mu", "1e-3"]) == 0
+        y = _printed_point(capsys.readouterr().out)
+        labels = np.array([1.0] * 8 + [-1.0] * 8)
+        assert y.min() >= 0.0 and y.max() <= 1e3
+        assert abs(labels @ y) <= 1e-9 * max(1.0, y.max())
 
     def test_svm_ladder_keeps_a_tighter_smoothing(self, svm_file, capsys):
         # --smooth-eps below --mu is the objective's own tau; no stage

@@ -25,7 +25,6 @@ from bicoord import (
     build_market,
     build_problem,
     mbc_solve,
-    normalize_signs,
 )
 from bicoord import solvers
 from bicoord.geometry import linear_gap
@@ -41,8 +40,8 @@ TOLERANCES = st.one_of(st.sampled_from([1e-9, 1e-3, 0.1, 0.5, 1.0]),
 
 @st.composite
 def screened_points(draw):
-    """(p, x, g): a sign-normalized instance, a feasible point on it and a
-    gradient-like vector with tied scaled entries."""
+    """(p, x, g): an instance with signed coefficients, a feasible point on
+    it and a gradient-like vector with tied scaled entries."""
     n = draw(st.integers(2, 7))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
     a = np.array(signs) * draw(st.lists(MAGNITUDES, min_size=n, max_size=n))
@@ -58,13 +57,11 @@ def screened_points(draw):
     else:
         t = (a > 0.0) == (end == "high")
         t = t.astype(float)
-    x_raw = lower + t * (upper - lower)
-    raw = build_problem(BoxBounds(lower, upper), LinearEquality(a, float(a @ x_raw)),
-                        SeparableQuadraticObjective(np.zeros(n), np.ones(n)))
-    p, sign_map = normalize_signs(raw)
-    x = sign_map.apply(x_raw)
+    x = lower + t * (upper - lower)
+    p = build_problem(BoxBounds(lower, upper), LinearEquality(a, float(a @ x)),
+                      SeparableQuadraticObjective(np.zeros(n), np.ones(n)))
     h = np.array(draw(st.lists(SCALED, min_size=n, max_size=n)))
-    return p, x, h * p.equality.a
+    return p, x, h * a
 
 
 def selections(p, x, g, delta, epsilon):

@@ -12,7 +12,6 @@ from bicoord import (
     build_problem,
     check_feasibility,
     minimize_linear,
-    normalize_signs,
     project,
 )
 from bicoord.geometry import _balance, floor_zero, linear_gap
@@ -109,6 +108,27 @@ def test_project_matches_bisection_oracle(signed):
         assert_allclose(x, ref, atol=1e-8)
         rep = check_feasibility(x, p)
         assert rep.feasible
+
+
+def test_project_matches_slsqp_on_signed_instances():
+    # an independent solve of min 0.5 |x - z|^2 over the box and the equality
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        p = random_instance(rng, signed=True)
+        a, beta = p.equality.a, p.equality.beta
+        lower, upper = p.bounds.lower, p.bounds.upper
+        z = rng.uniform(lower - 2.0, upper + 2.0)
+        ref = optimize.minimize(
+            lambda v: 0.5 * float((v - z) @ (v - z)), np.clip(z, lower, upper),
+            jac=lambda v: v - z, method="SLSQP", bounds=list(zip(lower, upper)),
+            constraints=[{"type": "eq", "fun": lambda v: a @ v - beta,
+                          "jac": lambda v: a}],
+            options={"ftol": 1e-12, "maxiter": 500})
+        assert ref.success, ref.message
+        x = project(z, p)
+        assert_allclose(x, ref.x, atol=1e-7)
+        assert np.linalg.norm(x - z) <= np.linalg.norm(ref.x - z) + 1e-9
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -364,13 +384,15 @@ def test_knapsack_through_normalize_signs():
     lo_sum = float(np.sum(np.minimum(a * lower, a * upper)))
     hi_sum = float(np.sum(np.maximum(a * lower, a * upper)))
     p = make_instance(a, lower, upper, 0.3 * lo_sum + 0.7 * hi_sum)
-    q, sign_map = normalize_signs(p)
+    # the sign-normalized mirror, y = signs * x, built from the knapsack form
+    ks = p.knapsack
+    q = make_instance(ks.a, ks.lower, ks.upper, p.equality.beta)
     for c in (rng.standard_normal(n), rng.choice([-1.0, 2.0], n) * np.abs(a)):
         y, val = minimize_linear(c, p)
         y_ref, val_ref = minimize_linear_loop(c, p)
         assert y.tobytes() == y_ref.tobytes() and val == val_ref
-        y_q, _ = minimize_linear(sign_map.apply(c), q)
-        assert sign_map.apply(y_q).tobytes() == y.tobytes()
+        y_q, _ = minimize_linear(ks.signs * c, q)
+        assert (ks.signs * y_q).tobytes() == y.tobytes()
 
 
 def test_knapsack_constants_are_cached_read_only_views():

@@ -8,7 +8,6 @@ from bicoord import (
     PortfolioObjective,
     QuadraticObjective,
     SeparableQuadraticObjective,
-    SignFlipObjective,
     SvmDualObjective,
     smooth_plus,
 )
@@ -255,29 +254,6 @@ def test_separable_quadratic_cheap_partial():
     assert_allclose(obj.value(x), lin @ x + 0.5 * quad @ x**2)
     assert_allclose(obj.gradient(x), lin + quad * x)
     assert_allclose(obj.partial(2, x), -3.0)
-
-
-def test_sign_flip_composition():
-    rng = np.random.default_rng(83)
-    P = spd_matrix(rng, 3)
-    inner = QuadraticObjective(P)
-    signs = np.array([1.0, -1.0, 1.0])
-    obj = SignFlipObjective(inner, signs)
-    y = rng.standard_normal(3)
-    assert_allclose(obj.value(y), inner.value(signs * y), rtol=1e-12)
-    assert_allclose(obj.gradient(y), signs * inner.gradient(signs * y),
-                    rtol=1e-12)
-    assert_gradient_matches_fd(obj, rng.standard_normal((10, 3)))
-
-
-def test_sign_flip_smoothing_passthrough():
-    inner = QuadraticObjective(np.eye(2), np.ones(2), xi=5.0, tau=0.4)
-    obj = SignFlipObjective(inner, np.array([1.0, -1.0]))
-    assert obj.smoothing == 0.4
-    tighter = obj.with_smoothing(0.2)
-    assert tighter.smoothing == 0.2
-    y = np.array([0.3, -0.7])
-    assert tighter.value(y) < obj.value(y)
 
 
 def test_counting_objective_tracks_calls():

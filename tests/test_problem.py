@@ -15,7 +15,6 @@ from bicoord import (
     build_problem,
     gen_nonsmooth_l1,
     gen_quadratic,
-    normalize_signs,
     project,
 )
 
@@ -73,54 +72,46 @@ def test_benchmark_bound_sum_leaves_slack():
     assert_allclose(expected, 15.7056, atol=1e-4)
 
 
-def test_normalize_identity_for_positive_coefficients():
-    p = unit_square()
-    q, sign_map = normalize_signs(p)
-    assert np.all(sign_map.signs == 1)
-    assert_allclose(q.equality.a, p.equality.a)
-    assert_allclose(q.bounds.lower, p.bounds.lower)
-
-
 def test_normalize_flips_negative_coordinate():
     p = build_problem(
         BoxBounds(np.array([0.0, -3.0]), np.array([1.0, -1.0])),
         LinearEquality(np.array([1.0, -2.0]), 4.0),
         LinearObjective(np.array([1.0, 1.0])),
     )
-    q, sign_map = normalize_signs(p)
-    assert_allclose(q.equality.a, [1.0, 2.0])
-    assert_allclose(q.bounds.lower, [0.0, 1.0])
-    assert_allclose(q.bounds.upper, [1.0, 3.0])
-    assert list(sign_map.signs) == [1, -1]
+    ks = p.knapsack
+    assert_allclose(ks.a, [1.0, 2.0])
+    assert_allclose(ks.lower, [0.0, 1.0])
+    assert_allclose(ks.upper, [1.0, 3.0])
+    assert list(ks.signs) == [1, -1]
 
 
 def test_normalize_preserves_objective_values():
+    # the sign-normalized mirror of a signed instance, y = signs * x: a and
+    # bounds from the knapsack form, P -> S P S and lin -> S lin. Values and
+    # projections agree exactly, since a sign change is exact.
     rng = np.random.default_rng(3)
     P = rng.standard_normal((3, 3))
     P = P @ P.T + 3 * np.eye(3)
     bounds = BoxBounds(np.array([-1.0, -2.0, 0.0]), np.array([1.0, -0.5, 2.0]))
     eq = LinearEquality(np.array([2.0, -1.0, 1.5]), 2.0)
-    p = build_problem(bounds, eq, QuadraticObjective(P))
-    q, sign_map = normalize_signs(p)
-    for _ in range(5):
-        z = rng.uniform(p.bounds.lower, p.bounds.upper)
-        x = project(z, p)
-        y = sign_map.apply(x)
-        assert_allclose(q.objective.value(y), p.objective.value(x), rtol=1e-12)
-        assert_allclose(sign_map.apply(y), x)
-
-    # the composition with the sign map is exact: y = signs * x flips signs
     sep = SeparableQuadraticObjective(np.array([0.7, -1.3, 0.4]),
                                       np.array([2.0, 0.5, 1.5]))
-    p = build_problem(bounds, eq, sep)
-    q, sign_map = normalize_signs(p)
-    for _ in range(5):
-        x = project(rng.uniform(p.bounds.lower, p.bounds.upper), p)
-        y = sign_map.apply(x)
-        assert q.objective.value(y) == p.objective.value(x)
-        assert np.array_equal(q.objective.gradient(y),
-                              sign_map.signs * p.objective.gradient(x))
-        assert q.objective.partial(1, y) == -p.objective.partial(1, x)
+    s = np.sign(eq.a)
+    for obj, mirrored in ((QuadraticObjective(P), QuadraticObjective(s[:, None] * P * s)),
+                          (sep, SeparableQuadraticObjective(s * sep.lin, sep.quad))):
+        p = build_problem(bounds, eq, obj)
+        ks = p.knapsack
+        q = build_problem(BoxBounds(ks.lower, ks.upper),
+                          LinearEquality(ks.a, eq.beta), mirrored)
+        for _ in range(5):
+            z = rng.uniform(p.bounds.lower, p.bounds.upper)
+            x = project(z, p)
+            y = s * x
+            assert np.array_equal(project(s * z, q), y)
+            assert q.objective.value(y) == p.objective.value(x)
+            assert np.array_equal(q.objective.gradient(y),
+                                  s * p.objective.gradient(x))
+            assert q.objective.partial(1, y) == -p.objective.partial(1, x)
 
 
 def test_denormalize_definition_and_involution():

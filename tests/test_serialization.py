@@ -195,6 +195,18 @@ def test_builder_kinds_check_feasible_set(kind, field):
         from_document(doc)
 
 
+def test_svm_document_in_sign_normalized_coordinates_is_rejected():
+    # the dual written in the coordinates label_i * y_i: a = 1, and the box
+    # [-cap, 0] for a negative label
+    doc = to_document(shipped_instances()["svm_dual"])
+    labels = np.array(doc["objective"]["params"]["labels"])
+    doc["a"] = [1.0] * len(labels)
+    doc["lower"] = np.where(labels > 0, 0.0, -50.0).tolist()
+    doc["upper"] = np.where(labels > 0, 50.0, 0.0).tolist()
+    with pytest.raises(ProblemError, match="disagrees"):
+        from_document(doc)
+
+
 def test_market_round_trip_via_json_text(tmp_path):
     p = shipped_instances()["market"]
     path = tmp_path / "market.json"

@@ -10,6 +10,7 @@ from bicoord import (
     LinearObjective,
     LinesearchError,
     LinesearchRule,
+    PortfolioObjective,
     QuadraticObjective,
     SolverConfig,
     Stage,
@@ -514,6 +515,18 @@ def test_cgm_linesearch_failure_keeps_the_last_step():
     assert np.array_equal(result.point, result.trace[-1].point_after)
     assert result.objective_value == p.objective.value(result.point)
     assert result.error_bound == error_bound(p, result.point)
+
+
+def test_nan_gradient_ends_every_method_with_a_typed_stop():
+    p = build_problem(BoxBounds(np.zeros(3), np.ones(3)),
+                      LinearEquality(np.ones(3), 1.0),
+                      PortfolioObjective(np.eye(3), np.array([np.nan, 1.0, 2.0]),
+                                         1.0, 10.0, 2))
+    for solve, reason in ((bcv_solve, "stalled"), (mbc_solve, "no_descent_pair"),
+                          (cgm_solve, "stalled")):
+        res = solve(p)
+        assert (res.stop_reason, res.converged) == (reason, False)
+        assert np.isnan(res.error_bound)
 
 
 def test_solver_config_validation():
