@@ -421,7 +421,14 @@ class SeparableQuadraticObjective(Objective):
 
 
 class CountingObjective(Objective):
-    """Wrapper that counts oracle calls; used to compare selection strategies."""
+    """Wrapper that counts oracle calls; used to compare selection strategies.
+
+    Blind spots: each later stage gets a fresh counter from with_smoothing,
+    so counts stop after stage 0 (bcv on gen_nonsmooth_l1(20, 5): 1 value
+    and 1 gradient call over 6 stages and 33 steps); and wrapping swaps the
+    quadratic family's cached pair state for the generic one, so the counted
+    value calls include trials an unwrapped solve never makes.
+    """
 
     def __init__(self, inner: Objective):
         self.inner = inner

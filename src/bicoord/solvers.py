@@ -30,9 +30,9 @@ needs no sort while the selected pair proves the gap above the target:
 moving gamma of balance along (i, j) is feasible, so
 Delta(x) >= (h_i - h_j) gamma. The exact gap, an O(n log n) knapsack, runs
 only where that bound cannot settle the verdict, and once at exit. Besides
-the state's own periodic rebuild, the loop rebuilds it from x at a stage
-restart that changes the point or the objective, before a converging
-verdict and at exit, so every reported gap comes from a fresh gradient.
+the state's own periodic rebuild, the loop rebuilds a moved state from x in
+one place, before a verdict that would stop the solve, and at exit, so
+every reported gap comes from a fresh gradient.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 import math
+import operator
 
 import numpy as np
 
@@ -97,6 +98,10 @@ class SolverConfig:
         if not self.target_accuracy > 0.0:
             raise ValueError("target_accuracy must be positive")
         for name in ("max_inner_iterations", "max_stages", "max_backtracks"):
+            try:
+                setattr(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
         self.linesearch = LinesearchRule(self.linesearch)
@@ -139,17 +144,6 @@ class SolveResult:
     smoothing: float | None = None
 
 
-def _pair_from_best(h, can_dec, can_inc) -> tuple[int, int] | None:
-    """Most violating pair (argmax h over can_dec, argmin h over can_inc),
-    ties to the lowest index. None when either set is empty, or when one
-    coordinate tops both lists: then no pair has a positive violation."""
-    if not can_dec.any() or not can_inc.any():
-        return None
-    i = int(np.argmax(np.where(can_dec, h, -np.inf)))
-    j = int(np.argmin(np.where(can_inc, h, np.inf)))
-    return None if i == j else (i, j)
-
-
 def _knapsack_point(p: ProblemInstance, x) -> np.ndarray:
     """x in the knapsack coordinates y = signs * x; x itself when every a_i
     is positive."""
@@ -157,12 +151,21 @@ def _knapsack_point(p: ProblemInstance, x) -> np.ndarray:
     return x if signs is None else signs * x
 
 
-def _selection(p: ProblemInstance, y, i: int, j: int, h_i: float,
-               h_j: float) -> PairSelection:
-    """The pair (i, j) at the knapsack point y."""
+def _extreme_pair(p: ProblemInstance, y, h, can_give,
+                  can_take) -> PairSelection | None:
+    """The extreme pair at the knapsack point y: i = argmax h over can_give,
+    j = argmin h over can_take, ties to the lowest index. None when either
+    set is empty, or when one coordinate tops both lists: then no pair has a
+    positive violation."""
+    if not can_give.any() or not can_take.any():
+        return None
+    i = int(np.argmax(np.where(can_give, h, -np.inf)))
+    j = int(np.argmin(np.where(can_take, h, np.inf)))
+    if i == j:
+        return None
     ks = p.knapsack
     gamma = min(ks.a[i] * (y[i] - ks.lower[i]), ks.a[j] * (ks.upper[j] - y[j]))
-    return PairSelection(i=i, j=j, gamma=float(gamma), mu=float(h_j - h_i))
+    return PairSelection(i=i, j=j, gamma=float(gamma), mu=float(h[j] - h[i]))
 
 
 def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
@@ -182,13 +185,8 @@ def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
     h = g / p.equality.a
     y = _knapsack_point(p, x)
     donor_floor, receiver_ceiling = stage.pair_bounds
-    pair = _pair_from_best(h, y >= donor_floor, y <= receiver_ceiling)
-    if pair is None:
-        return None
-    i, j = pair
-    if h[i] - h[j] < stage.delta:
-        return None
-    return _selection(p, y, i, j, float(h[i]), float(h[j]))
+    sel = _extreme_pair(p, y, h, y >= donor_floor, y <= receiver_ceiling)
+    return None if sel is None or -sel.mu < stage.delta else sel
 
 
 def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
@@ -321,15 +319,6 @@ def _default_start(p: ProblemInstance) -> np.ndarray:
     return 0.5 * (p.bounds.lower + p.bounds.upper)
 
 
-def _refresh(state: PairState, g) -> np.ndarray:
-    """Rebuild a state that has moved since its last rebuild; returns the
-    gradient at its point."""
-    if not state.moves:
-        return g
-    state.rebuild()
-    return state.gradient()
-
-
 def _gap_rounding(p: ProblemInstance, g) -> float:
     """A bound on the rounding of linear_gap(g, x, p) for x in the box: the
     gap cancels <g, x> against the knapsack's best, and both run over n
@@ -337,33 +326,21 @@ def _gap_rounding(p: ProblemInstance, g) -> float:
     return p.n * 2.0**-49 * float(np.abs(g) @ p.box_radius)
 
 
-def _converged(cfg: SolverConfig, p: ProblemInstance, state: PairState, g,
-               tau_clause: bool, sel: PairSelection | None
-               ) -> tuple[np.ndarray, bool, float | None]:
-    """Convergence verdict; with tau_clause, a smoothed objective must first
-    have reached the accuracy. sel is the pair selected on g at the state's
-    point. Its bound -mu gamma <= Delta(x) settles "not converged" without
-    a sort when it exceeds the accuracy by more than the exact gap's
-    rounding. Otherwise the verdict takes the exact gap on the maintained
-    gradient and confirms a converging one on a rebuilt state; the caller
-    selects again when the returned gradient is a rebuilt one. Returns the
-    gradient, the verdict, and the gap when the verdict computed one on an
-    unmoved state (None otherwise)."""
-    acc = cfg.target_accuracy
+def _screened_gap(p: ProblemInstance, x, g, acc: float, tau_clause: bool,
+                  sel: PairSelection | None) -> float | None:
+    """The exact gap Delta(x) on the gradient g, or None where "not
+    converged" is settled without it: with tau_clause, by a smoothed
+    objective that has not reached the accuracy; otherwise by the pair sel
+    selected on g, whose bound -mu gamma <= Delta(x) settles it when it
+    exceeds the accuracy by more than the exact gap's rounding."""
     if tau_clause and not _tau_reached(p, acc):
-        return g, False, None
+        return None
     if sel is not None:
         bound = -sel.mu * sel.gamma
         # the dot product of the margin is paid only where it can settle
         if bound > acc and bound > acc + _gap_rounding(p, g):
-            return g, False, None
-    gap = linear_gap(g, state.x, p)
-    if gap > acc:
-        return g, False, None if state.moves else gap
-    if state.moves:
-        g = _refresh(state, g)
-        gap = linear_gap(g, state.x, p)
-    return g, gap <= acc, gap
+            return None
+    return linear_gap(g, x, p)
 
 
 def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
@@ -374,22 +351,11 @@ def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
     ks = p.knapsack
     h = g / p.equality.a
     y = _knapsack_point(p, x)
-    pair = _pair_from_best(h, y > ks.lower, y < ks.upper)
-    if pair is None:
-        return None
-    i, j = pair
+    sel = _extreme_pair(p, y, h, y > ks.lower, y < ks.upper)
     # sub-ulp "violations" are noise, not descent
-    if h[i] - h[j] <= 1e-12 * max(1.0, abs(h[i]), abs(h[j])):
+    if sel is None or -sel.mu <= 1e-12 * max(1.0, abs(h[sel.i]), abs(h[sel.j])):
         return None
-    return _selection(p, y, i, j, float(h[i]), float(h[j]))
-
-
-def _select(stage: Stage | None, p: ProblemInstance, x, g) -> PairSelection | None:
-    """The pair rule of _pair_descent: select_pair under the stage's
-    thresholds, or _most_violating when there is no stage."""
-    if stage is None:
-        return _most_violating(p, x, g)
-    return select_pair(x, stage, gradient=g)
+    return sel
 
 
 def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
@@ -400,10 +366,13 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     thresholds, a stage without a qualifying pair restarts on the next one
     (projecting the point onto its problem), and a smoothed objective must
     reach the accuracy before the gap verdict counts. stages=None is mbc's
-    single zero-threshold stage: pairs come from _most_violating, and when
-    none qualifies the verdict is taken again on a rebuilt state before the
-    solve stops with "no_descent_pair". A linesearch that finds no
-    acceptable step ends the solve at the last accepted iterate.
+    single zero-threshold stage: pairs come from _most_violating, and the
+    solve stops with "no_descent_pair" when none qualifies. A linesearch
+    that finds no acceptable step ends the solve at the last accepted
+    iterate. A moved state, whose gradient may have drifted, is rebuilt in
+    one place, before a verdict that would stop the solve (the gap meets
+    the accuracy, or mbc has no pair); the pass then selects and screens
+    again on the fresh gradient.
     """
     staged = stages is not None
     l = 0
@@ -415,27 +384,29 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     g = state.gradient()
     trace: list[TraceEvent] = []
     steps = stage_start = 0
+    acc = cfg.target_accuracy
 
-    # a selection and a verdict open the solve and follow every step,
+    # a selection and a screened gap open the solve and follow every step,
     # rebuild and restart
     while True:
-        sel = _select(cur, p_l, state.x, g)
-        g_selected = g
-        g, converged, gap = _converged(cfg, p_l, state, g, staged, sel)
-        if converged:
+        if staged:
+            sel = select_pair(state.x, cur, gradient=g)
+        else:
+            sel = _most_violating(p_l, state.x, g)
+        gap = _screened_gap(p_l, state.x, g, acc, staged, sel)
+        # the screen leaves "converged" open: the gap meets the accuracy,
+        # or is NaN
+        unsettled = gap is not None and not gap > acc
+        if state.moves and (unsettled or (sel is None and not staged)):
+            state.rebuild()
+            g = state.gradient()
+            continue
+        if unsettled and gap <= acc:
             stop_reason = "converged"
             break
-        if g is not g_selected:
-            # the verdict rebuilt the state: select on the fresh gradient
-            sel = _select(cur, p_l, state.x, g)
         if sel is None and not staged:
-            # the maintained gradient may have drifted: rebuild, then take
-            # the verdict and select again
-            if not state.moves:
-                stop_reason = "no_descent_pair"
-                break
-            g = _refresh(state, g)
-            continue
+            stop_reason = "no_descent_pair"
+            break
         if sel is None:
             # restart: no pair cleared the stage thresholds
             if l + 1 >= cfg.max_stages:
@@ -474,10 +445,12 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             point_after=state.x.copy() if cfg.record_points else None))
         f_x = f_new
 
-    # every exit follows a verdict with the state as the verdict left it; gap
-    # is None when that verdict left the state moved or took no exact gap
-    if gap is None:
-        g = _refresh(state, g)
+    # every exit follows a screen on the current point; its gap is reported
+    # unless the state has moved since its last rebuild
+    if state.moves:
+        state.rebuild()
+        gap = linear_gap(state.gradient(), state.x, p_l)
+    elif gap is None:
         gap = linear_gap(g, state.x, p_l)
     return _result(p_l, state.x, state.value(), gap, steps, l + 1, stop_reason,
                    trace)

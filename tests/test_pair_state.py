@@ -32,6 +32,7 @@ from bicoord import (
     save_problem,
 )
 from bicoord.cli import main
+from bicoord.solvers import _most_violating
 
 RTOL = 1e-12
 
@@ -196,6 +197,54 @@ def test_reported_gap_is_fresh_at_every_exit(kind, solve, options, reason):
     assert res.stop_reason == reason
     assert res.error_bound == error_bound(p, res.point)
     assert res.objective_value == p.objective.value(res.point)
+
+
+class DriftingState(PairState):
+    """A pair state whose maintained gradient has drifted: while moves > 0
+    it reports 1e-13 times the true gradient, so no pair clears the
+    thresholds and a gap of 1e-13 times the true one looks met. A rebuild
+    clears the drift."""
+
+    def rebuild(self):
+        self.moves = 0
+
+    def gradient(self):
+        g = self.objective.gradient(self.x)
+        return 1e-13 * g if self.moves else g
+
+    def move(self, i, xi, j, xj):
+        super().move(i, xi, j, xj)
+        self.moves += 1
+
+
+class DriftingObjective(SeparableQuadraticObjective):
+    def pair_state(self, x):
+        return DriftingState(self, x)
+
+
+# A stop decided on the drifted gradient would report "converged" above the
+# accuracy, or "no_descent_pair" with a pair left. At 0.1 the drifted gap
+# meets the accuracy after every step; at 1e-30 it does not, while mbc finds
+# no pair on the drifted gradient.
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("solve, accuracy", [(bcv_solve, 0.1), (mbc_solve, 0.1),
+                                             (mbc_solve, 1e-30)])
+def test_stop_verdicts_are_taken_on_a_rebuilt_state(solve, accuracy, seed):
+    rng = np.random.default_rng(seed)
+    z0 = rng.uniform(0.0, 2.0, 6)
+    p = build_problem(BoxBounds(np.zeros(6), np.full(6, 2.0)),
+                      LinearEquality(np.ones(6), float(z0.sum())),
+                      DriftingObjective(rng.uniform(-5.0, 5.0, 6),
+                                        rng.uniform(0.5, 2.0, 6)))
+    cfg = SolverConfig(target_accuracy=accuracy, max_inner_iterations=200,
+                       max_stages=10_000)
+    res = solve(p, cfg, z0=z0)
+    assert res.inner_iterations_total > 0
+    assert res.error_bound == error_bound(p, res.point)
+    if res.converged:
+        assert res.error_bound <= accuracy
+    if res.stop_reason == "no_descent_pair":
+        assert _most_violating(p, res.point, p.objective.gradient(res.point)) is None
 
 
 # ------------------------------------------------ log-domain trial points

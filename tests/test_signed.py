@@ -23,6 +23,7 @@ from bicoord import (
     bcv_solve,
     build_problem,
     check_stationarity,
+    error_bound,
     mbc_solve,
     select_pair,
 )
@@ -93,10 +94,11 @@ def outcome(res):
 @given(case=mirrored_pairs(),
        accuracy=st.sampled_from([0.1, 1e-3, 1e-6]),
        rule=st.sampled_from(["armijo", "gradient-difference"]),
-       method=st.sampled_from(["bcv", "mbc"]))
-def test_signed_solve_is_the_mirrored_solve(case, accuracy, rule, method):
+       method=st.sampled_from(["bcv", "mbc"]),
+       budget=st.sampled_from([300, 3]))
+def test_signed_solve_is_the_mirrored_solve(case, accuracy, rule, method, budget):
     p, q, s, z0 = case
-    cfg = SolverConfig(target_accuracy=accuracy, max_inner_iterations=300,
+    cfg = SolverConfig(target_accuracy=accuracy, max_inner_iterations=budget,
                        linesearch=rule, record_points=True)
     z0_mirror = None if z0 is None else s * z0
     if method == "bcv":
@@ -112,6 +114,13 @@ def test_signed_solve_is_the_mirrored_solve(case, accuracy, rule, method):
         assert np.array_equal(e.point_after, s * e_ref.point_after)
     # every iterate in the box exactly, balanced, and on the descent record
     assert audit.passed, audit.failures
+    # the reported gap is the exact gap at the point, on the stage objective
+    # the solve ended on
+    final = p
+    if res.smoothing != p.objective.smoothing:
+        final = build_problem(p.bounds, p.equality,
+                              p.objective.with_smoothing(res.smoothing))
+    assert res.error_bound == error_bound(final, res.point)
 
 
 def two_coordinate_instance():

@@ -538,6 +538,13 @@ def test_solver_config_validation():
         SolverConfig(target_accuracy=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_inner_iterations=0)
+    # a float budget would fail inside the linesearch, a NaN one never stops
+    for name, bad in (("max_backtracks", 2.5), ("max_inner_iterations", float("nan")),
+                      ("max_stages", 3.0), ("max_backtracks", "60")):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: bad})
+    cfg = SolverConfig(max_inner_iterations=np.int64(7))
+    assert type(cfg.max_inner_iterations) is int and cfg.max_inner_iterations == 7
     with pytest.raises(ValueError):
         SolverConfig(linesearch="definitely-not-a-rule")
     cfg = SolverConfig(linesearch="gradient-difference")

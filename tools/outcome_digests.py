@@ -1,0 +1,244 @@
+"""Digest of every solve outcome over a fixed case list, one line per solve.
+
+    PYTHONPATH=src python3 tools/outcome_digests.py > digests.txt
+
+Each line is `case sha256-prefix`, the hash covering every SolveResult field
+(the point's bytes, so the sign of zero counts; floats as float.hex), every
+trace row and every recorded point. Run it on two checkouts and diff the
+files to check that a change leaves outcomes bit-identical. The cases: the
+96 cells of the benchmark grid, families 1-3 at further accuracies, budgets
+and linesearch rules, markets, signed instances, every stop reason of the
+pair methods, SVM duals, portfolios and budgeted dense solves at n = 1500.
+Only the public API is used, so the script runs unchanged on older
+checkouts.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+
+import numpy as np
+
+from bicoord import (
+    BenchmarkSpec,
+    BoxBounds,
+    LinearEquality,
+    MarketModel,
+    PortfolioData,
+    QuadraticObjective,
+    SeparableQuadraticObjective,
+    SolverConfig,
+    SvmDataset,
+    bcv_solve,
+    build_market,
+    build_portfolio,
+    build_problem,
+    build_svm_dual,
+    cgm_solve,
+    gen_convex_log,
+    gen_nonsmooth_l1,
+    gen_quadratic,
+    mbc_solve,
+    protocol_start,
+    run_cell_detailed,
+)
+
+SOLVERS = {"bcv": bcv_solve, "mbc": mbc_solve, "cgm": cgm_solve}
+FAMILIES = {1: gen_quadratic, 2: gen_convex_log, 3: gen_nonsmooth_l1}
+
+
+def _num(v) -> str:
+    return "None" if v is None else float(v).hex()
+
+
+def digest(res) -> str:
+    h = hashlib.sha256()
+    h.update(np.asarray(res.point, dtype=float).tobytes())
+    h.update(repr((_num(res.objective_value), _num(res.error_bound),
+                   res.inner_iterations_total, res.stages_completed,
+                   res.converged, res.stop_reason,
+                   _num(res.smoothing))).encode())
+    for e in res.trace:
+        h.update(repr((e.stage, e.k, e.i, e.j, _num(e.gamma), _num(e.lam),
+                       _num(e.mu), _num(e.f_before), _num(e.f_after),
+                       e.backtracks)).encode())
+        if e.point_after is not None:
+            h.update(e.point_after.tobytes())
+    return h.hexdigest()[:16]
+
+
+def solve(method: str, p, z0, **options):
+    options.setdefault("max_stages", 10_000)
+    cfg = SolverConfig(record_points=True, **options)
+    return SOLVERS[method](p, cfg, z0=z0)
+
+
+def grid_cases():
+    spec = BenchmarkSpec()
+    for series in spec.series:
+        for beta, n in itertools.product(spec.betas, spec.sizes):
+            for method in spec.methods_for(series):
+                run = run_cell_detailed(series, beta, n, method, spec)
+                yield f"grid/{series}/{beta:g}/{n}/{method}", run.result
+
+
+def family_cases():
+    for series, n, acc in itertools.product((1, 2, 3), (10, 40), (1e-3, 1e-6)):
+        p = FAMILIES[series](n, 5.0)
+        z0 = protocol_start(p)
+        for method, rule in (("bcv", "armijo"), ("bcv", "gradient-difference"),
+                             ("mbc", "armijo"), ("mbc", "gradient-difference"),
+                             ("cgm", "armijo")):
+            res = solve(method, p, z0, target_accuracy=acc,
+                        max_inner_iterations=300, linesearch=rule)
+            yield f"family/{series}/{n}/{acc:g}/{method}/{rule}", res
+    # budgets on both sides of the quadratic state's rebuild interval
+    for series, budget in itertools.product((1, 2, 3), (7, 49, 50, 51, 120)):
+        p = FAMILIES[series](40, 10.0)
+        for method in ("bcv", "mbc"):
+            res = solve(method, p, protocol_start(p), target_accuracy=1e-9,
+                        max_inner_iterations=budget)
+            yield f"budget/{series}/{budget}/{method}", res
+
+
+def seeded_market(agents: int, seed: int):
+    rng = np.random.default_rng(seed)
+    m = agents // 2
+    k = agents - m
+    traders = np.column_stack([rng.uniform(1.0, 3.0, m), rng.uniform(0.5, 2.0, m),
+                               rng.uniform(0.5, 2.0, m)])
+    buyers = np.column_stack([rng.uniform(2.0, 4.0, k), -rng.uniform(0.5, 2.0, k),
+                              rng.uniform(0.5, 2.0, k)])
+    return build_market(MarketModel(traders, buyers, 0.0))[0]
+
+
+def market_cases():
+    for agents, seed in ((12, 0), (12, 3), (40, 1), (40, 7), (200, 2), (200, 5)):
+        p = seeded_market(agents, seed)
+        for method, acc in itertools.product(("bcv", "mbc", "cgm"), (1e-2, 1e-6)):
+            res = solve(method, p, np.zeros(p.n), target_accuracy=acc,
+                        max_inner_iterations=2000)
+            yield f"market/{agents}/{seed}/{method}/{acc:g}", res
+
+
+def signed_instance(seed: int):
+    """A random instance with signed equality coefficients: separable or
+    quadratic-family objective, n from 2 to 8, a start inside the box."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    a = rng.choice([-1.0, 1.0], n) * rng.choice([0.5, 1.0, 2.0, 3.0], n)
+    lower = rng.choice([-2.0, -0.5, 0.0, 1.0], n)
+    upper = lower + rng.choice([1.0, 0.5, 3.0, 5.0], n)
+    z0 = rng.uniform(lower, upper)
+    kind = seed % 4
+    if kind == 0:
+        obj = SeparableQuadraticObjective(rng.uniform(-5.0, 5.0, n),
+                                          rng.uniform(0.0, 2.0, n))
+    else:
+        M = rng.standard_normal((n, n))
+        P = 0.5 * (M + M.T) + n * np.eye(n)
+        if kind == 1:
+            obj = QuadraticObjective(P)
+        else:
+            c = rng.uniform(-2.0, 2.0, n)
+            radius = np.maximum(np.abs(lower), np.abs(upper))
+            xi = float(np.abs(c) @ radius) + 1.0
+            obj = QuadraticObjective(P, c, xi, 0.5 if kind == 3 else None)
+    p = build_problem(BoxBounds(lower, upper), LinearEquality(a, float(a @ z0)), obj)
+    return p, z0
+
+
+def signed_cases():
+    for seed in range(20):
+        p, z0 = signed_instance(seed)
+        for method, rule, acc, budget in itertools.product(
+                ("bcv", "mbc"), ("armijo", "gradient-difference"), (1e-2, 1e-6),
+                (3, 300)):
+            res = solve(method, p, z0, target_accuracy=acc,
+                        max_inner_iterations=budget, linesearch=rule)
+            yield f"signed/{seed}/{method}/{rule}/{acc:g}/{budget}", res
+
+
+def stall_problem(kind: str):
+    """Balance 1000 over [0, 1000]^2 with a scaled-gradient difference of
+    about 5e-9 across the pair, below the threshold floor at accuracy 1e-6."""
+    if kind == "quadratic":
+        obj = QuadraticObjective(np.zeros((2, 2)), np.array([-1.0, -1.0 - 5e-6]),
+                                 2000.0)
+    else:
+        obj = SeparableQuadraticObjective(np.array([1.0, 1.0 + 5e-9]), np.zeros(2))
+    return build_problem(BoxBounds(np.zeros(2), np.full(2, 1000.0)),
+                         LinearEquality(np.ones(2), 1000.0), obj)
+
+
+# every stop reason of the pair methods: (method, options, label)
+EXITS = [
+    ("bcv", {}, "converged"),
+    ("mbc", {}, "converged"),
+    ("mbc", {"target_accuracy": 1e-9, "max_inner_iterations": 7}, "budget"),
+    ("mbc", {"target_accuracy": 1e-8}, "linesearch"),
+    ("mbc", {"target_accuracy": 1e-12, "linesearch": "gradient-difference"},
+     "no_descent_pair"),
+    ("bcv", {"target_accuracy": 1e-8, "max_stages": 2}, "max_stages"),
+]
+
+
+def exit_cases():
+    quadratic = gen_quadratic(10, 5.0)
+    market = seeded_market(12, 3)
+    for (method, options, label), (name, p, z0) in itertools.product(
+            EXITS, (("quadratic", quadratic, protocol_start(quadratic)),
+                    ("market", market, np.zeros(market.n)))):
+        yield f"exit/{name}/{method}/{label}", solve(method, p, z0, **options)
+    for kind, method in itertools.product(("quadratic", "separable"),
+                                          ("bcv", "mbc")):
+        res = solve(method, stall_problem(kind), np.array([500.0, 500.0]),
+                    target_accuracy=1e-6)
+        yield f"exit/stall/{kind}/{method}", res
+
+
+def svm_cases():
+    for seed, rows in ((0, 12), (1, 20), (2, 30)):
+        rng = np.random.default_rng(seed)
+        labels = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)
+        features = rng.standard_normal((rows, 3)) + labels[:, None]
+        data = SvmDataset(features, labels)
+        for p_norm, method, acc in itertools.product(
+                (1, 2), ("bcv", "mbc", "cgm"), (0.1, 1e-3)):
+            p = build_svm_dual(data, p=p_norm, upper_cap=10.0)
+            res = solve(method, p, None, target_accuracy=acc,
+                        max_inner_iterations=1000)
+            yield f"svm/{seed}/{p_norm}/{method}/{acc:g}", res
+
+
+def portfolio_cases():
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((8, 8))
+        data = PortfolioData(B @ B.T / 8.0, rng.uniform(0.0, 0.2, 8), 0.12)
+        for p_norm, method in itertools.product((1, 2), ("bcv", "mbc", "cgm")):
+            p = build_portfolio(data, p=p_norm)
+            res = solve(method, p, None, target_accuracy=1e-3,
+                        max_inner_iterations=1000)
+            yield f"portfolio/{seed}/{p_norm}/{method}", res
+
+
+def budgeted_dense_cases():
+    for series in (1, 2):
+        p = FAMILIES[series](1500, 10.0)
+        for method in ("bcv", "mbc"):
+            res = solve(method, p, protocol_start(p), target_accuracy=1e-9,
+                        max_inner_iterations=40)
+            yield f"dense/{series}/1500/{method}", res
+
+
+def main() -> None:
+    for source in (grid_cases, family_cases, market_cases, signed_cases,
+                   exit_cases, svm_cases, portfolio_cases, budgeted_dense_cases):
+        for case, res in source():
+            print(case, digest(res), flush=True)
+
+
+if __name__ == "__main__":
+    main()
