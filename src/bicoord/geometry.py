@@ -5,6 +5,12 @@ run on the scalar multiplier of the constraint normal: the map
 lam -> <a, clip(z + lam * a)> is piecewise linear and nondecreasing, so the
 projection reduces to a breakpoint search, and minimizing a linear function
 over D is a continuous knapsack solved greedily by cost ratio.
+
+The computed map is nondecreasing too, bit for bit: each rounded term
+a_i * clip(z_i + lam * a_i) is monotone in lam, and a sum of monotone terms
+taken in a fixed order is monotone. So the last sorted breakpoint whose
+computed balance is below beta is one index whatever order the search
+probes in, and the projection's bits do not depend on the search.
 """
 
 from __future__ import annotations
@@ -47,10 +53,15 @@ def project(z, p: ProblemInstance) -> np.ndarray:
 
     The projection is clip(z + lam* a) where lam* solves
     <a, clip(z + lam a)> = beta. Breakpoints of the map are the lam values
-    where a coordinate enters or leaves its bound; the solving segment is
-    located by bisection on the sorted breakpoints and lam* recovered by
-    linear interpolation, exact because the map is affine between breakpoints.
-    Every evaluation of the map reuses one buffer.
+    where a coordinate enters or leaves its bound. A bracket search finds
+    the last sorted breakpoint whose balance is below beta: it probes first
+    the breakpoint at lam = 0, where a feasible z has lam*, then where the
+    secant through the bracket meets beta, and bisects after a probe that
+    fails to halve the bracket, so it takes at most about twice the probes
+    of a plain bisection. lam* is recovered by linear interpolation from
+    the balances kept at the bracket's ends, exact because the map is
+    affine between breakpoints. Every evaluation of the map reuses one
+    buffer.
     """
     a = p.equality.a
     lower, upper = p.bounds.lower, p.bounds.upper
@@ -77,17 +88,28 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     elif beta >= g_hi:
         lam = float(bps[-1])
     else:
-        # invariant: balance(bps[left]) <= beta <= balance(bps[right])
-        left, right = 0, len(bps) - 1
+        # invariant: gl = balance(bps[left]) < beta <= balance(bps[right]) = gr
+        left, right, gl, gr = 0, len(bps) - 1, g_lo, g_hi
+        # a feasible z has lam* = 0: probe the first breakpoint at or above 0
+        k = int(np.searchsorted(bps, 0.0))
+        width = 2 * right  # the first probe is not held to the halving test
         while right - left > 1:
-            mid = (left + right) // 2
-            if balance(bps[mid]) < beta:
-                left = mid
+            k = min(max(k, left + 1), right - 1)
+            g = balance(bps[k])
+            if g < beta:
+                left, gl = k, g
             else:
-                right = mid
+                right, gr = k, g
+            if 2 * (right - left) <= width:
+                # next probe where the secant through the bracket meets beta
+                bl, br = float(bps[left]), float(bps[right])
+                t = bl + (beta - gl) * (br - bl) / (gr - gl)
+                k = int(np.searchsorted(bps, t))
+            else:
+                # the step did not halve the bracket: bisect
+                k = (left + right) // 2
+            width = right - left
         bl, br = float(bps[left]), float(bps[right])
-        gl = balance(bl)
-        gr = balance(br)
         if gr > gl:
             lam = bl + (beta - gl) * (br - bl) / (gr - gl)
         else:
@@ -100,13 +122,13 @@ def project(z, p: ProblemInstance) -> np.ndarray:
                              float(bps[0]) - 1.0, float(bps[-1]) + 1.0, buf)
         residual = beta - balance(lam)
     x = buf
-
-    # spread any remaining float residue over the strictly free coordinates
-    free = (x > lower) & (x < upper)
-    denom = float((a[free] ** 2).sum())
-    if denom > 0.0 and residual != 0.0:
-        x[free] += (residual / denom) * a[free]
-        np.clip(x, lower, upper, out=x)
+    if residual != 0.0:
+        # spread the remaining float residue over the strictly free coordinates
+        free = (x > lower) & (x < upper)
+        denom = float((a[free] ** 2).sum())
+        if denom > 0.0:
+            x[free] += (residual / denom) * a[free]
+            np.clip(x, lower, upper, out=x)
     return x
 
 

@@ -206,10 +206,15 @@ class Stage:
     def pair_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """select_pair's eligibility thresholds in the knapsack form,
         lower + epsilon/a for donors and upper - epsilon/a for receivers,
-        computed on first use."""
+        computed on first use. Each stays at least one ulp inside its bound:
+        a margin below half an ulp would round away and let a coordinate on
+        the bound, which has no room to move, into the pair."""
         ks = self.problem.knapsack
         margin = self.epsilon / ks.a
-        return _read_only(ks.lower + margin), _read_only(ks.upper - margin)
+        return (_read_only(np.maximum(ks.lower + margin,
+                                      np.nextafter(ks.lower, np.inf))),
+                _read_only(np.minimum(ks.upper - margin,
+                                      np.nextafter(ks.upper, -np.inf))))
 
 
 class StageProvider:

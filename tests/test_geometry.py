@@ -14,6 +14,7 @@ from bicoord import (
     minimize_linear,
     project,
 )
+from bicoord import geometry
 from bicoord.geometry import _balance, floor_zero, linear_gap
 
 
@@ -425,3 +426,205 @@ def test_linear_gap_of_a_nan_gradient_is_nan():
     x = np.array([0.5, 0.25, 0.25])
     assert linear_gap(np.array([0.0, 1.0, 2.0]), x, p) == 0.75
     assert np.isnan(linear_gap(np.array([np.nan, 1.0, 2.0]), x, p))
+
+
+# ------------------------------ projection against the plain bisection
+
+
+def project_reference(z, p, passes=None):
+    """project as it was with a plain bisection over the sorted breakpoints,
+    the balance evaluated again at both ends of the final bracket. Reference
+    for the bracket search's bits; appends one entry to passes per balance
+    evaluation."""
+    a = p.equality.a
+    lower, upper = p.bounds.lower, p.bounds.upper
+    beta = p.equality.beta
+    z = np.asarray(z, dtype=float)
+    bps = np.stack((lower, upper))
+    bps -= z
+    bps /= a
+    bps = bps.ravel()
+    bps.sort()
+    buf = np.empty_like(a)
+
+    def balance(lam):
+        if passes is not None:
+            passes.append(lam)
+        return _balance(lam, z, a, lower, upper, buf)
+
+    g_lo = balance(bps[0])
+    g_hi = balance(bps[-1])
+    if beta <= g_lo:
+        lam = float(bps[0])
+    elif beta >= g_hi:
+        lam = float(bps[-1])
+    else:
+        left, right = 0, len(bps) - 1
+        while right - left > 1:
+            mid = (left + right) // 2
+            if balance(bps[mid]) < beta:
+                left = mid
+            else:
+                right = mid
+        bl, br = float(bps[left]), float(bps[right])
+        gl = balance(bl)
+        gr = balance(br)
+        if gr > gl:
+            lam = bl + (beta - gl) * (br - bl) / (gr - gl)
+        else:
+            lam = bl
+
+    residual = beta - balance(lam)
+    if abs(residual) > 1e-11 * max(1.0, abs(beta)):
+        lo, hi = float(bps[0]) - 1.0, float(bps[-1]) + 1.0
+        for _ in range(200):
+            if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+                break
+            mid = 0.5 * (lo + hi)
+            if balance(mid) < beta:
+                lo = mid
+            else:
+                hi = mid
+        lam = 0.5 * (lo + hi)
+        residual = beta - balance(lam)
+    x = buf
+    free = (x > lower) & (x < upper)
+    denom = float((a[free] ** 2).sum())
+    if denom > 0.0 and residual != 0.0:
+        x[free] += (residual / denom) * a[free]
+        np.clip(x, lower, upper, out=x)
+    return x
+
+
+def projection_case(seed, n, kind, where, start):
+    """A projection of size n. kind: a positive, signed, or signed integers
+    over an integer box, so that breakpoints tie. where: beta at the low end
+    of its range, the high end, or inside. start: z feasible, on the
+    bounds, clipped (within 1 of the box) or far (1e6 off)."""
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        a = rng.choice([-1.0, 1.0], n) * rng.integers(1, 4, n)
+        lower = rng.integers(-3, 2, n).astype(float)
+        upper = lower + rng.integers(1, 3, n)
+    else:
+        a = rng.uniform(0.1, 3.0, n)
+        if kind == "signed":
+            a *= rng.choice([-1.0, 1.0], n)
+        lower = rng.uniform(-2.0, 0.0, n)
+        upper = lower + rng.uniform(0.01, 3.0, n)
+    lo_sum = float(np.minimum(a * lower, a * upper).sum())
+    hi_sum = float(np.maximum(a * lower, a * upper).sum())
+    beta = {"low": lo_sum, "high": hi_sum,
+            "inside": lo_sum + rng.uniform(0.1, 0.9) * (hi_sum - lo_sum)}[where]
+    if start == "feasible":
+        z = rng.uniform(lower, upper)
+        if where == "inside":
+            beta = float(a @ z)
+    elif start == "bounds":
+        z = np.where(rng.random(n) < 0.5, lower, upper)
+    elif start == "clipped":
+        z = rng.uniform(lower - 1.0, upper + 1.0)
+    else:
+        z = rng.uniform(lower, upper) + rng.choice([-1e6, 1e6])
+    return make_instance(a, lower, upper, beta), z
+
+
+KINDS = ("positive", "signed", "integer")
+WHERES = ("low", "high", "inside")
+STARTS = ("feasible", "bounds", "clipped", "far")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([2, 3, 5, 2000]) | st.integers(2, 2000),
+       st.sampled_from(KINDS), st.sampled_from(WHERES), st.sampled_from(STARTS))
+def test_project_equals_plain_bisection_bit_for_bit(seed, n, kind, where, start):
+    p, z = projection_case(seed, n, kind, where, start)
+    assert project(z, p).tobytes() == project_reference(z, p).tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 100, 2000])
+def test_balance_is_exactly_monotone_over_sorted_breakpoints(n):
+    # the bracket search's bits rest on this: the last breakpoint whose
+    # computed balance is below beta does not depend on the probe order
+    rng = np.random.default_rng(53 + n)
+    for _ in range(10):
+        p = random_instance(rng, n=n, signed=True)
+        a, lower, upper = p.equality.a, p.bounds.lower, p.bounds.upper
+        z = rng.uniform(lower - 1.0, upper + 1.0)
+        bps = np.concatenate([(lower - z) / a, (upper - z) / a])
+        lams = np.sort(np.concatenate([
+            bps, np.nextafter(bps, -np.inf), np.nextafter(bps, np.inf),
+            rng.uniform(bps.min() - 1.0, bps.max() + 1.0, 200)]))
+        buf = np.empty(n)
+        vals = np.array([_balance(lam, z, a, lower, upper, buf) for lam in lams])
+        assert (vals[1:] >= vals[:-1]).all()
+
+
+@pytest.fixture
+def balance_passes(monkeypatch):
+    """The lam of every balance evaluation project makes."""
+    passes = []
+
+    def counted(lam, *args):
+        passes.append(lam)
+        return _balance(lam, *args)
+
+    monkeypatch.setattr(geometry, "_balance", counted)
+    return passes
+
+
+def test_feasible_start_at_1e5_takes_few_balance_passes(balance_passes):
+    rng = np.random.default_rng(59)
+    n = 100_000
+    a = rng.uniform(0.5, 2.0, n)
+    upper = rng.uniform(0.5, 2.0, n)
+    z = rng.uniform(0.0, upper)
+    p = make_instance(a, np.zeros(n), upper, a @ z)
+    x = project(z, p)
+    assert len(balance_passes) <= 6
+    reference = []
+    assert x.tobytes() == project_reference(z, p, reference).tobytes()
+    assert len(reference) == 22
+
+
+# balance evaluations the plain bisection makes over the cases below, its
+# fallback bisection on lam included
+BISECTION_PASSES = 1677
+
+
+def test_projection_set_takes_no_more_passes_than_bisection(balance_passes):
+    cases = itertools.product(KINDS, WHERES, STARTS, (2, 3, 10, 100, 2000))
+    for seed, (kind, where, start, n) in enumerate(cases):
+        p, z = projection_case(seed, n, kind, where, start)
+        assert project(z, p).tobytes() == project_reference(z, p).tobytes()
+    assert len(balance_passes) <= BISECTION_PASSES
+
+
+def geometric_coefficients(frac):
+    # a over six decades, z below the box: the balance map is so far from
+    # linear that the secant alone creeps one breakpoint at a time
+    n = 2000
+    a = np.geomspace(1e-3, 1e3, n)
+    return make_instance(a, np.zeros(n), np.ones(n), frac * a.sum()), np.full(n, -1.0)
+
+
+def huge_coefficient(frac):
+    # one coefficient 1e4 times the others: the map jumps near lam = 0
+    n = 2000
+    a = np.ones(n)
+    a[0] = 1e4
+    z = np.linspace(-1.0, 2.0, n)
+    z[0] = 0.5
+    return make_instance(a, np.zeros(n), np.ones(n), frac * a.sum()), z
+
+
+@pytest.mark.parametrize("case", [geometric_coefficients, huge_coefficient])
+@pytest.mark.parametrize("frac", [0.001, 0.5, 0.99])
+def test_bracket_search_stays_within_twice_the_bisection(balance_passes, case,
+                                                         frac):
+    p, z = case(frac)
+    x = project(z, p)
+    reference = []
+    assert x.tobytes() == project_reference(z, p, reference).tobytes()
+    assert len(balance_passes) <= 2 * len(reference)

@@ -119,6 +119,40 @@ def test_select_pair_respects_lower_bound_eligibility():
     assert sel is None  # 0 not in I-, 1 not in I+
 
 
+# epsilon = 1e-21 is below half an ulp of a bound at 1, so lower + epsilon or
+# upper - epsilon rounds to the bound itself. (box, gradient, start): the
+# coordinate on that bound would give (lower side) or take (upper side)
+# with gamma = 0 if it were eligible
+SUB_ULP_CASES = [
+    ((0.0, 1.0), [1e-25, 0.0, -1e-20], [0.5, 0.5, 1.0]),
+    ((1.0, 2.0), [1e-20, 0.0, -1e-25], [1.0, 1.5, 1.5]),
+]
+
+
+def sub_ulp_problem(box, lin, start):
+    return build_problem(BoxBounds(np.full(3, box[0]), np.full(3, box[1])),
+                         LinearEquality(np.ones(3), float(sum(start))),
+                         SeparableQuadraticObjective(np.array(lin), np.zeros(3)))
+
+
+@pytest.mark.parametrize("box,lin,start", SUB_ULP_CASES)
+def test_select_pair_keeps_bound_coordinates_out_below_an_ulp(box, lin, start):
+    st = make_stage(sub_ulp_problem(box, lin, start), delta=1e-21, epsilon=1e-21)
+    sel = select_pair(np.array(start), st)
+    assert sel is None or sel.gamma > 0.0
+    donor_floor, receiver_ceiling = st.pair_bounds
+    assert (donor_floor > box[0]).all() and (receiver_ceiling < box[1]).all()
+
+
+@pytest.mark.parametrize("box,lin,start", SUB_ULP_CASES)
+def test_bcv_with_tolerances_below_an_ulp_ends_with_a_typed_stop(box, lin, start):
+    p = sub_ulp_problem(box, lin, start)
+    res = bcv_solve(p, SolverConfig(target_accuracy=1e-30), z0=np.array(start))
+    assert res.stop_reason in {"converged", "no_descent_pair", "max_stages",
+                               "stalled", "budget", "linesearch"}
+    assert check_feasibility(res.point, p).feasible
+
+
 def test_select_pair_matches_exhaustive_scan():
     rng = np.random.default_rng(97)
     for p, x, c in random_linear_instances(rng, 400):

@@ -1,16 +1,19 @@
-"""Digest of every solve outcome over a fixed case list, one line per solve.
+"""Digest of every solve outcome and projection over a fixed case list.
 
     PYTHONPATH=src python3 tools/outcome_digests.py > digests.txt
 
-Each line is `case sha256-prefix`, the hash covering every SolveResult field
-(the point's bytes, so the sign of zero counts; floats as float.hex), every
-trace row and every recorded point. Run it on two checkouts and diff the
-files to check that a change leaves outcomes bit-identical. The cases: the
-96 cells of the benchmark grid, families 1-3 at further accuracies, budgets
-and linesearch rules, markets, signed instances, every stop reason of the
-pair methods, SVM duals, portfolios and budgeted dense solves at n = 1500.
-Only the public API is used, so the script runs unchanged on older
-checkouts.
+Each line is `case sha256-prefix`. For a solve the hash covers every
+SolveResult field (the point's bytes, so the sign of zero counts; floats as
+float.hex), every trace row and every recorded point; for a projection
+(cases `project/...`) it covers the projected point's bytes. Run it on two
+checkouts and diff the files to check that a change leaves outcomes
+bit-identical. The solves: the 96 cells of the benchmark grid, families 1-3
+at further accuracies, budgets and linesearch rules, markets, signed
+instances, every stop reason of the pair methods, SVM duals, portfolios and
+budgeted dense solves at n = 1500. The projections: the grid's protocol
+starts, 1e5-agent market starts, signed, tied and beta-at-the-ends
+instances, and points far from the box. Only the public API is used, so
+the script runs unchanged on older checkouts.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from bicoord import (
     BenchmarkSpec,
     BoxBounds,
     LinearEquality,
+    LinearObjective,
     MarketModel,
     PortfolioData,
     QuadraticObjective,
@@ -40,6 +44,7 @@ from bicoord import (
     gen_nonsmooth_l1,
     gen_quadratic,
     mbc_solve,
+    project,
     protocol_start,
     run_cell_detailed,
 )
@@ -233,11 +238,68 @@ def budgeted_dense_cases():
             yield f"dense/{series}/1500/{method}", res
 
 
+def projection_instance(seed: int):
+    """A random projection: n from 2 to 2000; a positive, signed, or signed
+    integers over an integer box (tied breakpoints); beta at the low end,
+    the high end or inside; z feasible, on the bounds, clipped or far."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 7, 50, 2000]))
+    kind = seed % 3
+    if kind == 2:
+        a = rng.choice([-1.0, 1.0], n) * rng.integers(1, 4, n)
+        lower = rng.integers(-3, 2, n).astype(float)
+        upper = lower + rng.integers(1, 3, n)
+    else:
+        a = rng.uniform(0.1, 3.0, n)
+        if kind == 1:
+            a *= rng.choice([-1.0, 1.0], n)
+        lower = rng.uniform(-2.0, 0.0, n)
+        upper = lower + rng.uniform(0.01, 3.0, n)
+    lo_balance = float(np.minimum(a * lower, a * upper).sum())
+    hi_balance = float(np.maximum(a * lower, a * upper).sum())
+    where = seed // 3 % 3
+    beta = (lo_balance, hi_balance,
+            lo_balance + rng.uniform(0.1, 0.9) * (hi_balance - lo_balance))[where]
+    start = seed // 9 % 4
+    if start == 0:
+        z = rng.uniform(lower, upper)
+        if where == 2:
+            beta = float(a @ z)
+    elif start == 1:
+        z = np.where(rng.random(n) < 0.5, lower, upper)
+    elif start == 2:
+        z = rng.uniform(lower - 1.0, upper + 1.0)
+    else:
+        z = rng.uniform(lower, upper) + rng.choice([-1e6, 1e6])
+    p = build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),
+                      LinearObjective(np.zeros(n)))
+    return p, z
+
+
+def project_cases():
+    spec = BenchmarkSpec()
+    for series, beta, n in itertools.product(spec.series, spec.betas, spec.sizes):
+        p = FAMILIES[series](n, beta)
+        yield f"project/grid/{series}/{beta:g}/{n}", project(protocol_start(p), p)
+    for seed in (0, 1):
+        p = seeded_market(100_000, seed)
+        yield f"project/market/100000/{seed}", project(np.zeros(p.n), p)
+    for seed in range(360):
+        p, z = projection_instance(seed)
+        yield f"project/random/{seed}/{p.n}", project(z, p)
+
+
+def point_digest(x) -> str:
+    return hashlib.sha256(np.asarray(x, dtype=float).tobytes()).hexdigest()[:16]
+
+
 def main() -> None:
     for source in (grid_cases, family_cases, market_cases, signed_cases,
                    exit_cases, svm_cases, portfolio_cases, budgeted_dense_cases):
         for case, res in source():
             print(case, digest(res), flush=True)
+    for case, x in project_cases():
+        print(case, point_digest(x), flush=True)
 
 
 if __name__ == "__main__":
