@@ -8,10 +8,11 @@ from two partial derivatives instead.
 The counter sees only part of a real solve's work. Its counts stop after
 stage 0, since each later stage of a smoothed objective gets a fresh
 counter (this demo's quadratic has no smoothing, so it runs one objective
-throughout). And the wrapper hides the quadratic family's cached pair
-state, so every Armijo trial here is a full value call: the 508 value calls
-of the Armijo row are work an unwrapped solve never does, as it prices each
-trial in O(1) from the cached P x.
+throughout). And the wrapper hides the cached pair state of the quadratic
+family (and of a separable quadratic such as the market's), so every Armijo
+trial here is a full value call: the 508 value calls of the Armijo row are
+work an unwrapped solve never does, as it prices each trial in O(1) from
+the cached P x.
 """
 
 from bicoord import (CountingObjective, LinesearchRule, ProblemInstance,

@@ -60,8 +60,10 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     fails to halve the bracket, so it takes at most about twice the probes
     of a plain bisection. lam* is recovered by linear interpolation from
     the balances kept at the bracket's ends, exact because the map is
-    affine between breakpoints. Every evaluation of the map reuses one
-    buffer.
+    affine between breakpoints. Where rounding leaves that lam's residual
+    above 1e-11 relative (points far off the box), a bisection on lam is
+    tried, and its lam kept only when it ends closer to beta. Every
+    evaluation of the map reuses one buffer.
     """
     a = p.equality.a
     lower, upper = p.bounds.lower, p.bounds.upper
@@ -117,10 +119,15 @@ def project(z, p: ProblemInstance) -> np.ndarray:
 
     residual = beta - balance(lam)
     if abs(residual) > 1e-11 * max(1.0, abs(beta)):
-        # interpolation degenerated, fall back to bisection on lam
-        lam = _bisect_lambda(z, a, lower, upper, beta,
-                             float(bps[0]) - 1.0, float(bps[-1]) + 1.0, buf)
-        residual = beta - balance(lam)
+        # interpolation degenerated, fall back to bisection on lam, and keep
+        # the interpolated lam when the bisection ends no closer to beta
+        lam_b = _bisect_lambda(z, a, lower, upper, beta,
+                               float(bps[0]) - 1.0, float(bps[-1]) + 1.0, buf)
+        residual_b = beta - balance(lam_b)
+        if abs(residual_b) < abs(residual):
+            residual = residual_b
+        else:
+            balance(lam)  # refill the buffer at the interpolated lam
     x = buf
     if residual != 0.0:
         # spread the remaining float residue over the strictly free coordinates
@@ -164,7 +171,7 @@ def minimize_linear(c, p: ProblemInstance) -> tuple[np.ndarray, float]:
     # budget[k] is the budget left before the k-th coordinate in cost order,
     # budget[k + 1] = budget[k] - cap_k after it; accumulating from the left
     # reproduces a sequential running budget bit for bit
-    order = _cost_order((c if ks.signs is None else c * ks.signs) / ks.a)
+    order = _cost_order(ks.point(c) / ks.a)
     budget = np.empty(n + 1)
     budget[0] = ks.budget
     ks.caps.take(order, out=budget[1:])

@@ -6,9 +6,12 @@ parameter in `smoothing` and can be rebuilt at a new parameter through
 `with_smoothing`, which is how stage schedules tighten the approximation.
 
 Pair methods move two coordinates per step. `pair_state(x)` returns a
-PairState that follows such steps: a trial value along the pair, a move, the
-gradient. The quadratic family keeps P x up to date, so a trial costs O(1)
-and a move O(n); every other objective evaluates in full.
+PairState that follows such steps: the pair selection, a trial along the
+pair, a move, the gradient. The quadratic family keeps P x up to date, so a
+trial costs O(1) and a move O(n). A separable quadratic keeps the gradient
+itself and the selection's key arrays, so a trial and a move cost O(1) and
+a selection one argmax and one argmin pass. Every other objective evaluates
+in full.
 
 Instances are immutable; the same object can be shared across stages.
 """
@@ -16,6 +19,7 @@ Instances are immutable; the same object can be shared across stages.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -27,6 +31,7 @@ __all__ = [
     "is_symmetric",
     "Objective",
     "PairState",
+    "PairSelection",
     "LinearObjective",
     "QuadraticObjective",
     "SvmDualObjective",
@@ -92,17 +97,59 @@ class Objective:
         return PairState(self, x)
 
 
+@dataclass(frozen=True)
+class PairSelection:
+    i: int
+    j: int
+    gamma: float  # largest balance-neutral move before a bound is hit
+    mu: float     # directional derivative h_j - h_i, always <= -delta
+
+
+def _selection(ks, i: int, j: int, y_i, y_j, mu) -> PairSelection:
+    """The pair (i, j) at knapsack coordinates y_i, y_j of the knapsack
+    form ks, with its bound distance gamma."""
+    gamma = min(ks.a[i] * (y_i - ks.lower[i]), ks.a[j] * (ks.upper[j] - y_j))
+    return PairSelection(i=i, j=j, gamma=float(gamma), mu=float(mu))
+
+
+def _extreme_pair(p, x, g, floor, ceiling) -> PairSelection | None:
+    """The extreme pair of problem p at x on the gradient g: with the
+    knapsack point y = signs * x and h = g / a, i = argmax h over donors
+    y_i >= floor_i and j = argmin h over receivers y_j <= ceiling_j, ties to
+    the lowest index. None when either set is empty, or when one coordinate
+    tops both lists: then no pair has a positive violation."""
+    y = p.knapsack.point(x)
+    can_give, can_take = y >= floor, y <= ceiling
+    if not can_give.any() or not can_take.any():
+        return None
+    h = g / p.equality.a
+    i = int(np.argmax(np.where(can_give, h, -np.inf)))
+    j = int(np.argmin(np.where(can_take, h, np.inf)))
+    if i == j:
+        return None
+    return _selection(p.knapsack, i, j, y[i], y[j], h[j] - h[i])
+
+
 class PairState:
     """An objective at a point x that changes two coordinates per step.
 
-    trial(i, di, j, dj) is f(x + di e_i + dj e_j), +inf outside the domain;
-    move(i, xi, j, xj) sets x_i = xi and x_j = xj. `moves` counts the moves
-    applied incrementally since the last rebuild from x, which makes value
-    and gradient equal to the full oracle again. This default evaluates every
-    call in full, so it never drifts and `moves` stays 0.
+    select(p, floor, ceiling) is the extreme pair of problem p at x, with
+    floor and ceiling the read-only eligibility thresholds of p's knapsack
+    form; trial(i, di, j, dj) is f(x + di e_i + dj e_j), +inf outside the
+    domain, or, where trial_is_change, the exact change of f from x to that
+    point; move(i, xi, j, xj) sets x_i = xi and x_j = xj; abs_gradient_dot(w)
+    is sum_i |g_i| w_i. The gradient array belongs to the state and holds
+    until the next move or rebuild. `moves` counts the moves applied
+    incrementally since the last rebuild from x, which makes value and
+    gradient equal to the full oracle again. This default evaluates the
+    value in full and the gradient once per point, on the full-gradient
+    selection rule, so it never drifts and `moves` stays 0.
     """
 
     moves = 0
+    #: trial returns f(x + d) - f(x), computed directly, instead of f(x + d)
+    trial_is_change = False
+    _g = None  # the gradient at x, until the next move or rebuild
 
     def __init__(self, objective: Objective, x: np.ndarray):
         self.objective = objective
@@ -111,12 +158,24 @@ class PairState:
 
     def rebuild(self) -> None:
         """Recompute whatever the state caches from x alone."""
+        self._g = None
 
     def value(self) -> float:
         return self.objective.value(self.x)
 
-    def gradient(self) -> np.ndarray:
+    def _full_gradient(self) -> np.ndarray:
         return self.objective.gradient(self.x)
+
+    def gradient(self) -> np.ndarray:
+        if self._g is None:
+            self._g = self._full_gradient()
+        return self._g
+
+    def select(self, p, floor, ceiling) -> PairSelection | None:
+        return _extreme_pair(p, self.x, self.gradient(), floor, ceiling)
+
+    def abs_gradient_dot(self, w) -> float:
+        return float(np.abs(self.gradient()) @ w)
 
     def trial(self, i: int, di: float, j: int, dj: float) -> float:
         y = self.x.copy()
@@ -130,6 +189,7 @@ class PairState:
     def move(self, i: int, xi: float, j: int, xj: float) -> None:
         self.x[i] = xi
         self.x[j] = xj
+        self._g = None
 
 
 class _QuadraticPairState(PairState):
@@ -143,6 +203,7 @@ class _QuadraticPairState(PairState):
     REBUILD_EVERY = 50
 
     def rebuild(self):
+        super().rebuild()
         obj, x = self.objective, self.x
         self.Px = obj.P @ x
         self.quad = 0.5 * float(x @ self.Px)
@@ -153,7 +214,7 @@ class _QuadraticPairState(PairState):
     def value(self) -> float:
         return self.objective._combine(self.quad, self.den, self.l1)
 
-    def gradient(self) -> np.ndarray:
+    def _full_gradient(self) -> np.ndarray:
         return self.objective._gradient_at(self.x, self.Px, self.den)
 
     def _quad_after(self, i, di, j, dj) -> float:
@@ -419,6 +480,112 @@ class SeparableQuadraticObjective(Objective):
     def partial(self, i, x):
         return float(self.lin[i] + self.quad[i] * x[i])
 
+    def pair_state(self, x):
+        return _SeparablePairState(self, x)
+
+
+class _SeparablePairState(PairState):
+    """Pair state of a separable quadratic, in O(1) per trial and move.
+
+    g is kept in place: a move recomputes g_k = lin_k + quad_k x_k at its two
+    coordinates, the two roundings of gradient(x), so g is gradient(x) bit
+    for bit and never drifts. trial is the exact change of f along the pair,
+    d_i (g_i + quad_i d_i / 2) + d_j (g_j + quad_j d_j / 2); the value is kept
+    by these changes, as is abs_gradient_dot once asked for. The rebuild,
+    every REBUILD_EVERY moves, refreshes the value and drops that running
+    sum, which the next ask computes afresh.
+
+    Selection keeps h = g / a and two key arrays over the knapsack point y:
+    h where y_k >= floor_k (else -inf) for donors, h where y_k <= ceiling_k
+    (else +inf) for receivers, with the size of each set. A move updates
+    them at its two coordinates; other thresholds or another equality build
+    them again. A selection is then one argmax and one argmin pass, with the
+    pair and the bits of the full-gradient rule, ties and NaN included.
+    """
+
+    REBUILD_EVERY = 50
+    trial_is_change = True
+
+    def __init__(self, objective, x):
+        self.g = objective.gradient(x)
+        self._keyed = None  # (a, signs, floor, ceiling) of the key arrays
+        self._w = None      # the weights of the running abs_gradient_dot
+        super().__init__(objective, x)
+
+    def rebuild(self):
+        self.f = self.objective.value(self.x)
+        self._w = None
+        self.moves = 0
+
+    def value(self):
+        return self.f
+
+    def gradient(self):
+        return self.g
+
+    def abs_gradient_dot(self, w):
+        if self._w is not w:
+            self._w = w
+            self._abs_dot = float(np.abs(self.g) @ w)
+        return self._abs_dot
+
+    def select(self, p, floor, ceiling):
+        a, ks = p.equality.a, p.knapsack
+        keyed = self._keyed
+        if (keyed is None or keyed[0] is not a or keyed[2] is not floor
+                or keyed[3] is not ceiling):
+            y = ks.point(self.x)
+            give, take = y >= floor, y <= ceiling
+            self.h = self.g / a
+            self.give_key = np.where(give, self.h, -np.inf)
+            self.take_key = np.where(take, self.h, np.inf)
+            self.givers = int(np.count_nonzero(give))
+            self.takers = int(np.count_nonzero(take))
+            self._keyed = keyed = (a, ks.signs, floor, ceiling)
+        if not (self.givers and self.takers):
+            return None
+        i = int(self.give_key.argmax())
+        j = int(self.take_key.argmin())
+        if i == j:
+            return None
+        signs = keyed[1]
+        y_i, y_j = self.x[i], self.x[j]
+        if signs is not None:
+            y_i, y_j = signs[i] * y_i, signs[j] * y_j
+        return _selection(ks, i, j, y_i, y_j, self.h[j] - self.h[i])
+
+    def trial(self, i, di, j, dj):
+        g, q = self.g, self.objective.quad
+        return float(di * (g[i] + 0.5 * q[i] * di) + dj * (g[j] + 0.5 * q[j] * dj))
+
+    def move(self, i, xi, j, xj):
+        x = self.x
+        self.f += self.trial(i, xi - x[i], j, xj - x[j])
+        self._set(i, xi)
+        self._set(j, xj)
+        self.moves += 1
+        if self.moves >= self.REBUILD_EVERY:
+            self.rebuild()
+
+    def _set(self, k, xk):
+        obj, x, g = self.objective, self.x, self.g
+        x_old, g_old = x[k], g[k]
+        x[k] = xk
+        g[k] = obj.lin[k] + obj.quad[k] * x[k]
+        if self._w is not None:
+            self._abs_dot += (abs(g[k]) - abs(g_old)) * self._w[k]
+        if self._keyed is None:
+            return
+        a, signs, floor, ceiling = self._keyed
+        s = 1.0 if signs is None else signs[k]
+        y_old, y = s * x_old, s * x[k]
+        self.h[k] = h = g[k] / a[k]
+        give, take = y >= floor[k], y <= ceiling[k]
+        self.givers += int(give) - int(y_old >= floor[k])
+        self.takers += int(take) - int(y_old <= ceiling[k])
+        self.give_key[k] = h if give else -np.inf
+        self.take_key[k] = h if take else np.inf
+
 
 class CountingObjective(Objective):
     """Wrapper that counts oracle calls; used to compare selection strategies.
@@ -426,8 +593,10 @@ class CountingObjective(Objective):
     Blind spots: each later stage gets a fresh counter from with_smoothing,
     so counts stop after stage 0 (bcv on gen_nonsmooth_l1(20, 5): 1 value
     and 1 gradient call over 6 stages and 33 steps); and wrapping swaps the
-    quadratic family's cached pair state for the generic one, so the counted
-    value calls include trials an unwrapped solve never makes.
+    cached pair state of the quadratic family or of a separable quadratic
+    (the market's too) for the generic one, so the counted value and
+    gradient calls include trials and gradients an unwrapped solve never
+    makes.
     """
 
     def __init__(self, inner: Objective):

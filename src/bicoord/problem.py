@@ -109,6 +109,11 @@ class KnapsackForm(NamedTuple):
     caps: np.ndarray
     budget: float
 
+    def point(self, x: np.ndarray) -> np.ndarray:
+        """x in the knapsack coordinates, signs * x; x itself when every
+        a_i is positive."""
+        return x if self.signs is None else self.signs * x
+
 
 def _read_only(v: np.ndarray) -> np.ndarray:
     v.setflags(write=False)
@@ -138,6 +143,17 @@ class ProblemInstance:
         return KnapsackForm(signs, a, lower, upper,
                             _read_only(a * (upper - lower)),
                             self.equality.beta - float(a @ lower))
+
+    @cached_property
+    def strict_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next floats inside the knapsack form's bounds,
+        nextafter(lower, inf) and nextafter(upper, -inf), computed on first
+        use. For finite y, y > lower exactly when y >= nextafter(lower, inf),
+        so they are the floor and ceiling of mbc's strict pair sets and the
+        innermost thresholds of every stage's."""
+        ks = self.knapsack
+        return (_read_only(np.nextafter(ks.lower, np.inf)),
+                _read_only(np.nextafter(ks.upper, -np.inf)))
 
     @cached_property
     def box_radius(self) -> np.ndarray:
@@ -211,10 +227,9 @@ class Stage:
         the bound, which has no room to move, into the pair."""
         ks = self.problem.knapsack
         margin = self.epsilon / ks.a
-        return (_read_only(np.maximum(ks.lower + margin,
-                                      np.nextafter(ks.lower, np.inf))),
-                _read_only(np.minimum(ks.upper - margin,
-                                      np.nextafter(ks.upper, -np.inf))))
+        inner_lower, inner_upper = self.problem.strict_bounds
+        return (_read_only(np.maximum(ks.lower + margin, inner_lower)),
+                _read_only(np.minimum(ks.upper - margin, inner_upper)))
 
 
 class StageProvider:

@@ -24,8 +24,12 @@ parameter to have reached that accuracy. All three end a solve whose
 linesearch finds no acceptable step with stop_reason "linesearch" at the
 last accepted iterate.
 
-The pair methods follow the iterate through the objective's PairState, so a
-step costs O(n) on objectives that keep P x up to date. The stop verdict
+The pair methods follow the iterate through the objective's PairState,
+which also selects the pair, so a step costs O(n) on objectives that keep
+P x up to date and two argmax passes on a separable quadratic, whose state
+keeps the gradient and the selection's key arrays. On such a state the
+Armijo test compares the exact change of f along the pair with
+sigma lam mu, not two values at the scale of f. The stop verdict
 needs no sort while the selected pair proves the gap above the target:
 moving gamma of balance along (i, j) is feasible, so
 Delta(x) >= (h_i - h_j) gamma. The exact gap, an O(n log n) knapsack, runs
@@ -48,7 +52,8 @@ import numpy as np
 # the other geometry kernels, under the name this module binds
 from .geometry import (check_feasibility, floor_zero, linear_gap,
                        minimize_linear, project)
-from .objectives import DomainError, Objective, PairState
+from .objectives import (DomainError, Objective, PairSelection, PairState,
+                         _extreme_pair)
 from .problem import GeometricSchedule, ProblemInstance, Stage, StageProvider
 
 __all__ = [
@@ -108,14 +113,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class PairSelection:
-    i: int
-    j: int
-    gamma: float  # largest balance-neutral move before a bound is hit
-    mu: float     # directional derivative h_j - h_i, always <= -delta
-
-
-@dataclass(frozen=True)
 class TraceEvent:
     stage: int
     k: int
@@ -144,28 +141,9 @@ class SolveResult:
     smoothing: float | None = None
 
 
-def _knapsack_point(p: ProblemInstance, x) -> np.ndarray:
-    """x in the knapsack coordinates y = signs * x; x itself when every a_i
-    is positive."""
-    signs = p.knapsack.signs
-    return x if signs is None else signs * x
-
-
-def _extreme_pair(p: ProblemInstance, y, h, can_give,
-                  can_take) -> PairSelection | None:
-    """The extreme pair at the knapsack point y: i = argmax h over can_give,
-    j = argmin h over can_take, ties to the lowest index. None when either
-    set is empty, or when one coordinate tops both lists: then no pair has a
-    positive violation."""
-    if not can_give.any() or not can_take.any():
-        return None
-    i = int(np.argmax(np.where(can_give, h, -np.inf)))
-    j = int(np.argmin(np.where(can_take, h, np.inf)))
-    if i == j:
-        return None
-    ks = p.knapsack
-    gamma = min(ks.a[i] * (y[i] - ks.lower[i]), ks.a[j] * (ks.upper[j] - y[j]))
-    return PairSelection(i=i, j=j, gamma=float(gamma), mu=float(h[j] - h[i]))
+def _stage_rule(stage: Stage, sel: PairSelection | None) -> PairSelection | None:
+    """sel when its violation h_i - h_j clears the stage's delta."""
+    return None if sel is None or -sel.mu < stage.delta else sel
 
 
 def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
@@ -177,16 +155,13 @@ def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
     receivers y_j <= upper_j - epsilon/a_j, and the pair must violate
     optimality by h_i - h_j >= delta, where h = g / a in either form. A
     coordinate with a_i < 0 thus gives balance by rising. `gradient` is
-    f'(x) when the caller holds it.
+    f'(x) when the caller holds it. The pair methods select the same pair
+    through their PairState.
     """
     p = stage.problem
     x = np.asarray(x, dtype=float)
     g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
-    h = g / p.equality.a
-    y = _knapsack_point(p, x)
-    donor_floor, receiver_ceiling = stage.pair_bounds
-    sel = _extreme_pair(p, y, h, y >= donor_floor, y <= receiver_ceiling)
-    return None if sel is None or -sel.mu < stage.delta else sel
+    return _stage_rule(stage, _extreme_pair(p, x, g, *stage.pair_bounds))
 
 
 def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
@@ -297,9 +272,13 @@ def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
     i, j = sel.i, sel.j
     if cfg.linesearch == LinesearchRule.ARMIJO:
         d_i, d_j = -1.0 / a[i], 1.0 / a[j]
+        # a trial that is the exact change of f is tested from 0
+        change = state.trial_is_change
         lam, m, f_new = _backtrack(
             lambda t: state.trial(i, t * d_i, j, t * d_j), sel.gamma, sel.mu,
-            cfg.sigma, cfg.theta, cfg.max_backtracks, f_x)
+            cfg.sigma, cfg.theta, cfg.max_backtracks, 0.0 if change else f_x)
+        if change:
+            f_new += f_x
     else:
         lam, m = gradient_difference_linesearch(
             p.objective, a, state.x, i, j, sel.gamma, sel.mu,
@@ -319,60 +298,67 @@ def _default_start(p: ProblemInstance) -> np.ndarray:
     return 0.5 * (p.bounds.lower + p.bounds.upper)
 
 
-def _gap_rounding(p: ProblemInstance, g) -> float:
-    """A bound on the rounding of linear_gap(g, x, p) for x in the box: the
-    gap cancels <g, x> against the knapsack's best, and both run over n
-    terms of size at most |g_i| max(|lower_i|, |upper_i|)."""
-    return p.n * 2.0**-49 * float(np.abs(g) @ p.box_radius)
+def _gap_rounding(p: ProblemInstance, scale: float) -> float:
+    """A bound on the rounding of linear_gap(g, x, p) for x in the box, from
+    scale = sum_i |g_i| max(|lower_i|, |upper_i|): the gap cancels <g, x>
+    against the knapsack's best, and both run over n terms of size at most
+    |g_i| max(|lower_i|, |upper_i|)."""
+    return p.n * 2.0**-49 * scale
 
 
-def _screened_gap(p: ProblemInstance, x, g, acc: float, tau_clause: bool,
-                  sel: PairSelection | None) -> float | None:
-    """The exact gap Delta(x) on the gradient g, or None where "not
+def _screened_gap(p: ProblemInstance, state: PairState, acc: float,
+                  tau_clause: bool, sel: PairSelection | None) -> float | None:
+    """The exact gap Delta(x) at the state's point, or None where "not
     converged" is settled without it: with tau_clause, by a smoothed
     objective that has not reached the accuracy; otherwise by the pair sel
-    selected on g, whose bound -mu gamma <= Delta(x) settles it when it
-    exceeds the accuracy by more than the exact gap's rounding."""
+    selected at that point, whose bound -mu gamma <= Delta(x) settles it
+    when it exceeds the accuracy by more than the exact gap's rounding."""
     if tau_clause and not _tau_reached(p, acc):
         return None
     if sel is not None:
         bound = -sel.mu * sel.gamma
-        # the dot product of the margin is paid only where it can settle
-        if bound > acc and bound > acc + _gap_rounding(p, g):
+        # the rounding's weighted sum is asked for only where it can settle
+        if bound > acc and bound > acc + _gap_rounding(
+                p, state.abs_gradient_dot(p.box_radius)):
             return None
-    return linear_gap(g, x, p)
+    return linear_gap(state.gradient(), state.x, p)
+
+
+def _noise_rule(p: ProblemInstance, g, sel: PairSelection | None) -> PairSelection | None:
+    """sel when its violation h_i - h_j is above rounding noise."""
+    if sel is None:
+        return None
+    a = p.equality.a
+    h_i, h_j = g[sel.i] / a[sel.i], g[sel.j] / a[sel.j]
+    # sub-ulp "violations" are noise, not descent
+    return None if -sel.mu <= 1e-12 * max(1.0, abs(h_i), abs(h_j)) else sel
 
 
 def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
     """Zero-threshold selection: the extreme pair over donors strictly above
     their lower bound and receivers strictly below their upper bound, both in
-    the knapsack coordinates, when its violation h_i - h_j is above rounding
-    noise."""
-    ks = p.knapsack
-    h = g / p.equality.a
-    y = _knapsack_point(p, x)
-    sel = _extreme_pair(p, y, h, y > ks.lower, y < ks.upper)
-    # sub-ulp "violations" are noise, not descent
-    if sel is None or -sel.mu <= 1e-12 * max(1.0, abs(h[sel.i]), abs(h[sel.j])):
-        return None
-    return sel
+    the knapsack coordinates (p.strict_bounds), when its violation
+    h_i - h_j is above rounding noise."""
+    return _noise_rule(p, g, _extreme_pair(p, x, g, *p.strict_bounds))
 
 
 def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
                   stages: StageProvider | None, z0) -> SolveResult:
     """The pair-descent loop of bcv_solve and mbc_solve.
 
-    With a stage provider, pairs come from select_pair under the stage's
-    thresholds, a stage without a qualifying pair restarts on the next one
+    Pairs come from the pair state's select, the one selection path. With
+    a stage provider they must clear the stage's thresholds (select_pair's
+    rule), a stage without a qualifying pair restarts on the next one
     (projecting the point onto its problem), and a smoothed objective must
     reach the accuracy before the gap verdict counts. stages=None is mbc's
-    single zero-threshold stage: pairs come from _most_violating, and the
-    solve stops with "no_descent_pair" when none qualifies. A linesearch
-    that finds no acceptable step ends the solve at the last accepted
-    iterate. A moved state, whose gradient may have drifted, is rebuilt in
-    one place, before a verdict that would stop the solve (the gap meets
-    the accuracy, or mbc has no pair); the pass then selects and screens
-    again on the fresh gradient.
+    single zero-threshold stage: strict eligibility and a violation above
+    rounding noise (_most_violating's rule), and the solve stops with
+    "no_descent_pair" when none qualifies. A linesearch that finds no
+    acceptable step ends the solve at the last accepted iterate. A moved
+    state, whose gradient or value may have drifted, is rebuilt in one
+    place, before a verdict that would stop the solve (the gap meets the
+    accuracy, or mbc has no pair); the pass then selects and screens again
+    on the fresh state.
     """
     staged = stages is not None
     l = 0
@@ -381,7 +367,6 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     z = _default_start(problem) if z0 is None else np.asarray(z0, dtype=float)
     state = p_l.objective.pair_state(project(z, p_l))
     f_x = state.value()
-    g = state.gradient()
     trace: list[TraceEvent] = []
     steps = stage_start = 0
     acc = cfg.target_accuracy
@@ -390,16 +375,16 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     # rebuild and restart
     while True:
         if staged:
-            sel = select_pair(state.x, cur, gradient=g)
+            sel = _stage_rule(cur, state.select(p_l, *cur.pair_bounds))
         else:
-            sel = _most_violating(p_l, state.x, g)
-        gap = _screened_gap(p_l, state.x, g, acc, staged, sel)
+            sel = _noise_rule(p_l, state.gradient(),
+                              state.select(p_l, *p_l.strict_bounds))
+        gap = _screened_gap(p_l, state, acc, staged, sel)
         # the screen leaves "converged" open: the gap meets the accuracy,
         # or is NaN
         unsettled = gap is not None and not gap > acc
         if state.moves and (unsettled or (sel is None and not staged)):
             state.rebuild()
-            g = state.gradient()
             continue
         if unsettled and gap <= acc:
             stop_reason = "converged"
@@ -425,7 +410,6 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             # objective changed
             if cur.problem is not p_l or not np.array_equal(x, state.x):
                 state = cur.problem.objective.pair_state(x)
-                g = state.gradient()
             p_l = cur.problem
             f_x = state.value()
             continue
@@ -438,7 +422,6 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             stop_reason = "linesearch"
             break
         steps += 1
-        g = state.gradient()
         trace.append(TraceEvent(
             stage=l, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
             mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,
@@ -449,9 +432,9 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     # unless the state has moved since its last rebuild
     if state.moves:
         state.rebuild()
+        gap = None
+    if gap is None:
         gap = linear_gap(state.gradient(), state.x, p_l)
-    elif gap is None:
-        gap = linear_gap(g, state.x, p_l)
     return _result(p_l, state.x, state.value(), gap, steps, l + 1, stop_reason,
                    trace)
 

@@ -17,6 +17,7 @@ import pytest
 from bicoord import (
     BoxBounds,
     LinearEquality,
+    LinearObjective,
     MarketModel,
     SeparableQuadraticObjective,
     SolverConfig,
@@ -78,7 +79,8 @@ def test_selected_pair_bounds_the_gap_from_below(case, delta, epsilon):
     gap = linear_gap(g, x, p)
     for sel in selections(p, x, g, delta, epsilon):
         assert sel.gamma >= 0.0
-        assert -sel.mu * sel.gamma <= gap + _gap_rounding(p, g)
+        scale = float(np.abs(g) @ p.box_radius)
+        assert -sel.mu * sel.gamma <= gap + _gap_rounding(p, scale)
 
 
 @settings(max_examples=300, deadline=None)
@@ -90,7 +92,9 @@ def test_screen_never_rejects_a_converged_point(case, delta, epsilon, scale):
     # an accuracy the exact gap meets, on the edge or clear of it
     acc = max(gap * scale, 1e-300)
     for sel in selections(p, x, g, delta, epsilon):
-        verdict_gap = _screened_gap(p, x, g, acc, False, sel)
+        # a linear objective's pair state has the gradient g at x
+        state = LinearObjective(g).pair_state(x.copy())
+        verdict_gap = _screened_gap(p, state, acc, False, sel)
         assert verdict_gap is not None and verdict_gap <= acc
         assert verdict_gap == gap
 

@@ -485,8 +485,12 @@ def project_reference(z, p, passes=None):
                 lo = mid
             else:
                 hi = mid
-        lam = 0.5 * (lo + hi)
-        residual = beta - balance(lam)
+        # the bisection's lam only where it ends closer to beta
+        residual_b = beta - balance(0.5 * (lo + hi))
+        if abs(residual_b) < abs(residual):
+            residual = residual_b
+        else:
+            balance(lam)
     x = buf
     free = (x > lower) & (x < upper)
     denom = float((a[free] ** 2).sum())
@@ -599,6 +603,39 @@ def test_projection_set_takes_no_more_passes_than_bisection(balance_passes):
         p, z = projection_case(seed, n, kind, where, start)
         assert project(z, p).tobytes() == project_reference(z, p).tobytes()
     assert len(balance_passes) <= BISECTION_PASSES
+
+
+def test_fallback_never_ends_farther_from_beta(monkeypatch):
+    # far starts trip the interpolation's residual test; the fallback
+    # bisection may end farther from beta, and then project keeps the
+    # interpolated lam
+    fallbacks, balances = [], []
+    bisect_lambda = geometry._bisect_lambda
+
+    def bisect(z, a, lower, upper, beta, lo, hi, buf):
+        # buf holds the point at the interpolated lam
+        fallbacks.append(beta - float(a @ buf))
+        return bisect_lambda(z, a, lower, upper, beta, lo, hi, buf)
+
+    def balance(lam, *args):
+        balances.append(_balance(lam, *args))
+        return balances[-1]
+
+    monkeypatch.setattr(geometry, "_bisect_lambda", bisect)
+    monkeypatch.setattr(geometry, "_balance", balance)
+    cases = itertools.product(KINDS, WHERES, STARTS, (2, 3, 10, 100, 2000))
+    for seed, (kind, where, start, n) in enumerate(cases):
+        if start != "far":
+            continue
+        p, z = projection_case(seed, n, kind, where, start)
+        before = len(fallbacks)
+        project(z, p)
+        if len(fallbacks) > before:
+            r_start = fallbacks[-1]
+            # the last balance project takes is its final residual's
+            r_end = p.equality.beta - balances[-1]
+            assert abs(r_end) <= abs(r_start), (seed, r_start, r_end)
+    assert len(fallbacks) >= 10
 
 
 def geometric_coefficients(frac):

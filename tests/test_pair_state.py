@@ -13,6 +13,7 @@ from bicoord import (
     BoxBounds,
     DomainError,
     LinearEquality,
+    LinearObjective,
     MarketModel,
     PairState,
     QuadraticObjective,
@@ -98,7 +99,7 @@ def test_state_rebuilds_itself_at_a_fixed_interval():
 
 
 def test_default_state_evaluates_in_full():
-    obj = SeparableQuadraticObjective(np.array([1.0, -2.0, 0.5]), np.ones(3))
+    obj = LinearObjective(np.array([1.0, -2.0, 0.5]))
     x = np.array([0.2, 0.4, 0.6])
     state = obj.pair_state(x)
     assert type(state) is PairState

@@ -8,7 +8,8 @@ float.hex), every trace row and every recorded point; for a projection
 (cases `project/...`) it covers the projected point's bytes. Run it on two
 checkouts and diff the files to check that a change leaves outcomes
 bit-identical. The solves: the 96 cells of the benchmark grid, families 1-3
-at further accuracies, budgets and linesearch rules, markets, signed
+at further accuracies, budgets and linesearch rules, markets (with 5
+budgeted steps at 1e5 agents, the benchmark's market shape), signed
 instances, every stop reason of the pair methods, SVM duals, portfolios and
 budgeted dense solves at n = 1500. The projections: the grid's protocol
 starts, 1e5-agent market starts, signed, tied and beta-at-the-ends
@@ -125,6 +126,13 @@ def market_cases():
             res = solve(method, p, np.zeros(p.n), target_accuracy=acc,
                         max_inner_iterations=2000)
             yield f"market/{agents}/{seed}/{method}/{acc:g}", res
+    # the benchmark's market_n1e5 shape: 5 budgeted steps from no trade
+    for seed in (0, 1):
+        p = seeded_market(100_000, seed)
+        for method in ("bcv", "mbc"):
+            res = solve(method, p, np.zeros(p.n), target_accuracy=1e-12,
+                        max_inner_iterations=5)
+            yield f"market/100000/{seed}/{method}/budget5", res
 
 
 def signed_instance(seed: int):
