@@ -96,6 +96,12 @@ class Objective:
         """State at x for pair steps; takes ownership of x and updates it."""
         return PairState(self, x)
 
+    def line_bound(self, x: np.ndarray, d: np.ndarray):
+        """lb(lam) <= value(x + lam * d) as computed, rounding included, or
+        +inf where that point certainly lies outside the domain; or None
+        where the objective offers no such bound."""
+        return None
+
 
 @dataclass(frozen=True)
 class PairSelection:
@@ -286,7 +292,8 @@ class QuadraticObjective(Objective):
         P = np.asarray(P, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be a square matrix")
-        if not is_symmetric(P, atol=1e-12 * max(1.0, float(max(P.max(), -P.min())))):
+        self._p_max = float(max(P.max(), -P.min()))  # max |P_ij|
+        if not is_symmetric(P, atol=1e-12 * max(1.0, self._p_max)):
             raise ValueError("P must be symmetric")
         self.P = P
         if c is not None:
@@ -295,6 +302,7 @@ class QuadraticObjective(Objective):
                 raise ValueError("c has wrong length")
             if not np.isfinite(self.c).all():
                 raise ValueError("c must be finite")
+            self._c_max = float(np.abs(self.c).max())
         self.xi = float(xi)
         if not math.isfinite(self.xi):
             raise ValueError("xi must be finite")
@@ -362,6 +370,52 @@ class QuadraticObjective(Objective):
             xi_ = float(x[i])
             v = v + xi_ / np.hypot(xi_, self.smoothing)
         return v
+
+    def line_bound(self, x, d):
+        """lb(lam) <= value(x + lam d) as computed, from one P x and one P d.
+
+        Each part bounds value's computed part from below and lb adds them
+        in value's order, so lb <= value, rounding being monotone. With
+        w = ||x||_1 + lam ||d||_1 and tol = (n + 2) 2^-50, about four times
+        the worst rounding:
+        - the quadratic expanded exactly, q1 = (<P x, d> + <x, P d>) / 2 as P
+          may be slightly asymmetric, less tol max|P_ij| w^2;
+        - -ln at the log argument plus tol (max|c_i| w + |xi|), less a few
+          ulps; +inf where that upper bound is <= 0, so that value raises;
+        - the convex smoothed-l1 sum's tangent at x, less tol times its scale
+          and 2^-52 w for the rounding of the trial point.
+        """
+        tol = (x.shape[0] + 2) * 2.0**-50
+        Px, Pd = self.P @ x, self.P @ d
+        q0 = 0.5 * float(x @ Px)
+        q1 = 0.5 * (float(Px @ d) + float(x @ Pd))
+        q2 = 0.5 * float(d @ Pd)
+        nx, nd = float(np.abs(x).sum()), float(np.abs(d).sum())
+        env = tol * self._p_max
+        c, tau = self.c, self.smoothing
+        if c is not None:
+            den0, den1 = float(c @ x) + self.xi, float(c @ d)
+            r0 = tol * (self._c_max * nx + abs(self.xi))
+            r1 = tol * self._c_max * nd
+        if tau is not None:
+            root = np.sqrt(x * x + tau**2)
+            s0, s1 = float(root.sum()), float((x / root) @ d)
+
+        def lb(lam: float) -> float:
+            w = nx + lam * nd
+            value = q0 + lam * q1 + lam * lam * q2 - env * w * w
+            if c is not None:
+                den = den0 + lam * den1 + (r0 + lam * r1)
+                if not den > 0.0:
+                    return math.inf
+                log = math.log(den)
+                value = value - (log + 2.0**-48 * abs(log))
+            if tau is not None:
+                value = value + (s0 + lam * s1 - tol * (s0 + lam * nd)
+                                 - 2.0**-52 * w)
+            return value
+
+        return lb
 
     def pair_state(self, x):
         return _QuadraticPairState(self, x)
@@ -594,9 +648,9 @@ class CountingObjective(Objective):
     so counts stop after stage 0 (bcv on gen_nonsmooth_l1(20, 5): 1 value
     and 1 gradient call over 6 stages and 33 steps); and wrapping swaps the
     cached pair state of the quadratic family or of a separable quadratic
-    (the market's too) for the generic one, so the counted value and
-    gradient calls include trials and gradients an unwrapped solve never
-    makes.
+    (the market's too) for the generic one, and hides the quadratic
+    family's line bound, so the counted value and gradient calls include
+    trials and gradients an unwrapped solve never makes.
     """
 
     def __init__(self, inner: Objective):

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from bicoord import (
     BoxBounds,
     CountingObjective,
+    DomainError,
     GeometricSchedule,
     LinearEquality,
     LinearObjective,
@@ -208,33 +209,51 @@ def test_armijo_full_step_for_small_gamma():
 
 
 def test_armijo_matches_enumeration_oracle():
-    rng = np.random.default_rng(103)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        M = rng.standard_normal((n, n))
-        obj = QuadraticObjective(M @ M.T + n * np.eye(n))
-        x = rng.standard_normal(n)
-        i, j = rng.choice(n, size=2, replace=False)
-        a = rng.uniform(0.5, 2.0, size=n)
-        d = np.zeros(n)
-        d[i], d[j] = -1.0 / a[i], 1.0 / a[j]
-        g = obj.gradient(x)
-        mu = float(g @ d)
-        if mu >= 0:
-            d = -d
-            mu = -mu
-        if mu > -1e-10:
-            continue
-        gamma = float(rng.uniform(0.1, 2.0))
-        sigma, theta = 0.5, 0.5
-        lam, m, _ = armijo_linesearch(obj, x, d, gamma, mu, sigma, theta)
-        f0 = obj.value(x)
-        expect_m = 0
-        while obj.value(x + theta**expect_m * gamma * d) > \
-                f0 + sigma * theta**expect_m * gamma * mu:
-            expect_m += 1
-        assert m == expect_m
-        assert_allclose(lam, theta**m * gamma, rtol=1e-15)
+    # the line bound skips trials of the quadratic family; the accepted
+    # step must be the one found by evaluating every trial
+    for terms in ("quadratic", "quadratic_log", "quadratic_log_l1"):
+        rng = np.random.default_rng(103)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            M = rng.standard_normal((n, n))
+            x = rng.standard_normal(n)
+            if terms == "quadratic":
+                obj = QuadraticObjective(M @ M.T + n * np.eye(n))
+            else:
+                # log argument 0.05 to 1 at x: long trials leave the domain
+                c = rng.uniform(-1.0, 1.0, n)
+                xi = float(rng.uniform(0.05, 1.0) - c @ x)
+                tau = 0.1 if terms == "quadratic_log_l1" else None
+                obj = QuadraticObjective(M @ M.T + n * np.eye(n), c, xi, tau)
+            i, j = rng.choice(n, size=2, replace=False)
+            a = rng.uniform(0.5, 2.0, size=n)
+            d = np.zeros(n)
+            d[i], d[j] = -1.0 / a[i], 1.0 / a[j]
+            g = obj.gradient(x)
+            mu = float(g @ d)
+            if mu >= 0:
+                d = -d
+                mu = -mu
+            if mu > -1e-10:
+                continue
+            gamma = float(rng.uniform(0.1, 2.0))
+            sigma, theta = 0.5, 0.5
+            lam, m, f_new = armijo_linesearch(obj, x, d, gamma, mu, sigma, theta)
+            f0 = obj.value(x)
+
+            def value(t):
+                try:
+                    return obj.value(x + t * d)
+                except DomainError:
+                    return np.inf
+
+            expect_m = 0
+            while not value(theta**expect_m * gamma) <= \
+                    f0 + sigma * theta**expect_m * gamma * mu:
+                expect_m += 1
+            assert m == expect_m
+            assert_allclose(lam, theta**m * gamma, rtol=1e-15)
+            assert f_new == value(lam)
 
 
 def test_armijo_raises_after_max_backtracks():

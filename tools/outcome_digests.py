@@ -11,10 +11,11 @@ bit-identical. The solves: the 96 cells of the benchmark grid, families 1-3
 at further accuracies, budgets and linesearch rules, markets (with 5
 budgeted steps at 1e5 agents, the benchmark's market shape), signed
 instances, every stop reason of the pair methods, SVM duals, portfolios and
-budgeted dense solves at n = 1500. The projections: the grid's protocol
-starts, 1e5-agent market starts, signed, tied and beta-at-the-ends
-instances, and points far from the box. Only the public API is used, so
-the script runs unchanged on older checkouts.
+budgeted dense solves at n = 1500, and cgm on signed instances, families
+1-3 at 1e-8 and 1e-10 and a start outside the log domain. The projections:
+the grid's protocol starts, 1e5-agent market starts, signed, tied and
+beta-at-the-ends instances, and points far from the box. Only the public
+API is used, so the script runs unchanged on older checkouts.
 """
 
 from __future__ import annotations
@@ -173,6 +174,33 @@ def signed_cases():
             yield f"signed/{seed}/{method}/{rule}/{acc:g}/{budget}", res
 
 
+def log_domain_problem():
+    """f = 50 x0^2 - ln(x0 - x1 + 0.1) on x0 + x1 = 1, [0, 1]^2. From
+    (1, 0) the first full step lands at (0, 1), outside the log domain."""
+    obj = QuadraticObjective(np.diag([100.0, 0.0]), np.array([1.0, -1.0]), 0.1)
+    return build_problem(BoxBounds(np.zeros(2), np.ones(2)),
+                         LinearEquality(np.ones(2), 1.0), obj)
+
+
+def cgm_cases():
+    """cgm's Armijo trials: signed instances, families 1-3 at accuracies
+    where trials sit within rounding of the Armijo threshold, and a start
+    whose first trials leave the log domain."""
+    for seed in range(20):
+        p, z0 = signed_instance(seed)
+        for acc, budget in itertools.product((1e-2, 1e-6), (3, 300)):
+            res = solve("cgm", p, z0, target_accuracy=acc,
+                        max_inner_iterations=budget)
+            yield f"cgm/signed/{seed}/{acc:g}/{budget}", res
+    for series, n, acc in itertools.product((1, 2, 3), (10, 40), (1e-8, 1e-10)):
+        p = FAMILIES[series](n, 5.0)
+        res = solve("cgm", p, protocol_start(p), target_accuracy=acc,
+                    max_inner_iterations=1000)
+        yield f"cgm/family/{series}/{n}/{acc:g}", res
+    res = solve("cgm", log_domain_problem(), np.array([1.0, 0.0]))
+    yield "cgm/log_domain", res
+
+
 def stall_problem(kind: str):
     """Balance 1000 over [0, 1000]^2 with a scaled-gradient difference of
     about 5e-9 across the pair, below the threshold floor at accuracy 1e-6."""
@@ -303,7 +331,7 @@ def point_digest(x) -> str:
 
 def main() -> None:
     for source in (grid_cases, family_cases, market_cases, signed_cases,
-                   exit_cases, svm_cases, portfolio_cases, budgeted_dense_cases):
+                   cgm_cases, exit_cases, svm_cases, portfolio_cases, budgeted_dense_cases):
         for case, res in source():
             print(case, digest(res), flush=True)
     for case, x in project_cases():
