@@ -15,7 +15,6 @@ from .problem import (
     build_problem,
 )
 from .objectives import (
-    CountingObjective,
     DomainError,
     LinearObjective,
     Objective,

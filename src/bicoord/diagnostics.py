@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import check_feasibility, floor_zero, linear_gap
 from .problem import ProblemInstance, Stage, StageProvider
+from .solvers import LinesearchRule
 
 __all__ = [
     "InfeasiblePointError",
@@ -148,8 +149,7 @@ def audit_trace(trace, cfg, stages: StageProvider | None = None,
     if stages is None and problem is None:
         raise ValueError("need a stage provider or a problem")
     failures: list[str] = []
-    armijo = getattr(cfg, "linesearch", None)
-    armijo = armijo is None or str(getattr(armijo, "value", armijo)) == "armijo"
+    armijo = LinesearchRule(cfg.linesearch) == LinesearchRule.ARMIJO
 
     prev = None
     checked = 0

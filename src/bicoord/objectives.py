@@ -37,7 +37,6 @@ __all__ = [
     "SvmDualObjective",
     "PortfolioObjective",
     "SeparableQuadraticObjective",
-    "CountingObjective",
 ]
 
 
@@ -141,10 +140,11 @@ class PairState:
 
     select(p, floor, ceiling) is the extreme pair of problem p at x, with
     floor and ceiling the read-only eligibility thresholds of p's knapsack
-    form; trial(i, di, j, dj) is f(x + di e_i + dj e_j), +inf outside the
-    domain, or, where trial_is_change, the exact change of f from x to that
-    point; move(i, xi, j, xj) sets x_i = xi and x_j = xj; abs_gradient_dot(w)
-    is sum_i |g_i| w_i. The gradient array belongs to the state and holds
+    form; trial(i, di, j, dj) is f(x + di e_i + dj e_j), or, where
+    trial_is_change, the exact change of f from x to that point, and
+    outside the domain it raises DomainError or returns +inf;
+    move(i, xi, j, xj) sets x_i = xi and x_j = xj; abs_gradient_dot(w) is
+    sum_i |g_i| w_i. The gradient array belongs to the state and holds
     until the next move or rebuild. `moves` counts the moves applied
     incrementally since the last rebuild from x, which makes value and
     gradient equal to the full oracle again. This default evaluates the
@@ -187,10 +187,7 @@ class PairState:
         y = self.x.copy()
         y[i] += di
         y[j] += dj
-        try:
-            return self.objective.value(y)
-        except DomainError:
-            return math.inf
+        return self.objective.value(y)
 
     def move(self, i: int, xi: float, j: int, xj: float) -> None:
         self.x[i] = xi
@@ -639,41 +636,3 @@ class _SeparablePairState(PairState):
         self.takers += int(take) - int(y_old <= ceiling[k])
         self.give_key[k] = h if give else -np.inf
         self.take_key[k] = h if take else np.inf
-
-
-class CountingObjective(Objective):
-    """Wrapper that counts oracle calls; used to compare selection strategies.
-
-    Blind spots: each later stage gets a fresh counter from with_smoothing,
-    so counts stop after stage 0 (bcv on gen_nonsmooth_l1(20, 5): 1 value
-    and 1 gradient call over 6 stages and 33 steps); and wrapping swaps the
-    cached pair state of the quadratic family or of a separable quadratic
-    (the market's too) for the generic one, and hides the quadratic
-    family's line bound, so the counted value and gradient calls include
-    trials and gradients an unwrapped solve never makes.
-    """
-
-    def __init__(self, inner: Objective):
-        self.inner = inner
-        self.value_calls = 0
-        self.gradient_calls = 0
-        self.partial_calls = 0
-
-    @property
-    def smoothing(self):
-        return self.inner.smoothing
-
-    def value(self, x):
-        self.value_calls += 1
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        self.gradient_calls += 1
-        return self.inner.gradient(x)
-
-    def partial(self, i, x):
-        self.partial_calls += 1
-        return self.inner.partial(i, x)
-
-    def with_smoothing(self, eps):
-        return CountingObjective(self.inner.with_smoothing(eps))

@@ -24,19 +24,22 @@ parameter to have reached that accuracy. All three end a solve whose
 linesearch finds no acceptable step with stop_reason "linesearch" at the
 last accepted iterate.
 
-The pair methods follow the iterate through the objective's PairState,
-which also selects the pair, so a step costs O(n) on objectives that keep
-P x up to date and two argmax passes on a separable quadratic, whose state
-keeps the gradient and the selection's key arrays. On such a state the
-Armijo test compares the exact change of f along the pair with
-sigma lam mu, not two values at the scale of f. The stop verdict
-needs no sort while the selected pair proves the gap above the target:
-moving gamma of balance along (i, j) is feasible, so
-Delta(x) >= (h_i - h_j) gamma. The exact gap, an O(n log n) knapsack, runs
-only where that bound cannot settle the verdict, and once at exit. Besides
-the state's own periodic rebuild, the loop rebuilds a moved state from x in
-one place, before a verdict that would stop the solve, and at exit, so
-every reported gap comes from a fresh gradient.
+Every method and both linesearch rules run one backtracking loop, which
+also rejects a trial outside the objective's domain. The pair methods
+follow the iterate through the objective's PairState, which also selects
+the pair, so a step costs O(n) on objectives that keep P x up to date and
+two argmax passes on a separable quadratic, whose state keeps the gradient
+and the selection's key arrays. On such a state the Armijo test compares
+the exact change of f along the pair with sigma lam mu, not two values at
+the scale of f. The gradient-difference rule tests the slope h_j - h_i from
+two partials at x moved in place. The stop verdict needs no sort while the
+selected pair proves the gap above the target: moving gamma of balance
+along (i, j) is feasible, so Delta(x) >= (h_i - h_j) gamma. The exact gap,
+an O(n log n) knapsack, runs only where that bound cannot settle the
+verdict, and once at exit. Besides the state's own periodic rebuild, the
+loop rebuilds a moved state from x in one place, before a verdict that
+would stop the solve, and at exit, so every reported gap comes from a fresh
+gradient.
 
 cgm's Armijo trials along d = y - x are full values, except those that the
 objective's line_bound proves above the threshold: they would fail, so they
@@ -184,23 +187,18 @@ def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
     d = np.asarray(d, dtype=float)
     if f_x is None:
         f_x = objective.value(x)
-
-    def trial(lam):
-        try:
-            return objective.value(x + lam * d)
-        except DomainError:
-            return math.inf
-
-    return _backtrack(trial, gamma, mu, sigma, theta, max_backtracks, f_x,
+    return _backtrack(lambda lam: objective.value(x + lam * d), gamma, mu,
+                      sigma, theta, max_backtracks, f_x,
                       objective.line_bound(x, d))
 
 
 def _backtrack(trial, gamma: float, mu: float, sigma: float, theta: float,
                max_backtracks: int, f_x: float,
                bound=None) -> tuple[float, int, float]:
-    """Armijo backtracking on trial(lam), the objective value at step lam.
-    A trial whose lower bound bound(lam) exceeds the threshold would fail,
-    so it is rejected unevaluated, with the outcome of evaluating it."""
+    """(lambda, m, trial(lambda)) for the smallest m >= 0 whose trial at
+    lambda = theta^m gamma is finite and at most f_x + sigma lambda mu. A
+    trial that raises DomainError is rejected, and so, unevaluated, is one
+    whose lower bound bound(lam) exceeds the threshold: it would fail."""
     if not mu < 0.0:
         raise ValueError("directional derivative must be negative")
     if not gamma > 0.0:
@@ -210,11 +208,31 @@ def _backtrack(trial, gamma: float, mu: float, sigma: float, theta: float,
         threshold = f_x + sigma * lam * mu
         if bound is not None and bound(lam) > threshold:
             continue
-        f_new = trial(lam)
+        try:
+            f_new = trial(lam)
+        except DomainError:
+            continue
         if math.isfinite(f_new) and f_new <= threshold:
             return lam, m, f_new
     raise LinesearchError(
         f"no acceptable step within {max_backtracks} backtracks")
+
+
+def _pair_slope(objective: Objective, a, x, i: int, j: int):
+    """slope(lam) = h_j - h_i at the point x after moving lam of balance
+    from i to j, from two partial derivatives. x is changed in place at i
+    and j for the two calls and restored, so a trial makes no copy of x."""
+    x_i, x_j = x[i], x[j]
+
+    def slope(lam):
+        x[i], x[j] = x_i - lam / a[i], x_j + lam / a[j]
+        try:
+            h_i = objective.partial(i, x) / a[i]
+            return objective.partial(j, x) / a[j] - h_i
+        finally:
+            x[i], x[j] = x_i, x_j
+
+    return slope
 
 
 def gradient_difference_linesearch(objective: Objective, a, x, i: int, j: int,
@@ -227,29 +245,12 @@ def gradient_difference_linesearch(objective: Objective, a, x, i: int, j: int,
     h_j(x_trial) - h_i(x_trial) <= sigma theta^m gamma (h_j(x) - h_i(x)),
     evaluating only the two partial derivatives at each trial point. mu is
     h_j(x) - h_i(x) and must be negative. A trial point outside the
-    objective's domain is rejected. Returns (lambda, m).
+    objective's domain, or with a non-finite difference, is rejected; x is
+    not changed. Returns (lambda, m).
     """
-    if not mu < 0.0:
-        raise ValueError("directional derivative must be negative")
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    # only coordinates i and j of the trial point ever differ from x
-    trial = x.copy()
-    for m in range(max_backtracks + 1):
-        lam = gamma * theta**m
-        trial[i] = x[i] - lam / a[i]
-        trial[j] = x[j] + lam / a[j]
-        try:
-            h_i = objective.partial(i, trial) / a[i]
-            h_j = objective.partial(j, trial) / a[j]
-        except DomainError:
-            continue
-        if h_j - h_i <= sigma * lam * mu:
-            return lam, m
-    raise LinesearchError(
-        f"no acceptable step within {max_backtracks} backtracks")
+    slope = _pair_slope(objective, np.asarray(a, dtype=float),
+                        np.array(x, dtype=float), i, j)
+    return _backtrack(slope, gamma, mu, sigma, theta, max_backtracks, 0.0)[:2]
 
 
 def _pair_coordinates(x, p: ProblemInstance, sel: PairSelection,
@@ -284,21 +285,18 @@ def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
     i, j = sel.i, sel.j
     if cfg.linesearch == LinesearchRule.ARMIJO:
         d_i, d_j = -1.0 / a[i], 1.0 / a[j]
+        trial = lambda t: state.trial(i, t * d_i, j, t * d_j)
         # a trial that is the exact change of f is tested from 0
-        change = state.trial_is_change
-        lam, m, f_new = _backtrack(
-            lambda t: state.trial(i, t * d_i, j, t * d_j), sel.gamma, sel.mu,
-            cfg.sigma, cfg.theta, cfg.max_backtracks, 0.0 if change else f_x)
-        if change:
-            f_new += f_x
+        f_0 = 0.0 if state.trial_is_change else f_x
     else:
-        lam, m = gradient_difference_linesearch(
-            p.objective, a, state.x, i, j, sel.gamma, sel.mu,
-            cfg.sigma, cfg.theta, cfg.max_backtracks)
-        f_new = None
+        trial, f_0 = _pair_slope(p.objective, a, state.x, i, j), 0.0
+    lam, m, f_new = _backtrack(trial, sel.gamma, sel.mu, cfg.sigma, cfg.theta,
+                               cfg.max_backtracks, f_0)
     xi, xj = _pair_coordinates(state.x, p, sel, lam)
     state.move(i, xi, j, xj)
-    return lam, m, state.value() if f_new is None else f_new
+    if cfg.linesearch != LinesearchRule.ARMIJO:
+        return lam, m, state.value()
+    return lam, m, f_new + f_x if state.trial_is_change else f_new
 
 
 def _tau_reached(p: ProblemInstance, accuracy: float) -> bool:
@@ -483,7 +481,9 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     supplies the shrinking approximation parameter: when the gap on the
     current surrogate reaches target_accuracy but the parameter has not, the
     next stage objective is adopted without counting an iteration. Trace
-    rows use the pair sentinel i = j = -1 and gamma = 1.
+    rows use the pair sentinel i = j = -1 and gamma = 1. The gradient-
+    difference rule prices a pair's two partials, so cgm raises ValueError
+    on it.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
     (the next stage is the same problem, or the gap is NaN) or "linesearch"
@@ -491,6 +491,8 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     accepted iterate, with the gap computed there).
     """
     cfg = cfg or SolverConfig()
+    if cfg.linesearch != LinesearchRule.ARMIJO:
+        raise ValueError("cgm takes only linesearch 'armijo'")
     stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
 
     l = 0

@@ -75,6 +75,15 @@ class TestSolve:
         assert code == 0
         assert "converged: True" in capsys.readouterr().out
 
+    def test_cgm_refuses_the_gradient_difference_rule(self, problem_file,
+                                                      capsys):
+        code = main(["solve", problem_file, "--method", "cgm",
+                     "--linesearch", "graddiff"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cgm takes only linesearch 'armijo'" in captured.err
+
     @pytest.mark.parametrize("method", ["cgm", "mbc"])
     def test_other_methods(self, problem_file, method, capsys):
         assert main(["solve", problem_file, "--method", method,

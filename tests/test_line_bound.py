@@ -119,8 +119,10 @@ def test_line_bound_settles_trials_outside_the_log_domain():
 def test_only_the_quadratic_family_has_a_line_bound():
     p = gen_quadratic(4, 5.0)
     x = d = np.ones(4)
+    assert p.objective.line_bound(x, d) is not None
     assert objectives.LinearObjective(np.ones(4)).line_bound(x, d) is None
-    assert objectives.CountingObjective(p.objective).line_bound(x, d) is None
+    assert objectives.SeparableQuadraticObjective(
+        np.ones(4), np.ones(4)).line_bound(x, d) is None
 
 
 def test_cgm_makes_about_one_full_value_per_step_on_the_grid(monkeypatch):

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bicoord import (
-    CountingObjective,
     LinearObjective,
     PortfolioObjective,
     QuadraticObjective,
@@ -254,17 +253,6 @@ def test_separable_quadratic_cheap_partial():
     assert_allclose(obj.value(x), lin @ x + 0.5 * quad @ x**2)
     assert_allclose(obj.gradient(x), lin + quad * x)
     assert_allclose(obj.partial(2, x), -3.0)
-
-
-def test_counting_objective_tracks_calls():
-    inner = QuadraticObjective(np.eye(2))
-    obj = CountingObjective(inner)
-    x = np.ones(2)
-    obj.value(x)
-    obj.gradient(x)
-    obj.partial(0, x)
-    obj.partial(1, x)
-    assert (obj.value_calls, obj.gradient_calls, obj.partial_calls) == (1, 1, 2)
 
 
 def test_partials_agree_with_gradient_everywhere():

@@ -32,8 +32,10 @@ from bicoord import (
     protocol_start,
     save_problem,
 )
+from bicoord import objectives
 from bicoord.cli import main
-from bicoord.solvers import _most_violating
+from bicoord.solvers import (LinesearchError, PairSelection, _most_violating,
+                             _pair_coordinates, _pair_step)
 
 RTOL = 1e-12
 
@@ -265,6 +267,47 @@ def test_state_trial_outside_domain_is_infinite():
     assert state.trial(0, -1.0, 1, 1.0) == np.inf
     with pytest.raises(DomainError):
         p.objective.value(np.array([0.0, 1.0]))
+
+
+class PlainStateQuadratic(QuadraticObjective):
+    """The quadratic family on the generic pair state."""
+
+    def pair_state(self, x):
+        return PairState(self, x)
+
+
+@pytest.mark.parametrize("cls, state_cls", [
+    (QuadraticObjective, objectives._QuadraticPairState),
+    (PlainStateQuadratic, PairState),
+])
+def test_gradient_difference_step_changes_x_only_at_the_pair(cls, state_cls):
+    # log_domain_problem with a third coordinate, which the step along
+    # (0, 1) must leave alone; from (1, 0, 0.5) the full step leaves the
+    # log domain, so the first trial's partials raise
+    obj = cls(np.diag([100.0, 0.0, 1.0]), np.array([1.0, -1.0, 0.0]), 0.1)
+    p = build_problem(BoxBounds(np.zeros(3), np.ones(3)),
+                      LinearEquality(np.ones(3), 1.5), obj)
+    x0 = np.array([1.0, 0.0, 0.5])
+    g = obj.gradient(x0)
+    sel = PairSelection(i=0, j=1, gamma=1.0, mu=float(g[1] - g[0]))
+    cfg = SolverConfig(linesearch="gradient-difference")
+    state = obj.pair_state(x0.copy())
+    assert type(state) is state_cls
+    lam, m, f_new = _pair_step(cfg, p, state, sel, obj.value(x0))
+    assert m >= 1
+    expected = x0.copy()
+    expected[0], expected[1] = _pair_coordinates(x0, p, sel, lam)
+    assert state.x.tobytes() == expected.tobytes()
+    assert_tracks(state, obj, expected)
+    # a step whose trials, at lam 1 and 0.9, all leave the domain raises and
+    # restores x
+    state = obj.pair_state(x0.copy())
+    cfg = SolverConfig(linesearch="gradient-difference", theta=0.9,
+                       max_backtracks=1)
+    with pytest.raises(LinesearchError):
+        _pair_step(cfg, p, state, sel, obj.value(x0))
+    assert state.x.tobytes() == x0.tobytes()
+    assert_tracks(state, obj, x0)
 
 
 def test_armijo_rejects_trials_outside_domain():

@@ -183,6 +183,29 @@ def test_budgeted_market_evaluates_in_full_only_to_build_or_rebuild(solve,
     assert r.error_bound == error_bound(problem, r.point)
 
 
+class CountingSeparable(SeparableQuadraticObjective):
+    """A separable quadratic that counts partial calls and keeps its
+    separable pair state."""
+
+    partial_calls = 0
+
+    def partial(self, i, x):
+        self.partial_calls += 1
+        return super().partial(i, x)
+
+
+def test_gradient_difference_solve_makes_two_partials_per_trial():
+    market = seeded_market(200, 2)
+    obj = CountingSeparable(market.objective.lin, market.objective.quad)
+    p = build_problem(market.bounds, market.equality, obj)
+    assert type(obj.pair_state(np.zeros(p.n))) is objectives._SeparablePairState
+    cfg = SolverConfig(target_accuracy=1e-2, max_inner_iterations=300,
+                       linesearch="gradient-difference")
+    res = bcv_solve(p, cfg, z0=np.zeros(p.n))
+    assert res.inner_iterations_total > 0
+    assert obj.partial_calls == 2 * sum(e.backtracks + 1 for e in res.trace)
+
+
 @pytest.mark.parametrize("agents, seed", [(200, 2), (200, 5)])
 @pytest.mark.parametrize("solve", [bcv_solve, mbc_solve])
 def test_small_markets_converge_at_1e_6(solve, agents, seed):

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from bicoord import (
     BoxBounds,
-    CountingObjective,
     DomainError,
     GeometricSchedule,
     LinearEquality,
@@ -309,15 +308,67 @@ def test_gradient_difference_matches_enumeration():
         assert_allclose(lam, theta**m * gamma, rtol=1e-15)
 
 
+class CountingQuadratic(QuadraticObjective):
+    """A quadratic that counts its oracle calls by kind."""
+
+    def __init__(self, P):
+        super().__init__(P)
+        self.calls = {"value": 0, "gradient": 0, "partial": 0}
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return super().value(x)
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        return super().gradient(x)
+
+    def partial(self, i, x):
+        self.calls["partial"] += 1
+        return super().partial(i, x)
+
+
 def test_gradient_difference_two_partials_per_trial():
-    obj = CountingObjective(QuadraticObjective(np.eye(2)))
+    obj = CountingQuadratic(np.eye(2))
     a = np.ones(2)
     x = np.array([1.0, 0.0])
     _, m = gradient_difference_linesearch(obj, a, x, i=0, j=1, gamma=1.0,
                                           mu=-1.0, sigma=0.5, theta=0.5)
-    assert obj.partial_calls == 2 * (m + 1)
-    assert obj.value_calls == 0
-    assert obj.gradient_calls == 0
+    assert obj.calls == {"value": 0, "gradient": 0, "partial": 2 * (m + 1)}
+
+
+def test_gradient_difference_leaves_the_callers_x_untouched():
+    # f = 50 x0^2 - ln(x0 - x1 + 0.1): from (1, 0) along (0, 1) the full
+    # step leaves the log domain, so with no backtracks the search raises
+    obj = QuadraticObjective(np.diag([100.0, 0.0]), np.array([1.0, -1.0]), 0.1)
+    a = np.ones(2)
+    x = np.array([1.0, 0.0])
+    mu = float(obj.partial(1, x) - obj.partial(0, x))
+    lam, m = gradient_difference_linesearch(obj, a, x, 0, 1, 1.0, mu)
+    assert m >= 1 and lam == 0.5**m
+    assert x.tobytes() == np.array([1.0, 0.0]).tobytes()
+    with pytest.raises(LinesearchError):
+        gradient_difference_linesearch(obj, a, x, 0, 1, 1.0, mu,
+                                       max_backtracks=0)
+    assert x.tobytes() == np.array([1.0, 0.0]).tobytes()
+
+
+class CliffQuadratic(QuadraticObjective):
+    """0.5 |x|^2 whose partial in x_1 is -inf where x_1 > 0.9."""
+
+    def partial(self, i, x):
+        if i == 1 and x[1] > 0.9:
+            return -np.inf
+        return super().partial(i, x)
+
+
+def test_gradient_difference_rejects_an_infinite_slope():
+    # the full step to (0, 1) has slope -inf, which is no acceptable
+    # decrease; the next accepted trial is the hand example's
+    obj = CliffQuadratic(np.eye(2))
+    lam, m = gradient_difference_linesearch(obj, np.ones(2), np.array([1.0, 0.0]),
+                                            i=0, j=1, gamma=1.0, mu=-1.0)
+    assert (m, lam) == (2, 0.25)
 
 
 def test_bcv_gradient_parallel_to_constraint_stops_immediately():

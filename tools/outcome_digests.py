@@ -10,8 +10,9 @@ checkouts and diff the files to check that a change leaves outcomes
 bit-identical. The solves: the 96 cells of the benchmark grid, families 1-3
 at further accuracies, budgets and linesearch rules, markets (with 5
 budgeted steps at 1e5 agents, the benchmark's market shape), signed
-instances, every stop reason of the pair methods, SVM duals, portfolios and
-budgeted dense solves at n = 1500, and cgm on signed instances, families
+instances, every stop reason of the pair methods, SVM duals, portfolios
+(markets, SVM duals and portfolios under both linesearch rules for bcv and
+mbc) and budgeted dense solves at n = 1500, and cgm on signed instances, families
 1-3 at 1e-8 and 1e-10 and a start outside the log domain. The projections:
 the grid's protocol starts, 1e5-agent market starts, signed, tied and
 beta-at-the-ends instances, and points far from the box. Only the public
@@ -134,6 +135,22 @@ def market_cases():
             res = solve(method, p, np.zeros(p.n), target_accuracy=1e-12,
                         max_inner_iterations=5)
             yield f"market/100000/{seed}/{method}/budget5", res
+    # the gradient-difference rule on the separable pair state
+    for agents, seed in ((12, 0), (12, 3), (40, 1), (40, 7), (200, 2), (200, 5)):
+        p = seeded_market(agents, seed)
+        for method, acc in itertools.product(("bcv", "mbc"), (1e-2, 1e-6)):
+            res = solve(method, p, np.zeros(p.n), target_accuracy=acc,
+                        max_inner_iterations=2000,
+                        linesearch="gradient-difference")
+            yield (f"market/{agents}/{seed}/{method}/{acc:g}"
+                   "/gradient-difference"), res
+    for seed in (0, 1):
+        p = seeded_market(100_000, seed)
+        for method in ("bcv", "mbc"):
+            res = solve(method, p, np.zeros(p.n), target_accuracy=1e-12,
+                        max_inner_iterations=5,
+                        linesearch="gradient-difference")
+            yield f"market/100000/{seed}/{method}/budget5/gradient-difference", res
 
 
 def signed_instance(seed: int):
@@ -251,6 +268,14 @@ def svm_cases():
             res = solve(method, p, None, target_accuracy=acc,
                         max_inner_iterations=1000)
             yield f"svm/{seed}/{p_norm}/{method}/{acc:g}", res
+        # the gradient-difference rule on the generic pair state
+        for p_norm, method, acc in itertools.product(
+                (1, 2), ("bcv", "mbc"), (0.1, 1e-3)):
+            p = build_svm_dual(data, p=p_norm, upper_cap=10.0)
+            res = solve(method, p, None, target_accuracy=acc,
+                        max_inner_iterations=1000,
+                        linesearch="gradient-difference")
+            yield f"svm/{seed}/{p_norm}/{method}/{acc:g}/gradient-difference", res
 
 
 def portfolio_cases():
@@ -263,6 +288,12 @@ def portfolio_cases():
             res = solve(method, p, None, target_accuracy=1e-3,
                         max_inner_iterations=1000)
             yield f"portfolio/{seed}/{p_norm}/{method}", res
+        for p_norm, method in itertools.product((1, 2), ("bcv", "mbc")):
+            p = build_portfolio(data, p=p_norm)
+            res = solve(method, p, None, target_accuracy=1e-3,
+                        max_inner_iterations=1000,
+                        linesearch="gradient-difference")
+            yield f"portfolio/{seed}/{p_norm}/{method}/gradient-difference", res
 
 
 def budgeted_dense_cases():
