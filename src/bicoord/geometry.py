@@ -11,6 +11,14 @@ a_i * clip(z_i + lam * a_i) is monotone in lam, and a sum of monotone terms
 taken in a fixed order is monotone. So the last sorted breakpoint whose
 computed balance is below beta is one index whatever order the search
 probes in, and the projection's bits do not depend on the search.
+
+The knapsack's greedy fill is a running budget in cost-ratio order, so its
+bits depend on that order, but only over the coordinates it reaches. From
+PREFIX_SORT_MIN_N coordinates up, a selection step (np.partition) finds a
+ratio just past where the budget runs out, and only the coordinates priced
+strictly below it are sorted: they are a prefix of the full stable order,
+so the fill over them is the full fill, bit for bit. When the fill does not
+stop inside them, the full order is sorted as at small n.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .problem import ProblemInstance
+from .problem import KnapsackForm, ProblemInstance
 
 __all__ = ["project", "minimize_linear", "floor_zero", "linear_gap",
            "check_feasibility", "FeasibilityReport"]
@@ -153,6 +161,84 @@ def _cost_order(ratios: np.ndarray) -> np.ndarray:
     return order
 
 
+# From this many coordinates up, minimize_linear first tries the selection
+# step, which sorts only the prefix of the cost order that the fill reaches.
+# On a market's exit knapsack (half the caps' sum to spend) the step breaks
+# even with the full sort near 3,000 coordinates, saves about 10% at 4,096
+# and 20-30% from 1e4 up; below, its extra passes cost more than it saves
+PREFIX_SORT_MIN_N = 4096
+
+
+def _fill(caps: np.ndarray, order: np.ndarray, budget: float) -> tuple[int, float]:
+    """The greedy fill of budget along order, where raising coordinate i
+    spends caps[i]: (k, rest), where the first k coordinates of order are
+    raised to their upper bound and rest is the budget left before order[k];
+    k = len(order) when the fill takes every one."""
+    # running[k] is the budget left before the k-th coordinate of order,
+    # running[k + 1] = running[k] - cap_k after it; accumulating from the
+    # left reproduces a sequential running budget bit for bit
+    running = np.empty(order.shape[0] + 1)
+    running[0] = budget
+    caps.take(order, out=running[1:])
+    np.subtract.accumulate(running, out=running)
+    # a coordinate is filled while the budget is positive and covers its cap
+    # (budget < cap exactly when budget - cap < 0); the first one that is
+    # not gets the positive remainder, if any
+    unfilled = running[1:] < 0.0
+    unfilled |= running[:-1] <= 0.0
+    k = int(unfilled.argmax())
+    if not unfilled[k]:
+        k = order.shape[0]
+    return k, running[k]
+
+
+def _prefix_split(ratios: np.ndarray, ks: KnapsackForm
+                  ) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The greedy fill over a prefix of the stable cost order, selected
+    without sorting the rest: (below, left, rest) when the fill stops inside
+    the prefix, else None. below holds the prefix's coordinates in index
+    order, left those of them the fill does not raise, in cost order (never
+    empty), and rest the budget left before left[0].
+
+    The prefix holds the coordinates whose ratio lies strictly below the
+    m-th smallest ratio r_m. Every ratio below r_m comes before r_m's ties
+    and every NaN in the full stable order, so the prefix sorted stably is
+    that order's head, and the running budget over it is the full one's bit
+    for bit. m guesses the fill's length from the average cap, with 5% and
+    64 coordinates to spare. When the caps below r_m fall short of the
+    budget, the guess is doubled once (one more partition, before any sort).
+    None, which leaves the full sort to the caller, when:
+    - the budget is not positive or not below the caps' sum, or the guess
+      reaches n (a budget within 5% of the caps' sum);
+    - r_m is NaN;
+    - the caps below r_m fall short at the doubled guess;
+    - the fill runs past the prefix, which rounding alone can cause once
+      the caps' sum has passed the budget.
+    """
+    n = ratios.shape[0]
+    budget = ks.budget
+    total = float(ks.caps.sum())
+    if not 0.0 < budget < total:
+        return None
+    m = int(1.05 * n * budget / total) + 64
+    for _ in range(2):
+        if m >= n:
+            return None
+        r_m = np.partition(ratios, m)[m]
+        if np.isnan(r_m):
+            return None
+        below = np.flatnonzero(ratios < r_m)
+        caps = ks.caps[below]
+        if caps.sum() > budget:
+            order = _cost_order(ratios[below])
+            k, rest = _fill(caps, order, budget)
+            if k == order.shape[0]:
+                return None
+            return below, below[order[k:]], rest
+        m *= 2
+    return None
+
+
 def minimize_linear(c, p: ProblemInstance) -> tuple[np.ndarray, float]:
     """Minimize <c, x> over the feasible set of p. Returns (argmin, value).
 
@@ -161,35 +247,39 @@ def minimize_linear(c, p: ProblemInstance) -> tuple[np.ndarray, float]:
     budget beta - <a, lower> raising coordinates in increasing order of
     c_i / a_i, ties broken by lowest index. At most one coordinate ends
     fractional.
+
+    From PREFIX_SORT_MIN_N coordinates up, a selection step comes first
+    (_prefix_split): np.partition picks a ratio r_m just past where the
+    budget should run out, and only the coordinates priced strictly below
+    it are sorted and filled. They are a prefix of the full stable order,
+    so when the fill stops inside them, the argmin and value are the full
+    sort's. Otherwise the full order is sorted, as below that size.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != p.equality.a.shape:
         raise ValueError("cost vector has wrong length")
     ks = p.knapsack
-    n = c.shape[0]
+    ratios = ks.point(c) / ks.a
 
-    # budget[k] is the budget left before the k-th coordinate in cost order,
-    # budget[k + 1] = budget[k] - cap_k after it; accumulating from the left
-    # reproduces a sequential running budget bit for bit
-    order = _cost_order(ks.point(c) / ks.a)
-    budget = np.empty(n + 1)
-    budget[0] = ks.budget
-    ks.caps.take(order, out=budget[1:])
-    np.subtract.accumulate(budget, out=budget)
-    # a coordinate is filled while the budget is positive and covers its cap
-    # (budget < cap exactly when budget - cap < 0); the first one that is
-    # not gets the positive remainder, if any
-    unfilled = budget[1:] < 0.0
-    unfilled |= budget[:-1] <= 0.0
-    k = int(unfilled.argmax())
-    if not unfilled[k]:
-        k = n
+    split = None
+    if ratios.shape[0] >= PREFIX_SORT_MIN_N:
+        split = _prefix_split(ratios, ks)
     y = ks.lower.copy()
-    filled = order[:k]
-    y[filled] = ks.upper[filled]
-    if k < n and budget[k] > 0.0:
-        idx = order[k]
-        y[idx] = ks.lower[idx] + budget[k] / ks.a[idx]
+    if split is None:
+        order = _cost_order(ratios)
+        k, rest = _fill(ks.caps, order, ks.budget)
+        filled, left = order[:k], order[k:]
+        y[filled] = ks.upper[filled]
+    else:
+        # raising the whole prefix in index order, then setting back the few
+        # coordinates the fill does not reach, is faster than raising the
+        # filled ones in cost order, whose accesses are scattered
+        below, left, rest = split
+        y[below] = ks.upper[below]
+        y[left] = ks.lower[left]
+    if left.shape[0] and rest > 0.0:
+        idx = left[0]
+        y[idx] = ks.lower[idx] + rest / ks.a[idx]
     if ks.signs is not None:
         y *= ks.signs
     return y, float(c @ y)

@@ -27,7 +27,7 @@ from bicoord import (
     build_problem,
     mbc_solve,
 )
-from bicoord import solvers
+from bicoord import geometry, solvers
 from bicoord.geometry import linear_gap
 from bicoord.solvers import (_gap_rounding, _most_violating, _screened_gap,
                              select_pair)
@@ -129,3 +129,25 @@ def test_budgeted_market_takes_one_exact_gap_at_exit(solve, monkeypatch):
     assert (r.stop_reason, r.inner_iterations_total) == ("budget", 5)
     assert gaps == [r.error_bound]
     assert r.error_bound > 1e-12
+
+
+@pytest.mark.parametrize("solve", [bcv_solve, mbc_solve])
+def test_budgeted_1e5_market_exit_gap_sorts_only_a_prefix(solve, monkeypatch):
+    # the benchmark's market shape: the one exact gap of a budgeted solve
+    # from no trade is settled by the selection step, not the full sort
+    problem = seeded_market(100_000, 0)
+    splits = []
+    prefix_split = geometry._prefix_split
+
+    def spied(ratios, ks):
+        splits.append(prefix_split(ratios, ks))
+        return splits[-1]
+
+    monkeypatch.setattr(geometry, "_prefix_split", spied)
+    cfg = SolverConfig(target_accuracy=1e-12, max_inner_iterations=5,
+                       max_stages=10_000)
+    r = solve(problem, cfg, z0=np.zeros(problem.n))
+    assert (r.stop_reason, r.inner_iterations_total) == ("budget", 5)
+    assert len(splits) == 1
+    below, left, _ = splits[0]
+    assert 0 < left.shape[0] < below.shape[0] < 0.6 * problem.n

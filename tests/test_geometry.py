@@ -396,6 +396,154 @@ def test_knapsack_through_normalize_signs():
         assert (ks.signs * y_q).tobytes() == y.tobytes()
 
 
+# ------------------------------------------ the selection step at large n
+
+N_SELECT = geometry.PREFIX_SORT_MIN_N
+# where the budget sits between 0 and the caps' sum: both ends, just inside
+# each, and three places between
+BUDGET_AT = (0.0, 1e-9, 0.05, 0.3, 0.5, 1.0 - 1e-9, 1.0)
+
+
+def large_knapsack(seed):
+    """n from the selection threshold to 3x it. By seed % 4: distinct ratios;
+    power-of-two a with three-valued costs, so that tie runs straddle the
+    selected ratio and the split; signed a; NaN costs (1% or 60% of them).
+    The budget sits at BUDGET_AT[seed // 4 % 7] of the caps' sum."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(N_SELECT, 3 * N_SELECT + 1))
+    kind = seed % 4
+    if kind == 1:
+        a = 2.0 ** rng.integers(-2, 3, n)
+        c = rng.choice([-1.5, 0.0, 2.0], n) * a
+    else:
+        a = rng.uniform(0.1, 5.0, n)
+        c = rng.standard_normal(n)
+    if kind == 2:
+        a *= rng.choice([-1.0, 1.0], n)
+    if kind == 3:
+        c[rng.random(n) < rng.choice([0.01, 0.6])] = np.nan
+    lower = rng.uniform(-3.0, 3.0, n)
+    upper = lower + rng.uniform(0.01, 4.0, n)
+    lo_sum = float(np.sum(np.minimum(a * lower, a * upper)))
+    hi_sum = float(np.sum(np.maximum(a * lower, a * upper)))
+    t = BUDGET_AT[seed // 4 % len(BUDGET_AT)]
+    beta = lo_sum if t == 0.0 else hi_sum if t == 1.0 else (
+        lo_sum + t * (hi_sum - lo_sum))
+    return make_instance(a, lower, upper, beta), c
+
+
+def assert_equals_loop(c, p):
+    y, val = minimize_linear(c, p)
+    y_ref, val_ref = minimize_linear_loop(c, p)
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array(val).tobytes() == np.array(val_ref).tobytes()
+    return y
+
+
+@pytest.mark.parametrize("seed", range(56))
+def test_selection_knapsack_equals_loop_bit_for_bit(seed):
+    p, c = large_knapsack(seed)
+    assert_equals_loop(c, p)
+
+
+def spy_prefix_splits(monkeypatch):
+    """Record what each selection step returns."""
+    splits = []
+    prefix_split = geometry._prefix_split
+
+    def spied(ratios, ks):
+        splits.append(prefix_split(ratios, ks))
+        return splits[-1]
+
+    monkeypatch.setattr(geometry, "_prefix_split", spied)
+    return splits
+
+
+def test_selection_cases_take_both_paths(monkeypatch):
+    # the cases above reach the selected prefix as well as each fallback
+    splits = spy_prefix_splits(monkeypatch)
+    taken = {kind: 0 for kind in range(4)}
+    for seed in range(56):
+        p, c = large_knapsack(seed)
+        minimize_linear(c, p)
+        taken[seed % 4] += splits[-1] is not None
+    assert len(splits) == 56
+    assert all(0 < count < 14 for count in taken.values())
+
+
+def guess_short_knapsack(share):
+    """The cheaper half of 8192 coordinates has caps 1e-3 and the dearer half
+    caps 1, with the budget at `share` of the caps' sum: a fill guessed from
+    the average cap stops among the cheap coordinates, whose caps fall far
+    short of the budget."""
+    n = 2 * N_SELECT
+    rng = np.random.default_rng(n)
+    c = rng.permutation(n).astype(float)
+    upper = np.where(c < n // 2, 1e-3, 1.0)
+    return make_instance(np.ones(n), np.zeros(n), upper, share * upper.sum()), c
+
+
+@pytest.mark.parametrize("share, prefix", [(0.35, True), (0.3, False)])
+def test_short_guess_doubles_once_then_sorts_everything(share, prefix,
+                                                        monkeypatch):
+    # at 35% the doubled guess reaches past the budget and a prefix is
+    # sorted; at 30% it does not either, and the only sort is the full one
+    p, c = guess_short_knapsack(share)
+    sorted_sizes = []
+    cost_order = geometry._cost_order
+
+    def spied(ratios):
+        sorted_sizes.append(ratios.shape[0])
+        return cost_order(ratios)
+
+    monkeypatch.setattr(geometry, "_cost_order", spied)
+    assert_equals_loop(c, p)
+    assert len(sorted_sizes) == 1
+    assert (sorted_sizes[0] < p.n) == prefix
+
+
+def test_fill_past_the_prefix_by_rounding_sorts_everything():
+    # the 64 cheapest caps, summed in index order, exceed the budget by an
+    # ulp, but the running budget in cost order stays positive after them:
+    # the fill continues into the 65th cheapest coordinate, past the prefix
+    n = N_SELECT
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        cheap = np.sort(rng.choice(n, 64, replace=False))
+        cheap_caps = rng.uniform(0.5, 2.0, 64)
+        rank = rng.permutation(64)
+        budget = float(np.nextafter(cheap_caps.sum(), -np.inf))
+        left = budget
+        for cap in cheap_caps[np.argsort(rank)]:
+            left -= cap
+        if left > 0.0:
+            break
+    assert left > 0.0
+    upper = np.full(n, 1e6)
+    upper[cheap] = cheap_caps
+    c = 64.0 + rng.permutation(n).astype(float)
+    c[cheap] = rank
+    p = make_instance(np.ones(n), np.zeros(n), upper, budget)
+    assert geometry._prefix_split(c, p.knapsack) is None
+    y = assert_equals_loop(c, p)
+    assert y[c == 64.0] == left
+
+
+def test_ties_at_the_selected_ratio_stay_out_of_the_prefix():
+    # every ratio ties: the prefix below the selected ratio is empty at
+    # both guesses, so the selection step sorts nothing
+    n = 2 * N_SELECT
+    rng = np.random.default_rng(5)
+    a = 2.0 ** rng.integers(-2, 3, n)
+    lower = rng.uniform(-1.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    p = make_instance(a, lower, upper, float(a @ lower)
+                      + 0.5 * float(a @ (upper - lower)))
+    c = 3.0 * a
+    assert geometry._prefix_split(c / a, p.knapsack) is None
+    assert_equals_loop(c, p)
+
+
 def test_knapsack_constants_are_cached_read_only_views():
     p = make_instance([1.0, 2.0, 0.5], [0.0, -1.0, 0.0], [1.0, 1.0, 2.0], 1.0)
     ks = p.knapsack

@@ -13,10 +13,16 @@ budgeted steps at 1e5 agents, the benchmark's market shape), signed
 instances, every stop reason of the pair methods, SVM duals, portfolios
 (markets, SVM duals and portfolios under both linesearch rules for bcv and
 mbc) and budgeted dense solves at n = 1500, and cgm on signed instances, families
-1-3 at 1e-8 and 1e-10 and a start outside the log domain. The projections:
+1-3 at 1e-8 and 1e-10, a start outside the log domain, and 5 budgeted
+steps on 1e5-agent markets. The projections:
 the grid's protocol starts, 1e5-agent market starts, signed, tied and
-beta-at-the-ends instances, and points far from the box. Only the public
-API is used, so the script runs unchanged on older checkouts.
+beta-at-the-ends instances, and points far from the box. The knapsacks
+(cases `knapsack/...`, the argmin's bytes and the value) are direct linear
+minimizations at n from 4096 to 12288, where `minimize_linear` selects the
+prefix of the cost order that its fill reaches: distinct, tied, signed and
+NaN costs, budgets at and near both ends, and fills that a guess from the
+average cap undercounts. Only the public API is used, so the script runs
+unchanged on older checkouts.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from bicoord import (
     gen_nonsmooth_l1,
     gen_quadratic,
     mbc_solve,
+    minimize_linear,
     project,
     protocol_start,
     run_cell_detailed,
@@ -216,6 +223,12 @@ def cgm_cases():
         yield f"cgm/family/{series}/{n}/{acc:g}", res
     res = solve("cgm", log_domain_problem(), np.array([1.0, 0.0]))
     yield "cgm/log_domain", res
+    # every direction of these steps is a knapsack at n = 1e5
+    for seed in (0, 1):
+        p = seeded_market(100_000, seed)
+        res = solve("cgm", p, np.zeros(p.n), target_accuracy=1e-12,
+                    max_inner_iterations=5)
+        yield f"cgm/market/100000/{seed}/budget5", res
 
 
 def stall_problem(kind: str):
@@ -356,8 +369,65 @@ def project_cases():
         yield f"project/random/{seed}/{p.n}", project(z, p)
 
 
+def knapsack_instance(seed: int):
+    """A linear minimization at n from 4096 to 12288. By seed % 4: distinct
+    ratios; power-of-two a with three-valued costs (long tie runs); signed a;
+    NaN costs. The budget sits at 0, 1e-9, 0.05, 0.3, 0.5, 1 - 1e-9 or 1 of
+    the caps' sum (seed // 4 % 7)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4096, 12289))
+    kind = seed % 4
+    if kind == 1:
+        a = 2.0 ** rng.integers(-2, 3, n)
+        c = rng.choice([-1.5, 0.0, 2.0], n) * a
+    else:
+        a = rng.uniform(0.1, 5.0, n)
+        c = rng.standard_normal(n)
+    if kind == 2:
+        a *= rng.choice([-1.0, 1.0], n)
+    if kind == 3:
+        c[rng.random(n) < rng.choice([0.01, 0.6])] = np.nan
+    lower = rng.uniform(-3.0, 3.0, n)
+    upper = lower + rng.uniform(0.01, 4.0, n)
+    lo_sum = float(np.sum(np.minimum(a * lower, a * upper)))
+    hi_sum = float(np.sum(np.maximum(a * lower, a * upper)))
+    t = (0.0, 1e-9, 0.05, 0.3, 0.5, 1.0 - 1e-9, 1.0)[seed // 4 % 7]
+    beta = lo_sum if t == 0.0 else hi_sum if t == 1.0 else (
+        lo_sum + t * (hi_sum - lo_sum))
+    p = build_problem(BoxBounds(lower, upper), LinearEquality(a, beta),
+                      LinearObjective(np.zeros(n)))
+    return p, c
+
+
+def short_guess_knapsack(share: float):
+    """8192 coordinates, a = 1: the cheaper half has caps 1e-3 and the
+    dearer half caps 1, with the budget at `share` of the caps' sum."""
+    n = 8192
+    c = np.random.default_rng(n).permutation(n).astype(float)
+    upper = np.where(c < n // 2, 1e-3, 1.0)
+    p = build_problem(BoxBounds(np.zeros(n), upper),
+                      LinearEquality(np.ones(n), share * float(upper.sum())),
+                      LinearObjective(np.zeros(n)))
+    return p, c
+
+
+def knapsack_cases():
+    for seed in range(28):
+        p, c = knapsack_instance(seed)
+        yield f"knapsack/random/{seed}/{p.n}", minimize_linear(c, p)
+    for share in (0.3, 0.35):
+        p, c = short_guess_knapsack(share)
+        yield f"knapsack/short_guess/{share:g}", minimize_linear(c, p)
+
+
 def point_digest(x) -> str:
     return hashlib.sha256(np.asarray(x, dtype=float).tobytes()).hexdigest()[:16]
+
+
+def knapsack_digest(y, value) -> str:
+    h = hashlib.sha256(np.asarray(y, dtype=float).tobytes())
+    h.update(_num(value).encode())
+    return h.hexdigest()[:16]
 
 
 def main() -> None:
@@ -367,6 +437,8 @@ def main() -> None:
             print(case, digest(res), flush=True)
     for case, x in project_cases():
         print(case, point_digest(x), flush=True)
+    for case, (y, value) in knapsack_cases():
+        print(case, knapsack_digest(y, value), flush=True)
 
 
 if __name__ == "__main__":
