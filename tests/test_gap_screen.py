@@ -6,8 +6,9 @@ converged" from that bound when it clears the accuracy by more than the
 exact gap's rounding, and take the exact knapsack gap only otherwise and
 at exit. These tests check the bound over random instances with signed
 coefficients, tied scaled gradients, points on their bounds, n = 2 and
-beta at either end of its range, and count the exact gaps of a budgeted
-market solve.
+beta at either end of its range, count the exact gaps of a budgeted
+market solve, and check that the exit gap of the benchmark's 1e5-agent
+market shape sorts only the filled prefix of the cost order.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -446,8 +446,8 @@ def test_selection_knapsack_equals_loop_bit_for_bit(seed):
     assert_equals_loop(c, p)
 
 
-def spy_prefix_splits(monkeypatch):
-    """Record what each selection step returns."""
+def test_selection_cases_take_both_paths(monkeypatch):
+    # the cases above reach the selected prefix as well as the fallbacks
     splits = []
     prefix_split = geometry._prefix_split
 
@@ -456,12 +456,6 @@ def spy_prefix_splits(monkeypatch):
         return splits[-1]
 
     monkeypatch.setattr(geometry, "_prefix_split", spied)
-    return splits
-
-
-def test_selection_cases_take_both_paths(monkeypatch):
-    # the cases above reach the selected prefix as well as each fallback
-    splits = spy_prefix_splits(monkeypatch)
     taken = {kind: 0 for kind in range(4)}
     for seed in range(56):
         p, c = large_knapsack(seed)
