@@ -1,8 +1,11 @@
 """Pair states: incremental oracles along bi-coordinate steps.
 
 Over random sequences of pair moves the cached state must track the full
-oracle, a state rebuilt from x must equal it exactly, and a trial point
-outside the log domain must be a rejected trial, not an error.
+oracle, a state rebuilt from x must equal it exactly (within the rounding
+of one product, where a large quadratic state corrects P x from its last
+full product), and a trial point outside the log domain must be a rejected
+trial, not an error. Stage restarts that change nothing repeat neither the
+projection nor the exact gap.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -32,10 +35,10 @@ from bicoord import (
     protocol_start,
     save_problem,
 )
-from bicoord import objectives
+from bicoord import objectives, solvers
 from bicoord.cli import main
-from bicoord.solvers import (LinesearchError, PairSelection, _most_violating,
-                             _pair_coordinates, _pair_step)
+from bicoord.solvers import (LinesearchError, PairSelection, _gap_rounding,
+                             _most_violating, _pair_coordinates, _pair_step)
 
 RTOL = 1e-12
 
@@ -136,6 +139,137 @@ def test_reported_gap_comes_from_a_fresh_gradient(gen, solve):
                               p.objective.with_smoothing(res.smoothing))
     assert res.error_bound == error_bound(final, res.point)
     assert res.objective_value == final.objective.value(res.point)
+
+
+# ------------------------------------ sparse rebuilds of P x, and restarts
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "quadratic_log", "quadratic_log_l1"]),
+       n=st.integers(8, 40), seed=st.integers(0, 2**32 - 1),
+       pool=st.integers(2, 40),
+       moves=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39),
+                                st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+                                st.booleans()),
+                      min_size=1, max_size=80))
+def test_sparse_rebuild_stays_within_rounding_of_the_full_product(
+        kind, n, seed, pool, moves):
+    # moves among the first `pool` coordinates, each followed by a rebuild
+    # when its flag is set; with the size cut at 1 every rebuild after the
+    # first is a sparse correction until 8 |S| > n
+    obj = family_objective(kind, n, seed)
+    P = obj.P
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objectives, "SPARSE_REBUILD_MIN_N", 1)
+        state = obj.pair_state(np.random.default_rng(seed + 1).uniform(0.0, 2.0, n))
+        for i, j, xi, xj, rebuild in moves:
+            i, j = i % min(pool, n), j % min(pool, n)
+            if i == j:
+                continue
+            state.move(i, xi, j, xj)
+            if not (rebuild or state.moves == 0):
+                continue
+            x0, Px0 = state._x0.copy(), state._Px0.copy()
+            state.rebuild()
+            x, S = state.x, np.flatnonzero(state.x != x0)
+            if 8 * S.size > n:
+                # a full product, which moves the anchor to x
+                assert state.Px.tobytes() == (P @ x).tobytes()
+                assert state._x0.tobytes() == x.tobytes()
+                assert state._Px0.tobytes() == state.Px.tobytes()
+            else:
+                assert state._x0.tobytes() == x0.tobytes()
+                assert state._Px0.tobytes() == Px0.tobytes()
+            # one product's rounding at x0, one at x, and the |S|-term sum
+            tol = (2 * n + 4) * 2.0**-52 * (np.abs(P) @ (np.abs(x) + np.abs(x0)))
+            assert (np.abs(state.Px - P @ x) <= tol).all()
+            assert_tracks(state, obj, x)
+
+
+def test_sparse_rebuild_sums_over_every_coordinate_moved_since_the_anchor(
+        monkeypatch):
+    # two rebuilds between full products: the second must still add the
+    # coordinates that moved before the first
+    monkeypatch.setattr(objectives, "SPARSE_REBUILD_MIN_N", 1)
+    obj = family_objective("quadratic_log", 40, 7)
+    state = obj.pair_state(np.full(40, 0.5))
+    state.move(0, 1.0, 1, 0.0)
+    state.rebuild()
+    state.move(2, 1.0, 3, 0.0)
+    state.rebuild()
+    assert state._x0.tobytes() == np.full(40, 0.5).tobytes()
+    np.testing.assert_allclose(state.Px, obj.P @ state.x, rtol=1e-13)
+
+
+class CountedMatrix(np.ndarray):
+    """A matrix that counts its products with a vector, P @ x."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        if self.ndim == 2 and np.ndim(other) == 1:
+            CountedMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+def counted_solve(monkeypatch, p, solve, budget):
+    """solve p from its protocol start for `budget` steps, with the calls of
+    project and linear_gap and the full products P @ x counted."""
+    calls = {"project": 0, "linear_gap": 0}
+    for name in calls:
+        kernel = getattr(solvers, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    p.objective.P = p.objective.P.view(CountedMatrix)
+    CountedMatrix.products = 0
+    cfg = SolverConfig(target_accuracy=1e-9, max_inner_iterations=budget,
+                       max_stages=10_000)
+    res = solve(p, cfg, z0=protocol_start(p))
+    assert res.stop_reason == "budget"
+    return res, calls, CountedMatrix.products
+
+
+def test_restarts_that_change_nothing_reuse_projection_and_gap(monkeypatch):
+    # bcv walks 9 of its 10 stages without a step from this start. The start
+    # projection moves the point by an ulp, so the first restart projects
+    # again; its result is the point byte for byte, and the 8 restarts after
+    # it neither project nor solve a knapsack
+    res, calls, products = counted_solve(monkeypatch, gen_convex_log(3000, 10.0),
+                                         bcv_solve, 20)
+    assert res.stages_completed == 10
+    assert calls["project"] == 2
+    assert calls["linear_gap"] <= 2
+    # the state's build; the exit rebuild is a sparse correction
+    assert products == 1
+
+
+def test_restarts_onto_a_new_problem_project_every_time(monkeypatch):
+    # each of family 3's stages has its own objective, tau halving
+    p = gen_nonsmooth_l1(3000, 10.0)
+    res, calls, _ = counted_solve(monkeypatch, p, bcv_solve, 20)
+    assert res.stages_completed == 10
+    assert calls["project"] == res.stages_completed
+
+
+@pytest.mark.parametrize("solve", [bcv_solve, mbc_solve])
+def test_reported_gap_after_sparse_rebuilds_is_within_rounding(solve):
+    # 120 steps at n = 3000: the rebuilds at 50 and 100 moves and at exit
+    # correct P x from the anchor instead of a full product
+    p = gen_nonsmooth_l1(3000, 10.0)
+    cfg = SolverConfig(target_accuracy=1e-9, max_inner_iterations=120,
+                       max_stages=10_000)
+    res = solve(p, cfg, z0=protocol_start(p))
+    assert res.stop_reason == "budget"
+    final = build_problem(p.bounds, p.equality,
+                          p.objective.with_smoothing(res.smoothing))
+    g = final.objective.gradient(res.point)
+    rounding = _gap_rounding(final, float(np.abs(g) @ final.box_radius))
+    assert abs(res.error_bound - error_bound(final, res.point)) <= rounding
+    assert res.objective_value == pytest.approx(final.objective.value(res.point),
+                                                rel=1e-13)
 
 
 def small_market():

@@ -12,7 +12,8 @@ at further accuracies, budgets and linesearch rules, markets (with 5
 budgeted steps at 1e5 agents, the benchmark's market shape), signed
 instances, every stop reason of the pair methods, SVM duals, portfolios
 (markets, SVM duals and portfolios under both linesearch rules for bcv and
-mbc) and budgeted dense solves at n = 1500, and cgm on signed instances, families
+mbc), budgeted dense solves at n = 1500 and, for families 1-3, at
+n = 3000 with 20 and 120 steps, and cgm on signed instances, families
 1-3 at 1e-8 and 1e-10, a start outside the log domain, and 5 budgeted
 steps on 1e5-agent markets. The projections:
 the grid's protocol starts, 1e5-agent market starts, signed, tied and
@@ -22,13 +23,21 @@ minimizations at n from 4096 to 12288, where `minimize_linear` selects the
 prefix of the cost order that its fill reaches: distinct, tied, signed and
 NaN costs, budgets at and near both ends, and fills that a guess from the
 average cap undercounts. Only the public API is used, so the script runs
-unchanged on older checkouts.
+unchanged on older checkouts. It pins the BLAS and OpenMP pools to one
+thread before numpy loads, so two checkouts compare on the same summation
+order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+
+# one BLAS thread: a threaded dot sums in another order, so at large n the
+# bits of an outcome would depend on the thread count
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 
@@ -316,6 +325,14 @@ def budgeted_dense_cases():
             res = solve(method, p, protocol_start(p), target_accuracy=1e-9,
                         max_inner_iterations=40)
             yield f"dense/{series}/1500/{method}", res
+    # the benchmark's dense_n3000 shape, and 120 steps across the quadratic
+    # state's rebuilds every 50 moves
+    for series in (1, 2, 3):
+        p = FAMILIES[series](3000, 10.0)
+        for budget, method in itertools.product((20, 120), ("bcv", "mbc")):
+            res = solve(method, p, protocol_start(p), target_accuracy=1e-9,
+                        max_inner_iterations=budget)
+            yield f"dense/{series}/3000/{budget}/{method}", res
 
 
 def projection_instance(seed: int):
