@@ -42,8 +42,8 @@ would stop the solve, and at exit, so every reported gap comes from a
 rebuilt gradient: the full oracle's, or, on a quadratic state from
 SPARSE_REBUILD_MIN_N coordinates up, one whose P x is corrected from the
 state's last full product, within the rounding of one product. A stage
-restart that takes no step and keeps the problem object repeats neither
-the projection that left the point unchanged nor the exact gap.
+restart projects only after a step or onto a new problem object, and one
+that keeps the problem and the point changes only the thresholds.
 
 cgm's Armijo trials along d = y - x are full values, except those that the
 objective's line_bound proves above the threshold: they would fail, so they
@@ -356,24 +356,17 @@ def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
     return _noise_rule(p, g, _extreme_pair(p, x, g, *p.strict_bounds))
 
 
-def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether two float arrays of one shape hold the same bits."""
-    return bool(np.array_equal(x.view(np.int64), y.view(np.int64)))
-
-
 def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
                   stages: StageProvider | None, z0) -> SolveResult:
     """The pair-descent loop of bcv_solve and mbc_solve.
 
     Pairs come from the pair state's select, the one selection path. With
     a stage provider they must clear the stage's thresholds (select_pair's
-    rule), a stage without a qualifying pair restarts on the next one
-    (projecting the point onto its problem, unless a projection onto the
-    same problem object returned the point byte for byte and no step has
-    moved it since), and a smoothed objective must reach the accuracy
-    before the gap verdict counts. A verdict that finds no pair on the
-    gradient array and problem of the last exact gap, with no step or
-    rebuild since, reuses that gap: both kernels are deterministic.
+    rule), a stage without a qualifying pair restarts on the next one,
+    projecting the point onto its problem unless the stage took no step and
+    keeps the problem object (a restart that keeps the problem and the point
+    keeps the state and the gap too), and a smoothed objective must reach
+    the accuracy before the gap verdict counts.
     stages=None is mbc's single zero-threshold stage: strict eligibility and
     a violation above rounding noise (_most_violating's rule), and the solve
     stops with "no_descent_pair" when none qualifies. A linesearch that finds no
@@ -388,18 +381,14 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     cur = stages.stage(l) if staged else None
     p_l = cur.problem if staged else problem
     z = _default_start(problem) if z0 is None else np.asarray(z0, dtype=float)
-    x = project(z, p_l)
-    # the problem whose projection returned the state's point byte for byte,
-    # while no step has moved it since: a restart onto it need not project
-    fixed_on = p_l if staged and _same_bits(x, z) else None
-    state = p_l.objective.pair_state(x)
+    state = p_l.objective.pair_state(project(z, p_l))
     f_x = state.value()
     trace: list[TraceEvent] = []
     steps = stage_start = 0
     acc = cfg.target_accuracy
-    # (gradient array, problem, exact gap) while the state neither moves nor
-    # rebuilds
-    last = None
+    # the last restart kept the state and the problem, so it changed only the
+    # thresholds: the point, the gradient and the gap are the last pass's
+    kept = False
 
     # a selection and a screened gap open the solve and follow every step,
     # rebuild and restart
@@ -409,20 +398,14 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
         else:
             sel = _noise_rule(p_l, state.gradient(),
                               state.select(p_l, *p_l.strict_bounds))
-        if (sel is None and last is not None and last[0] is state.gradient()
-                and last[1] is p_l):
-            # the same x, gradient and problem as the last exact gap
-            gap = last[2]
-        else:
+        if not kept:
             gap = _screened_gap(p_l, state, acc, staged, sel)
-            if gap is not None:
-                last = (state.gradient(), p_l, gap)
+        kept = False
         # the screen leaves "converged" open: the gap meets the accuracy,
         # or is NaN
         unsettled = gap is not None and not gap > acc
         if state.moves and (unsettled or (sel is None and not staged)):
             state.rebuild()
-            last = None
             continue
         if unsettled and gap <= acc:
             stop_reason = "converged"
@@ -436,22 +419,22 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
                 stop_reason = "max_stages"
                 break
             nxt = stages.stage(l + 1)
-            if (steps == stage_start and nxt.problem is p_l
-                    and nxt.delta == cur.delta and nxt.epsilon == cur.epsilon):
+            kept = steps == stage_start and nxt.problem is p_l
+            if kept and nxt.delta == cur.delta and nxt.epsilon == cur.epsilon:
                 stop_reason = "stalled"
                 break
             l += 1
             cur = nxt
             stage_start = steps
-            if cur.problem is not fixed_on:
+            if not kept:
                 x = project(state.x, cur.problem)
-                fixed_on = cur.problem if _same_bits(x, state.x) else None
                 # the state carries over only when neither the point nor the
                 # objective changed
-                if cur.problem is not p_l or not np.array_equal(x, state.x):
+                kept = cur.problem is p_l and np.array_equal(x, state.x)
+                if not kept:
                     state = cur.problem.objective.pair_state(x)
-            p_l = cur.problem
-            f_x = state.value()
+                p_l = cur.problem
+                f_x = state.value()
             continue
         if steps >= cfg.max_inner_iterations:
             stop_reason = "budget"
@@ -462,7 +445,6 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             stop_reason = "linesearch"
             break
         steps += 1
-        fixed_on = last = None
         trace.append(TraceEvent(
             stage=l, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
             mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,

@@ -209,6 +209,46 @@ class TestPortfolio:
         assert res.point[0] == pytest.approx(t_star, abs=1e-4)
 
 
+# -------------------------------------------------- smoothed penalties (p = 1)
+
+
+def svm_instance(p, smooth_eps=1e-4):
+    rng = np.random.default_rng(7)
+    data = SvmDataset(features=rng.normal(size=(10, 3)),
+                      labels=np.array([1.0, -1.0] * 5))
+    return build_svm_dual(data, tau=10.0, p=p, smooth_eps=smooth_eps,
+                          upper_cap=1.0)
+
+
+def portfolio_instance(p, smooth_eps=1e-4):
+    data = PortfolioData(covariance=np.diag([1.0, 2.0, 3.0]),
+                         means=np.array([2.0, 1.0, 0.0]), target=1.5)
+    return build_portfolio(data, tau=10.0, p=p, smooth_eps=smooth_eps)
+
+
+@pytest.mark.parametrize("build", [svm_instance, portfolio_instance])
+def test_p1_penalty_walks_the_smoothing_ladder(build):
+    # smooth_eps 1.6 is above the accuracy, so the stages rebuild the
+    # objective through with_smoothing at 0.8, 0.4, 0.2 and 0.1
+    problem = build(1, smooth_eps=1.6)
+    res = solve_to(problem, 0.1)
+    assert res.stop_reason == "converged"
+    assert res.stages_completed == 5
+    assert res.smoothing == 0.1
+    obj = problem.objective.with_smoothing(0.4)
+    assert type(obj) is type(problem.objective)
+    assert (obj.smoothing, obj.tau, obj.p) == (0.4, 10.0, 1)
+    assert obj.value(res.point) == build(1, smooth_eps=0.4).objective.value(res.point)
+
+
+@pytest.mark.parametrize("build", [svm_instance, portfolio_instance])
+def test_p2_penalty_has_no_smoothing_to_tighten(build):
+    obj = build(2).objective
+    assert obj.smoothing is None
+    with pytest.raises(ValueError, match="no smoothing parameter"):
+        obj.with_smoothing(0.1)
+
+
 # ------------------------------------------------------------------ market
 
 

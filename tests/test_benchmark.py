@@ -172,8 +172,21 @@ class TestReportAndRendering:
         assert "| beta | n | CGM | BCV | MBC |" in text
         assert "| beta | n | CGM | BCV |" in text
         assert "(ref 30)" in text          # published family-1 cell
-        assert "Δ_500 ≈" in text           # unconverged cells quote the bound
+        # every cell converges, so only a reference quotes a bound
+        assert "Δ_500 ≈" in text
         assert "(ref Δ_500 ≈ 1.28)" in text
+
+    def test_markdown_unconverged_cells(self):
+        # at a cap of 2 steps no cell converges, so each quotes its bound,
+        # family 3 with its tau; mbc's published cell is "above 1"
+        spec = BenchmarkSpec(series=(1, 3), betas=(10.0,), sizes=(20,), cap=2)
+        report = run_benchmark(spec)
+        assert not any(c.converged for c in report.cells)
+        text = render_markdown(report)
+        assert text.count("Δ_2 ≈") == len(report.cells) == 5
+        cgm3 = next(c for c in report.cells if (c.series, c.method) == (3, "cgm"))
+        assert f"| Δ_2 ≈ {cgm3.delta:.3g}, τ = 1.6 (ref 123) |" in text
+        assert "(ref Δ_2 > 1)" in text
 
     def test_csv_schema_and_reference_columns(self, small_report):
         spec, report = small_report

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -214,6 +216,44 @@ def test_audit_flags_overlong_step():
     bad[0] = dataclasses.replace(bad[0], lam=bad[0].gamma * 2.0)
     audit = audit_trace(bad, cfg, problem=p)
     assert not audit.passed
+
+
+# each tampers one field of the last event of a genuine bcv trace (its
+# predecessor is prev, its stage st), and names the check that must fire
+TAMPERS = [
+    ("i == j", "armijo", lambda e, prev, st: dict(i=e.j)),
+    ("nonpositive step length", "armijo", lambda e, prev, st: dict(lam=0.0)),
+    ("nonnegative directional derivative", "armijo",
+     lambda e, prev, st: dict(mu=0.0)),
+    ("gamma below stage epsilon", "armijo",
+     lambda e, prev, st: dict(gamma=0.5 * st.epsilon)),
+    ("mu above -delta", "armijo", lambda e, prev, st: dict(mu=-0.5 * st.delta)),
+    ("objective did not decrease", "gradient-difference",
+     lambda e, prev, st: dict(f_after=e.f_before + 1.0)),
+    ("step counter not increasing", "armijo", lambda e, prev, st: dict(k=prev.k)),
+    ("stage index decreased", "armijo",
+     lambda e, prev, st: dict(stage=prev.stage - 1)),
+    ("iterate infeasible", "armijo",
+     lambda e, prev, st: dict(point_after=e.point_after + 1.0)),
+]
+
+
+@pytest.mark.parametrize("message, rule, tamper", TAMPERS,
+                         ids=[t[0] for t in TAMPERS])
+def test_audit_flags_each_tampered_field(message, rule, tamper):
+    p = gen_quadratic(10, 5.0)
+    cfg = SolverConfig(record_points=True, linesearch=rule)
+    sched = GeometricSchedule(p, 0.1)
+    result = bcv_solve(p, cfg, stages=sched, z0=protocol_start(p))
+    assert audit_trace(result.trace, cfg, stages=sched, problem=p).passed
+    *_, prev, e = result.trace
+    assert prev.stage >= 1
+    bad = result.trace[:-1] + [
+        dataclasses.replace(e, **tamper(e, prev, sched.stage(e.stage)))]
+    audit = audit_trace(bad, cfg, stages=sched, problem=p)
+    where = f"event {len(bad) - 1} "
+    assert any(msg.startswith(where) and f": {message}" in msg
+               for msg in audit.failures), audit.failures
 
 
 def test_audit_empty_trace_vacuous_pass():

@@ -233,14 +233,13 @@ def counted_solve(monkeypatch, p, solve, budget):
 
 
 def test_restarts_that_change_nothing_reuse_projection_and_gap(monkeypatch):
-    # bcv walks 9 of its 10 stages without a step from this start. The start
-    # projection moves the point by an ulp, so the first restart projects
-    # again; its result is the point byte for byte, and the 8 restarts after
-    # it neither project nor solve a knapsack
+    # bcv walks 9 of its 10 stages without a step from this start. A restart
+    # with no step onto the same problem changes only the thresholds, so the
+    # start's projection is the only one and those restarts solve no knapsack
     res, calls, products = counted_solve(monkeypatch, gen_convex_log(3000, 10.0),
                                          bcv_solve, 20)
     assert res.stages_completed == 10
-    assert calls["project"] == 2
+    assert calls["project"] == 1
     assert calls["linear_gap"] <= 2
     # the state's build; the exit rebuild is a sparse correction
     assert products == 1
@@ -252,6 +251,28 @@ def test_restarts_onto_a_new_problem_project_every_time(monkeypatch):
     res, calls, _ = counted_solve(monkeypatch, p, bcv_solve, 20)
     assert res.stages_completed == 10
     assert calls["project"] == res.stages_completed
+
+
+@pytest.mark.parametrize("rule", ["armijo", "gradient-difference"])
+@pytest.mark.parametrize("accuracy", [1e-3, 1e-6])
+@pytest.mark.parametrize("family", [gen_quadratic, gen_convex_log, gen_nonsmooth_l1])
+def test_no_knapsack_is_solved_twice_on_the_same_inputs(monkeypatch, family,
+                                                        accuracy, rule):
+    # a restart that carries the state over, after steps or none, keeps the
+    # last pass's gap instead of solving the same knapsack again
+    inputs = []
+
+    def recorded(g, x, p, _kernel=solvers.linear_gap):
+        inputs.append((g.tobytes(), x.tobytes(), id(p)))
+        return _kernel(g, x, p)
+
+    monkeypatch.setattr(solvers, "linear_gap", recorded)
+    p = family(40, 5.0)
+    cfg = SolverConfig(target_accuracy=accuracy, linesearch=rule,
+                       max_inner_iterations=300)
+    res = bcv_solve(p, cfg, z0=protocol_start(p))
+    assert res.stages_completed > 1
+    assert len(set(inputs)) == len(inputs)
 
 
 @pytest.mark.parametrize("solve", [bcv_solve, mbc_solve])

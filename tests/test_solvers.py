@@ -14,6 +14,7 @@ from bicoord import (
     QuadraticObjective,
     SolverConfig,
     Stage,
+    StageProvider,
     armijo_linesearch,
     bcv_solve,
     cgm_solve,
@@ -497,6 +498,37 @@ def test_cgm_zero_iterations_from_optimum():
     result = cgm_solve(p, z0=y_star)
     assert result.converged
     assert result.inner_iterations_total == 0
+
+
+def test_cgm_max_stages_ends_before_tau_reaches_the_accuracy():
+    # the gap meets 0.1 on the first stage, whose tau is 1.6
+    p = gen_nonsmooth_l1(10, 5.0)
+    result = cgm_solve(p, SolverConfig(max_stages=1), z0=protocol_start(p))
+    assert (result.stop_reason, result.converged) == ("max_stages", False)
+    assert result.stages_completed == 1
+    assert result.smoothing == 1.6
+    assert result.error_bound <= 0.1
+
+
+class OneStage(StageProvider):
+    """Every stage is the same one."""
+
+    def __init__(self, stage):
+        self._stage = stage
+
+    def stage(self, l):
+        return self._stage
+
+
+def test_cgm_stalls_when_the_next_stage_keeps_the_problem():
+    p = gen_nonsmooth_l1(10, 5.0)
+    assert p.objective.smoothing > 0.1
+    result = cgm_solve(p, SolverConfig(), stages=OneStage(Stage(p, 1.0, 1.0)),
+                       z0=protocol_start(p))
+    assert (result.stop_reason, result.converged) == ("stalled", False)
+    assert result.stages_completed == 1
+    assert result.inner_iterations_total > 0
+    assert result.error_bound <= 0.1
 
 
 def test_mbc_first_pair_matches_bcv_at_vanishing_threshold():
