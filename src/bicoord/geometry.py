@@ -56,22 +56,69 @@ def _bisect_lambda(z, a, lower, upper, beta, lo: float, hi: float, buf) -> float
     return 0.5 * (lo + hi)
 
 
+def _sorted_search(bps, beta: float, balance) -> float:
+    """lam* by a bracket search over the breakpoints bps, sorted here in
+    place: the last breakpoint whose balance is below beta and the next
+    one, from balance(lam), a balance that may hold values already taken."""
+    bps.sort()
+    g_lo = balance(bps[0])
+    g_hi = balance(bps[-1])
+    if beta <= g_lo:
+        return float(bps[0])
+    if beta >= g_hi:
+        return float(bps[-1])
+    # invariant: gl = balance(bps[left]) < beta <= balance(bps[right]) = gr
+    left, right, gl, gr = 0, len(bps) - 1, g_lo, g_hi
+    # a feasible z has lam* = 0: probe the first breakpoint at or above 0
+    k = int(np.searchsorted(bps, 0.0))
+    width = 2 * right  # the first probe is not held to the halving test
+    while right - left > 1:
+        k = min(max(k, left + 1), right - 1)
+        g = balance(bps[k])
+        if g < beta:
+            left, gl = k, g
+        else:
+            right, gr = k, g
+        if 2 * (right - left) <= width:
+            # next probe where the secant through the bracket meets beta
+            bl, br = float(bps[left]), float(bps[right])
+            t = bl + (beta - gl) * (br - bl) / (gr - gl)
+            k = int(np.searchsorted(bps, t))
+        else:
+            # the step did not halve the bracket: bisect
+            k = (left + right) // 2
+        width = right - left
+    return _interpolate(float(bps[left]), float(bps[right]), gl, gr, beta)
+
+
+def _interpolate(bl: float, br: float, gl: float, gr: float,
+                 beta: float) -> float:
+    """lam* between adjacent breakpoints bl < br, where the map is affine,
+    from their balances gl < beta <= gr."""
+    return bl + (beta - gl) * (br - bl) / (gr - gl) if gr > gl else bl
+
+
 def project(z, p: ProblemInstance) -> np.ndarray:
     """Euclidean projection of z onto the feasible set of p.
 
     The projection is clip(z + lam* a) where lam* solves
     <a, clip(z + lam a)> = beta. Breakpoints of the map are the lam values
-    where a coordinate enters or leaves its bound. A bracket search finds
-    the last sorted breakpoint whose balance is below beta: it probes first
-    the breakpoint at lam = 0, where a feasible z has lam*, then where the
-    secant through the bracket meets beta, and bisects after a probe that
-    fails to halve the bracket, so it takes at most about twice the probes
-    of a plain bisection. lam* is recovered by linear interpolation from
-    the balances kept at the bracket's ends, exact because the map is
-    affine between breakpoints. Where rounding leaves that lam's residual
-    above 1e-11 relative (points far off the box), a bisection on lam is
-    tried, and its lam kept only when it ends closer to beta. Every
-    evaluation of the map reuses one buffer.
+    where a coordinate enters or leaves its bound; lam* lies between the
+    last sorted breakpoint whose balance is below beta and the next one. A
+    feasible z has lam* = 0, so the largest breakpoint below 0 and the
+    smallest at or above it (-0.0 included), found by masked reductions,
+    are tried first: where their balances bracket beta they are that pair,
+    and no sort is needed. Otherwise the breakpoints are sorted and a
+    bracket search, reusing the balances the probe took, finds the pair:
+    it probes first the breakpoint at lam = 0, then where the secant
+    through the bracket meets beta, and bisects after a probe that fails to
+    halve the bracket, so it takes at most about twice the probes of a
+    plain bisection. lam* is recovered by linear interpolation from the
+    balances at the pair, exact because the map is affine between
+    breakpoints. Where rounding leaves that lam's residual above 1e-11
+    relative (points far off the box), a bisection on lam is tried, and its
+    lam kept only when it ends closer to beta. Every evaluation of the map
+    reuses one buffer.
     """
     a = p.equality.a
     lower, upper = p.bounds.lower, p.bounds.upper
@@ -85,52 +132,45 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     bps -= z
     bps /= a
     bps = bps.ravel()
-    bps.sort()
     buf = np.empty_like(a)
 
     def balance(lam) -> float:
         return _balance(lam, z, a, lower, upper, buf)
 
-    g_lo = balance(bps[0])
-    g_hi = balance(bps[-1])
-    if beta <= g_lo:
-        lam = float(bps[0])
-    elif beta >= g_hi:
-        lam = float(bps[-1])
-    else:
-        # invariant: gl = balance(bps[left]) < beta <= balance(bps[right]) = gr
-        left, right, gl, gr = 0, len(bps) - 1, g_lo, g_hi
-        # a feasible z has lam* = 0: probe the first breakpoint at or above 0
-        k = int(np.searchsorted(bps, 0.0))
-        width = 2 * right  # the first probe is not held to the halving test
-        while right - left > 1:
-            k = min(max(k, left + 1), right - 1)
-            g = balance(bps[k])
-            if g < beta:
-                left, gl = k, g
-            else:
-                right, gr = k, g
-            if 2 * (right - left) <= width:
-                # next probe where the secant through the bracket meets beta
-                bl, br = float(bps[left]), float(bps[right])
-                t = bl + (beta - gl) * (br - bl) / (gr - gl)
-                k = int(np.searchsorted(bps, t))
-            else:
-                # the step did not halve the bracket: bisect
-                k = (left + right) // 2
-            width = right - left
-        bl, br = float(bps[left]), float(bps[right])
-        if gr > gl:
-            lam = bl + (beta - gl) * (br - bl) / (gr - gl)
-        else:
-            lam = bl
+    # the breakpoints next to 0; the sorted search reuses the balances the
+    # probe takes there, which equal its own at the same values
+    negative = bps < 0.0
+    b_neg = float(np.max(bps, where=negative, initial=-np.inf))
+    b_pos = float(np.min(bps, where=~negative, initial=np.inf))
+    known = {}
+
+    def probe(lam) -> float:
+        known[lam] = g = balance(lam)
+        return g
+
+    lam = None
+    if b_neg > -np.inf and b_pos < np.inf:
+        g_pos = probe(b_pos)
+        if beta <= g_pos and probe(b_neg) < beta:
+            # the sorted search's last bracket, unless beta is the top
+            # balance, where it ends at the largest breakpoint
+            top = g_pos
+            if not beta < g_pos:
+                b_max = float(bps.max())
+                top = probe(b_max) if b_max > b_pos else g_pos
+            if beta < top:
+                lam = _interpolate(b_neg, b_pos, known[b_neg], g_pos, beta)
+    if lam is None:
+        lam = _sorted_search(
+            bps, beta, lambda b: known[b] if b in known else balance(b))
 
     residual = beta - balance(lam)
     if abs(residual) > 1e-11 * max(1.0, abs(beta)):
         # interpolation degenerated, fall back to bisection on lam, and keep
         # the interpolated lam when the bisection ends no closer to beta
         lam_b = _bisect_lambda(z, a, lower, upper, beta,
-                               float(bps[0]) - 1.0, float(bps[-1]) + 1.0, buf)
+                               float(bps.min()) - 1.0, float(bps.max()) + 1.0,
+                               buf)
         residual_b = beta - balance(lam_b)
         if abs(residual_b) < abs(residual):
             residual = residual_b

@@ -15,6 +15,13 @@ gradient itself and the selection's key arrays, so a trial and a move cost
 O(1) and a selection one argmax and one argmin pass. Every other objective
 evaluates in full.
 
+Backtracking linesearches skip trials that must fail. Along cgm's line and
+along a pair, the quadratic family and the separable quadratic give a
+LineModel of the trial: a quadratic in the step length, certified to lie
+below the trial's computed value, rounding included, and a cut above which
+the trial leaves the domain. A linesearch starts at the first trial that
+the model cannot reject.
+
 Instances are immutable; the same object can be shared across stages.
 """
 
@@ -46,6 +53,18 @@ class DomainError(ValueError):
     """The point lies outside the objective's domain (a log argument <= 0)."""
 
 
+#: the unit roundoff of float64
+_U = 2.0**-53
+
+#: A line model (slope, kappa, margin, cut) of a linesearch trial along a
+#: line: for steps 0 < lam < cut,
+#: trial(lam) - f_0 >= slope lam + kappa lam^2 / 2 - margin, with the trial
+#: as computed, rounding included, and f_0 the value the Armijo threshold
+#: starts from; every trial at lam >= cut lies outside the objective's
+#: domain. A plain tuple, as one is built per linesearch.
+LineModel = tuple[float, float, float, float]
+
+
 def _log_domain(den: float) -> float:
     if not den > 0.0:
         raise DomainError("log argument not positive at this point")
@@ -54,20 +73,28 @@ def _log_domain(den: float) -> float:
 
 def is_symmetric(M: np.ndarray, atol: float) -> bool:
     """Whether |M_ij - M_ji| <= atol + 1e-5 min(|M_ij|, |M_ji|) for all i, j,
-    which is np.allclose(M, M.T, atol=atol); NaN is never close. Row blocks
-    of the upper triangle are compared with the mirrored column blocks, so no
-    temporary is larger than a block."""
+    which is np.allclose(M, M.T, atol=atol); NaN is never close."""
+    return _symmetry(M, atol) is not None
+
+
+def _symmetry(M: np.ndarray, atol: float) -> bool | None:
+    """None where M is not symmetric in is_symmetric's sense, else whether
+    M equals M.T exactly. Row blocks of the upper triangle are compared with
+    the mirrored column blocks, so no temporary is larger than a block."""
     n = M.shape[0]
     step = max(1, (1 << 16) // max(n, 1))
+    exact = True
     for i in range(0, n, step):
         rows = M[i:i + step, i:]
         cols = M[i:, i:i + step].T
+        diff = np.abs(rows - cols)
         tol = np.minimum(np.abs(rows), np.abs(cols))
         tol *= 1e-5
         tol += atol
-        if not (np.abs(rows - cols) <= tol).all():
-            return False
-    return True
+        if not (diff <= tol).all():
+            return None
+        exact = exact and not diff.any()
+    return exact
 
 
 class Objective:
@@ -97,11 +124,12 @@ class Objective:
         """State at x for pair steps; takes ownership of x and updates it."""
         return PairState(self, x)
 
-    def line_bound(self, x: np.ndarray, d: np.ndarray):
-        """lb(lam) <= value(x + lam * d) as computed, rounding included, or
-        +inf where that point certainly lies outside the domain; or None
-        where the objective offers no such bound."""
-        return None
+    def gradient_line(self, x: np.ndarray):
+        """(gradient(x), line): line(d, gamma, radius) is a LineModel of
+        value(x + lam d) - value(x) for lam <= gamma, both values as
+        computed, where radius bounds ||x + lam d||_1 for 0 <= lam <= gamma;
+        line is None where the objective offers no such model."""
+        return self.gradient(x), None
 
 
 @dataclass(frozen=True)
@@ -153,15 +181,18 @@ class PairState:
     form; trial(i, di, j, dj) is f(x + di e_i + dj e_j), or, where
     trial_is_change, the exact change of f from x to that point, and
     outside the domain it raises DomainError or returns +inf;
-    move(i, xi, j, xj) sets x_i = xi and x_j = xj; abs_gradient_dot(w) is
-    sum_i |g_i| w_i. The gradient array belongs to the state and holds
-    until the next move or rebuild. `moves` counts the moves applied
-    incrementally since the last rebuild from x, which clears their
-    accumulated rounding: value and gradient are then the full oracle's, or,
-    on a quadratic state from SPARSE_REBUILD_MIN_N coordinates up, within
-    the rounding of one product and an |S|-term sum of it. This default
+    line_model(i, di, j, dj, f_0) is a LineModel of
+    trial(i, lam di, j, lam dj) - f_0, or None; move(i, xi, j, xj) sets
+    x_i = xi and x_j = xj; abs_gradient_dot(w) is sum_i |g_i| w_i. The
+    gradient array belongs to the state and holds until the next move or
+    rebuild. `moves` counts the moves applied incrementally since the last
+    rebuild from x, which clears their accumulated rounding: value and
+    gradient are then the full oracle's, or, on a quadratic state from
+    SPARSE_REBUILD_MIN_N coordinates up, within the rounding of one product
+    and an |S|-term sum of it. This default
     evaluates the value in full and the gradient once per point, on the
-    full-gradient selection rule, so it never drifts and `moves` stays 0.
+    full-gradient selection rule, so it never drifts and `moves` stays 0,
+    and it offers no line model.
     """
 
     moves = 0
@@ -194,6 +225,12 @@ class PairState:
 
     def abs_gradient_dot(self, w) -> float:
         return float(np.abs(self.gradient()) @ w)
+
+    def line_model(self, i: int, di: float, j: int, dj: float,
+                   f_0: float) -> LineModel | None:
+        """A LineModel of trial(i, lam di, j, lam dj) - f_0, or None where
+        the state offers none."""
+        return None
 
     def trial(self, i: int, di: float, j: int, dj: float) -> float:
         y = self.x.copy()
@@ -260,20 +297,65 @@ class _QuadraticPairState(PairState):
         return self.objective._gradient_at(self.x, self.Px, self.den)
 
     def _quad_after(self, i, di, j, dj) -> float:
+        # item() reads Python floats, whose arithmetic costs less than numpy
+        # scalars' and rounds the same
         P, Px = self.objective.P, self.Px
-        return (self.quad + di * (Px[i] + 0.5 * di * P[i, i])
-                + dj * (Px[j] + 0.5 * dj * P[j, j]) + di * dj * P[i, j])
+        return (self.quad + di * (Px.item(i) + 0.5 * di * P.item(i, i))
+                + dj * (Px.item(j) + 0.5 * dj * P.item(j, j))
+                + di * dj * P.item(i, j))
+
+    def line_model(self, i, di, j, dj, f_0):
+        """The trial's exact change from the cached parts has slope
+        d_i g_i + d_j g_j and curvature d_i^2 P_ii + d_j^2 P_jj
+        + 2 d_i d_j P_ij; the log and the smoothed-l1 term are convex, so
+        their tangents bound them from below. The margins cover the rounding
+        of the trial, of the gradient and of the parts' sum, and f_0's
+        distance from that sum; max|P_ij| (|d_i| + |d_j|)^2 bounds the
+        curvature's terms. Steps from where the log argument's upper
+        bound den (1 + 4u) + lam (c_i d_i + c_j d_j + 8u (|c_i d_i| +
+        |c_j d_j|)) is <= 0 return +inf."""
+        obj, g = self.objective, self.gradient()
+        P = obj.P
+        kappa = (di * di * P.item(i, i) + dj * dj * P.item(j, j)
+                 + 2.0 * di * dj * P.item(i, j))
+        ti, tj = di * g.item(i), dj * g.item(j)
+        width = abs(di) + abs(dj)
+        # |d_i| times a bound on |g_i|'s parts, summed over i and j: P x_i
+        # is g_i less the other parts
+        spread = abs(ti) + abs(tj)
+        parts, f_0 = float(self.quad), float(f_0)
+        scale = abs(parts) + abs(f_0) + 1.0
+        cut = math.inf
+        if self.den is not None:
+            den = self.den
+            cdi, cdj = obj.c.item(i) * di, obj.c.item(j) * dj
+            cabs = abs(cdi) + abs(cdj)
+            rate = cdi + cdj + 8.0 * _U * cabs
+            if rate < 0.0:
+                cut = den * (1.0 + 4.0 * _U) / -rate * (1.0 + 16.0 * _U)
+            log = math.log(den)
+            parts -= log
+            scale += abs(log)
+            spread += 2.0 * cabs / den
+        if self.l1 is not None:
+            parts += self.l1
+            scale += self.l1
+            spread += 2.0 * width
+        margin = 32.0 * _U * scale + (f_0 - parts)
+        return (ti + tj - 64.0 * _U * spread,
+                kappa - 16.0 * _U * obj._p_max * width * width,
+                max(margin, 0.0), cut)
 
     def trial(self, i, di, j, dj):
         obj = self.objective
         den = self.den
         if den is not None:
-            den = den + obj.c[i] * di + obj.c[j] * dj
+            den = den + obj.c.item(i) * di + obj.c.item(j) * dj
             if not den > 0.0:
                 return math.inf
         l1 = self.l1
         if l1 is not None:
-            xi, xj = self.x[i], self.x[j]
+            xi, xj = self.x.item(i), self.x.item(j)
             h = obj._abs_sqrt
             l1 = l1 + (h(xi + di) - h(xi)) + (h(xj + dj) - h(xj))
         return obj._combine(self._quad_after(i, di, j, dj), den, l1)
@@ -329,7 +411,8 @@ class QuadraticObjective(Objective):
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be a square matrix")
         self._p_max = float(max(P.max(), -P.min()))  # max |P_ij|
-        if not is_symmetric(P, atol=1e-12 * max(1.0, self._p_max)):
+        self._symmetric = _symmetry(P, atol=1e-12 * max(1.0, self._p_max))
+        if self._symmetric is None:
             raise ValueError("P must be symmetric")
         self.P = P
         if c is not None:
@@ -366,8 +449,10 @@ class QuadraticObjective(Objective):
         new.smoothing = _positive_tau(eps)
         return new
 
+    # value, gradient and the log argument take ndarray.dot: the same BLAS
+    # call and bits as @, with less overhead on short vectors
     def _log_arg(self, x) -> float | None:
-        return None if self.c is None else float(self.c @ x) + self.xi
+        return None if self.c is None else float(self.c.dot(x)) + self.xi
 
     def _abs_sqrt(self, t: float) -> float:
         return math.sqrt(t * t + self.smoothing**2)
@@ -375,7 +460,8 @@ class QuadraticObjective(Objective):
     def _l1(self, x) -> float | None:
         if self.smoothing is None:
             return None
-        return float(np.sum(smooth_abs_sqrt(x, self.smoothing**2)[0]))
+        # smooth_abs_sqrt's value, without its derivative
+        return float(np.sum(np.sqrt(x * x + self.smoothing**2)))
 
     def _combine(self, quad: float, den: float | None, l1: float | None) -> float:
         value = quad
@@ -392,11 +478,11 @@ class QuadraticObjective(Objective):
         return g
 
     def value(self, x):
-        return self._combine(0.5 * float(x @ (self.P @ x)), self._log_arg(x),
+        return self._combine(0.5 * float(x.dot(self.P.dot(x))), self._log_arg(x),
                              self._l1(x))
 
     def gradient(self, x):
-        return self._gradient_at(x, self.P @ x, self._log_arg(x))
+        return self._gradient_at(x, self.P.dot(x), self._log_arg(x))
 
     def partial(self, i, x):
         v = float(self.P[i] @ x)
@@ -407,51 +493,58 @@ class QuadraticObjective(Objective):
             v = v + xi_ / np.hypot(xi_, self.smoothing)
         return v
 
-    def line_bound(self, x, d):
-        """lb(lam) <= value(x + lam d) as computed, from one P x and one P d.
+    def gradient_line(self, x):
+        """(gradient(x), line) from one P x, which line(d, gamma, radius)
+        shares with the gradient, and one P d per line.
 
-        Each part bounds value's computed part from below and lb adds them
-        in value's order, so lb <= value, rounding being monotone. With
-        w = ||x||_1 + lam ||d||_1 and tol = (n + 2) 2^-50, about four times
-        the worst rounding:
-        - the quadratic expanded exactly, q1 = (<P x, d> + <x, P d>) / 2 as P
-          may be slightly asymmetric, less tol max|P_ij| w^2;
-        - -ln at the log argument plus tol (max|c_i| w + |xi|), less a few
-          ulps; +inf where that upper bound is <= 0, so that value raises;
-        - the convex smoothed-l1 sum's tangent at x, less tol times its scale
-          and 2^-52 w for the rounding of the trial point.
+        With u = 2^-53, tol = (n + 2) 2^-50, about eight times the worst
+        rounding of an n-term sum, and w = radius, which bounds ||x||_1 and
+        ||x + lam d||_1, and 2 w / gamma, which bounds ||d||_1:
+        - the quadratic changes by lam (<P x, d> + <x, P d>) / 2 plus
+          lam^2 <d, P d> / 2; the slope is read as <g, d>, plus the
+          asymmetric half where P is not exactly symmetric, and rounding
+          takes 2 tol max|P_ij| w^2 from the margin;
+        - -ln is convex: at the trial point its argument is at most
+          den + lam <c, d> + r0 + lam r1, with r0 + lam r1 =
+          tol (max|c_i| (w + lam ||d||_1) + |xi|), so the tangent at den
+          bounds it, and the cut is where that upper bound reaches 0;
+        - the smoothed-l1 sum is convex, so its tangent bounds it; rounding
+          takes 2 tol (w + n tau) from the margin.
+        The slope's rounding is at most tol ||d||_1 times the bound on |g_i|
+        that each part gives.
         """
-        tol = (x.shape[0] + 2) * 2.0**-50
-        Px, Pd = self.P @ x, self.P @ d
-        q0 = 0.5 * float(x @ Px)
-        q1 = 0.5 * (float(Px @ d) + float(x @ Pd))
-        q2 = 0.5 * float(d @ Pd)
-        nx, nd = float(np.abs(x).sum()), float(np.abs(d).sum())
-        env = tol * self._p_max
-        c, tau = self.c, self.smoothing
-        if c is not None:
-            den0, den1 = float(c @ x) + self.xi, float(c @ d)
-            r0 = tol * (self._c_max * nx + abs(self.xi))
-            r1 = tol * self._c_max * nd
-        if tau is not None:
-            root = np.sqrt(x * x + tau**2)
-            s0, s1 = float(root.sum()), float((x / root) @ d)
+        P, c, tau = self.P, self.c, self.smoothing
+        Px, den = P.dot(x), self._log_arg(x)
+        g = self._gradient_at(x, Px, den)
+        n = x.shape[0]
+        tol = (n + 2) * 2.0**-50
+        p, symmetric = self._p_max, self._symmetric
 
-        def lb(lam: float) -> float:
-            w = nx + lam * nd
-            value = q0 + lam * q1 + lam * lam * q2 - env * w * w
+        def line(d, gamma, radius):
+            Pd = P.dot(d)
+            slope = float(g.dot(d))
+            if not symmetric:
+                slope += 0.5 * (float(x.dot(Pd)) - float(Px.dot(d)))
+            nd = 2.0 * radius / gamma
+            spread = 2.0 * p * radius
+            margin = 2.0 * tol * p * radius * radius
+            cut = math.inf
             if c is not None:
-                den = den0 + lam * den1 + (r0 + lam * r1)
-                if not den > 0.0:
-                    return math.inf
-                log = math.log(den)
-                value = value - (log + 2.0**-48 * abs(log))
+                c_max = self._c_max
+                den1 = float(c.dot(d))
+                r0 = tol * (c_max * radius + abs(self.xi))
+                r1 = tol * c_max * nd
+                if den1 + r1 < 0.0:
+                    cut = (den + r0) / -(den1 + r1) * (1.0 + 2.0**-40)
+                spread += 3.0 * c_max / den
+                margin += 2.0 * r0 / den + tol * abs(math.log(den))
             if tau is not None:
-                value = value + (s0 + lam * s1 - tol * (s0 + lam * nd)
-                                 - 2.0**-52 * w)
-            return value
+                spread += 1.0
+                margin += 2.0 * tol * (radius + n * tau)
+            return (slope - tol * nd * spread, float(d.dot(Pd)) - tol * p * nd * nd,
+                    margin, cut)
 
-        return lb
+        return g, line
 
     def pair_state(self, x):
         return _QuadraticPairState(self, x)
@@ -644,9 +737,22 @@ class _SeparablePairState(PairState):
             y_i, y_j = signs[i] * y_i, signs[j] * y_j
         return _selection(ks, i, j, y_i, y_j, self.h[j] - self.h[i])
 
+    def line_model(self, i, di, j, dj, f_0):
+        """The trial is the exact change d_i g_i + d_j g_j + (q_i d_i^2
+        + q_j d_j^2) / 2 at lam = 1, computed; 16u of each term's size
+        covers its rounding."""
+        g, q = self.g, self.objective.quad
+        qi, qj = q.item(i), q.item(j)
+        ti, tj = di * g.item(i), dj * g.item(j)
+        kappa = qi * di * di + qj * dj * dj
+        kabs = abs(qi) * di * di + abs(qj) * dj * dj
+        return (ti + tj - 16.0 * _U * (abs(ti) + abs(tj)),
+                kappa - 16.0 * _U * kabs, max(f_0, 0.0), math.inf)
+
     def trial(self, i, di, j, dj):
         g, q = self.g, self.objective.quad
-        return float(di * (g[i] + 0.5 * q[i] * di) + dj * (g[j] + 0.5 * q[j] * dj))
+        return (di * (g.item(i) + 0.5 * q.item(i) * di)
+                + dj * (g.item(j) + 0.5 * q.item(j) * dj))
 
     def move(self, i, xi, j, xj):
         x = self.x

@@ -45,10 +45,16 @@ state's last full product, within the rounding of one product. A stage
 restart projects only after a step or onto a new problem object, and one
 that keeps the problem and the point changes only the thresholds.
 
-cgm's Armijo trials along d = y - x are full values, except those that the
-objective's line_bound proves above the threshold: they would fail, so they
-are skipped. On the quadratic family the bound costs one P x and one P d
-per step and O(1) per trial, so a cgm step evaluates f about once.
+Every Armijo backtrack starts at the first trial that a quadratic lower
+model of the trial cannot reject (_start_index): the model is certified to
+lie below the computed trial, rounding included, so every trial before it
+would fail and none of them is evaluated, and the accepted step is a full
+scan's. On cgm's line d = y - x the quadratic family's model
+(Objective.gradient_line) shares the gradient's P x and takes one P d; on a
+pair, the quadratic and separable states' models cost O(1). So a cgm step
+evaluates f about once, and a pair step about one trial. The
+gradient-difference rule, and objectives without a model, scan from the
+first trial.
 """
 
 from __future__ import annotations
@@ -64,8 +70,8 @@ import numpy as np
 # the other geometry kernels, under the name this module binds
 from .geometry import (check_feasibility, floor_zero, linear_gap,
                        minimize_linear, project)
-from .objectives import (DomainError, Objective, PairSelection, PairState,
-                         _extreme_pair)
+from .objectives import (DomainError, LineModel, Objective, PairSelection,
+                         PairState, _U, _extreme_pair)
 from .problem import GeometricSchedule, ProblemInstance, Stage, StageProvider
 
 __all__ = [
@@ -178,40 +184,92 @@ def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
 
 def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
                       sigma: float = 0.5, theta: float = 0.5,
-                      max_backtracks: int = 60,
-                      f_x: float | None = None) -> tuple[float, int, float]:
+                      max_backtracks: int = 60, f_x: float | None = None,
+                      line: LineModel | None = None) -> tuple[float, int, float]:
     """Backtracking on objective values.
 
     Returns (lambda, m, f_new) for the smallest m >= 0 with
     f(x + theta^m gamma d) <= f(x) + sigma theta^m gamma mu, where mu is the
     directional derivative <f'(x), d> and must be negative. A trial point
     outside the objective's domain, or with a non-finite value, is rejected.
+    `line`, the objective's LineModel along d from x for steps up to gamma
+    (Objective.gradient_line), starts the search at the first trial it
+    cannot reject; f_x must then be objective.value(x) as computed.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if f_x is None:
         f_x = objective.value(x)
+    m0 = _start_index(line, gamma, mu, sigma, theta, f_x, max_backtracks)
     return _backtrack(lambda lam: objective.value(x + lam * d), gamma, mu,
-                      sigma, theta, max_backtracks, f_x,
-                      objective.line_bound(x, d))
+                      sigma, theta, max_backtracks, f_x, m0)
+
+
+def _start_index(model: LineModel | None, gamma: float, mu: float,
+                 sigma: float, theta: float, f_0: float,
+                 max_backtracks: int) -> int:
+    """The first m whose trial at lam = gamma theta^m the LineModel cannot
+    reject, or max_backtracks + 1 when it rejects them all; 0 without one.
+
+    With u = 2^-53, the computed threshold f_0 + sigma lam mu is at most
+    f_0 + sigma lam mu + 4u (sigma lam |mu| + |f_0|), so a trial fails where
+    kappa lam^2 / 2 - b lam - c > 0, with b = sigma mu - slope and
+    c = margin, each raised by that rounding and its own (8u (|mu| +
+    |slope|) and 2u |f_0|). With kappa > 0 that holds above the positive
+    root, which a relative 2^-40 moves up further; every trial from the
+    model's cut on fails too. When in doubt the search starts earlier,
+    never later.
+    """
+    if model is None:
+        return 0
+    slope, kappa, margin, cut = model
+    lam_bar = cut
+    b = sigma * mu - slope + 8.0 * _U * (abs(mu) + abs(slope))
+    c = margin + 2.0 * _U * abs(f_0)
+    # the root of kappa lam^2 / 2 - b lam - c, in forms without cancellation
+    # or a spurious zero division; an overflow only makes it inf, and a NaN
+    # model leaves lam_bar at the cut
+    if kappa > 0.0:
+        if b > 0.0:
+            root = b / kappa * (1.0 + math.sqrt(1.0 + 2.0 * kappa * c / b / b))
+        elif b <= 0.0 and c >= 0.0:
+            s = math.hypot(b, math.sqrt(2.0 * kappa) * math.sqrt(c))
+            root = 2.0 * c / (s - b) if s - b > 0.0 else 0.0  # b = c = 0
+        else:
+            root = math.inf
+        root *= 1.0 + 2.0**-40
+        if root < lam_bar:
+            lam_bar = root
+    m = 0
+    ratio = lam_bar / gamma
+    if 0.0 < ratio < 1.0 and 0.0 < theta < 1.0:
+        # a guess from the logarithms, settled on lam as _backtrack computes
+        # it; theta^m falls with m
+        m = int(math.log(ratio) / math.log(theta))
+        if m > max_backtracks:
+            m = max_backtracks + 1
+        while m > 0 and gamma * theta**(m - 1) <= lam_bar:
+            m -= 1
+    while m <= max_backtracks and gamma * theta**m > lam_bar:
+        m += 1
+    return m
 
 
 def _backtrack(trial, gamma: float, mu: float, sigma: float, theta: float,
                max_backtracks: int, f_x: float,
-               bound=None) -> tuple[float, int, float]:
-    """(lambda, m, trial(lambda)) for the smallest m >= 0 whose trial at
-    lambda = theta^m gamma is finite and at most f_x + sigma lambda mu. A
-    trial that raises DomainError is rejected, and so, unevaluated, is one
-    whose lower bound bound(lam) exceeds the threshold: it would fail."""
+               m0: int = 0) -> tuple[float, int, float]:
+    """(lambda, m, trial(lambda)) for the smallest m >= m0 whose trial at
+    lambda = theta^m gamma is finite and at most f_x + sigma lambda mu; a
+    trial that raises DomainError is rejected. Callers start at m0 > 0 only
+    where every earlier trial is proven to fail, so the result is a full
+    scan's."""
     if not mu < 0.0:
         raise ValueError("directional derivative must be negative")
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
-    for m in range(max_backtracks + 1):
+    for m in range(m0, max_backtracks + 1):
         lam = gamma * theta**m
         threshold = f_x + sigma * lam * mu
-        if bound is not None and bound(lam) > threshold:
-            continue
         try:
             f_new = trial(lam)
         except DomainError:
@@ -263,23 +321,25 @@ def _pair_coordinates(x, p: ProblemInstance, sel: PairSelection,
     knapsack coordinates y = signs * x and mapped back; bounds are hit
     exactly."""
     ks = p.knapsack
-    a, lower, upper = ks.a, ks.lower, ks.upper
     i, j = sel.i, sel.j
+    # Python floats: the same roundings as numpy scalars, at less cost
+    a_i, a_j = ks.a.item(i), ks.a.item(j)
+    lo_i, lo_j = ks.lower.item(i), ks.lower.item(j)
+    up_i, up_j = ks.upper.item(i), ks.upper.item(j)
     s_i = s_j = 1.0
     if ks.signs is not None:
-        s_i, s_j = ks.signs[i], ks.signs[j]
-    y_i, y_j = s_i * x[i], s_j * x[j]
+        s_i, s_j = ks.signs.item(i), ks.signs.item(j)
+    y_i, y_j = s_i * x.item(i), s_j * x.item(j)
     # full step lands exactly on whichever bound defined gamma
-    if lam == sel.gamma and sel.gamma == a[i] * (y_i - lower[i]):
-        y_i = lower[i]
+    if lam == sel.gamma and sel.gamma == a_i * (y_i - lo_i):
+        y_i = lo_i
     else:
-        y_i = y_i - lam / a[i]
-    if lam == sel.gamma and sel.gamma == a[j] * (upper[j] - y_j):
-        y_j = upper[j]
+        y_i = y_i - lam / a_i
+    if lam == sel.gamma and sel.gamma == a_j * (up_j - y_j):
+        y_j = up_j
     else:
-        y_j = y_j + lam / a[j]
-    return (s_i * min(max(y_i, lower[i]), upper[i]),
-            s_j * min(max(y_j, lower[j]), upper[j]))
+        y_j = y_j + lam / a_j
+    return (s_i * min(max(y_i, lo_i), up_i), s_j * min(max(y_j, lo_j), up_j))
 
 
 def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
@@ -288,14 +348,16 @@ def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
     a = p.equality.a
     i, j = sel.i, sel.j
     if cfg.linesearch == LinesearchRule.ARMIJO:
-        d_i, d_j = -1.0 / a[i], 1.0 / a[j]
+        d_i, d_j = -1.0 / a.item(i), 1.0 / a.item(j)
         trial = lambda t: state.trial(i, t * d_i, j, t * d_j)
         # a trial that is the exact change of f is tested from 0
         f_0 = 0.0 if state.trial_is_change else f_x
+        m0 = _start_index(state.line_model(i, d_i, j, d_j, f_0), sel.gamma,
+                          sel.mu, cfg.sigma, cfg.theta, f_0, cfg.max_backtracks)
     else:
-        trial, f_0 = _pair_slope(p.objective, a, state.x, i, j), 0.0
+        trial, f_0, m0 = _pair_slope(p.objective, a, state.x, i, j), 0.0, 0
     lam, m, f_new = _backtrack(trial, sel.gamma, sel.mu, cfg.sigma, cfg.theta,
-                               cfg.max_backtracks, f_0)
+                               cfg.max_backtracks, f_0, m0)
     xi, xj = _pair_coordinates(state.x, p, sel, lam)
     state.move(i, xi, j, xj)
     if cfg.linesearch != LinesearchRule.ARMIJO:
@@ -515,12 +577,15 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     trace: list[TraceEvent] = []
     steps = 0
     f_x = None  # f(x) on p_l's objective, while neither has changed
+    # x and every trial point of a step lie in the box: the line models' scale
+    radius = float(problem.box_radius.sum())
 
     while True:
         f_l = p_l.objective
-        g = f_l.gradient(x)
+        g, line = f_l.gradient_line(x)
         y, best = minimize_linear(g, problem)
-        gap = floor_zero(float(g @ x) - best)
+        # ndarray.dot: the bits of @, with less overhead on short vectors
+        gap = floor_zero(float(g.dot(x)) - best)
         if math.isnan(gap):
             # a NaN gradient gives no direction, as no pair qualifies in bcv
             stop_reason = "stalled"
@@ -548,13 +613,16 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         if f_x is None:
             f_x = f_l.value(x)
         try:
-            lam, m, f_new = armijo_linesearch(f_l, x, d, 1.0, mu, cfg.sigma,
-                                              cfg.theta, cfg.max_backtracks, f_x)
+            lam, m, f_new = armijo_linesearch(
+                f_l, x, d, 1.0, mu, cfg.sigma, cfg.theta, cfg.max_backtracks,
+                f_x, None if line is None else line(d, 1.0, radius))
         except LinesearchError:
             stop_reason = "linesearch"
             break
         trial = x + lam * d
-        x = np.clip(trial, problem.bounds.lower, problem.bounds.upper)
+        # clip as max then min: the same values as np.clip, at less cost
+        x = np.maximum(trial, problem.bounds.lower)
+        np.minimum(x, problem.bounds.upper, out=x)
         steps += 1
         trace.append(TraceEvent(
             stage=l, k=steps, i=-1, j=-1, gamma=1.0, lam=lam, mu=mu,

@@ -15,7 +15,10 @@ instances, every stop reason of the pair methods, SVM duals, portfolios
 mbc), budgeted dense solves at n = 1500 and, for families 1-3, at
 n = 3000 with 20 and 120 steps, and cgm on signed instances, families
 1-3 at 1e-8 and 1e-10, a start outside the log domain, and 5 budgeted
-steps on 1e5-agent markets. The projections:
+steps on 1e5-agent markets; and Armijo solves of bcv, mbc and cgm at sigma
+and theta of 0.1 and 0.9, on families 1-3 and 200-agent markets, where the
+first trial that a linesearch evaluates falls at other backtracks. The
+projections:
 the grid's protocol starts, 1e5-agent market starts, signed, tied and
 beta-at-the-ends instances, and points far from the box. The knapsacks
 (cases `knapsack/...`, the argmin's bytes and the value) are direct linear
@@ -240,6 +243,24 @@ def cgm_cases():
         yield f"cgm/market/100000/{seed}/budget5", res
 
 
+def armijo_cases():
+    """The Armijo rule at sigma and theta away from 0.5: the first trial a
+    linesearch evaluates, and the accepted one, fall at other backtracks."""
+    rules = list(itertools.product((0.1, 0.9), (0.1, 0.9)))
+    for series, n, (sigma, theta) in itertools.product((1, 2, 3), (10, 50), rules):
+        p = FAMILIES[series](n, 5.0)
+        for method in ("bcv", "mbc", "cgm"):
+            res = solve(method, p, protocol_start(p), sigma=sigma, theta=theta,
+                        target_accuracy=1e-6, max_inner_iterations=300)
+            yield f"armijo/family/{series}/{n}/{sigma:g}/{theta:g}/{method}", res
+    for seed, (sigma, theta) in itertools.product((2, 5), rules):
+        p = seeded_market(200, seed)
+        for method in ("bcv", "mbc", "cgm"):
+            res = solve(method, p, np.zeros(p.n), sigma=sigma, theta=theta,
+                        target_accuracy=1e-6, max_inner_iterations=2000)
+            yield f"armijo/market/200/{seed}/{sigma:g}/{theta:g}/{method}", res
+
+
 def stall_problem(kind: str):
     """Balance 1000 over [0, 1000]^2 with a scaled-gradient difference of
     about 5e-9 across the pair, below the threshold floor at accuracy 1e-6."""
@@ -449,7 +470,8 @@ def knapsack_digest(y, value) -> str:
 
 def main() -> None:
     for source in (grid_cases, family_cases, market_cases, signed_cases,
-                   cgm_cases, exit_cases, svm_cases, portfolio_cases, budgeted_dense_cases):
+                   cgm_cases, armijo_cases, exit_cases, svm_cases, portfolio_cases,
+                   budgeted_dense_cases):
         for case, res in source():
             print(case, digest(res), flush=True)
     for case, x in project_cases():
