@@ -170,11 +170,11 @@ def test_cgm_search_from_the_model_is_a_full_scan(line):
     g, model_at = obj.gradient_line(x)
     mu = float(g @ d)
     if not mu < 0.0:
-        d, mu = -d, -mu
+        # x - lam d may leave the box, but ||x - lam d||_1 <= 3 radius
+        d, mu, radius = -d, -mu, 3.0 * radius
     if not mu < 0.0:
         return
-    # -d leaves the box; twice the radius bounds the segment's points
-    model = model_at(d, 1.0, 2.0 * radius)
+    model = model_at(d, 1.0, radius)
 
     def trial(lam):
         return obj.value(x + lam * d)
