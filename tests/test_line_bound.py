@@ -12,12 +12,11 @@ families and random instances: PSD, slightly asymmetric and zero P, signed
 coefficients, d from a knapsack vertex, tiny steps, log arguments near zero
 and the smoothed-l1 term alone; compare a started search with a full scan
 at sigma and theta of 0.1, 0.5 and 0.9; and count the trials that cgm, bcv
-and mbc evaluate on the benchmark grid.
+and mbc evaluate on the benchmark grid and on a converged market.
 """
 
-import itertools
-
 from fractions import Fraction
+import itertools
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
