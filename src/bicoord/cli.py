@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: solve, bench, project, check, svm, market. Exit codes:
-0 success, 2 infeasible or malformed input, 3 iteration budget exhausted
-before reaching the accuracy, 4 linesearch failure (the result, with stop
-reason "linesearch", is still printed).
+0 success, 2 infeasible or malformed input, 3 solver finished without
+reaching the target accuracy (every other stop reason), 4 linesearch
+failure (the result, with stop reason "linesearch", is still printed).
 """
 
 from __future__ import annotations

@@ -233,7 +233,8 @@ class Stage:
 
 
 class StageProvider:
-    """Produces Stage l for l = 0, 1, 2, ... Subclasses override stage()."""
+    """Produces Stage l for l = 0, 1, 2, ... A solve asks only for
+    l < cfg.max_stages. Subclasses override stage()."""
 
     def stage(self, l: int) -> Stage:
         raise NotImplementedError

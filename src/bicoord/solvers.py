@@ -16,13 +16,12 @@ tolerances (and, for smoothed objectives, a tighter approximation).
 
 mbc_solve, the classic most-violating bi-coordinate baseline, is the same
 loop (_pair_descent) under one stage with zero thresholds; only the pair
-rule, what happens when no pair qualifies, and the smoothing clause of the
-stop verdict differ. cgm_solve is the conditional-gradient baseline (full
-linear minimization per step). All three stop when the gap Delta(x) falls
-to target_accuracy; bcv and cgm additionally require a smoothed objective's
-parameter to have reached that accuracy. All three end a solve whose
-linesearch finds no acceptable step with stop_reason "linesearch" at the
-last accepted iterate.
+rule and what happens when no pair qualifies differ. cgm_solve is the
+conditional-gradient baseline (full linear minimization per step). All
+three stop when the gap Delta(x) falls to target_accuracy, or with
+stop_reason "linesearch" at the last accepted iterate when no step is
+acceptable. All three keep their stage, steps and trace on one ladder
+(_Ladder), whose one restart rule and smoothing clause bcv and cgm share.
 
 Every method and both linesearch rules run one backtracking loop, which
 also rejects a trial outside the objective's domain. The pair methods
@@ -41,9 +40,7 @@ loop rebuilds a moved state from x in one place, before a verdict that
 would stop the solve, and at exit, so every reported gap comes from a
 rebuilt gradient: the full oracle's, or, on a quadratic state from
 SPARSE_REBUILD_MIN_N coordinates up, one whose P x is corrected from the
-state's last full product, within the rounding of one product. A stage
-restart projects only after a step or onto a new problem object, and one
-that keeps the problem and the point changes only the thresholds.
+state's last full product, within the rounding of one product.
 
 Every Armijo backtrack starts at the first trial that a quadratic lower
 model of the trial cannot reject (_start_index): the model is certified to
@@ -365,11 +362,6 @@ def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
     return lam, m, f_new + f_x if state.trial_is_change else f_new
 
 
-def _tau_reached(p: ProblemInstance, accuracy: float) -> bool:
-    tau = p.objective.smoothing
-    return tau is None or tau <= accuracy
-
-
 def _default_start(p: ProblemInstance) -> np.ndarray:
     return 0.5 * (p.bounds.lower + p.bounds.upper)
 
@@ -383,14 +375,11 @@ def _gap_rounding(p: ProblemInstance, scale: float) -> float:
 
 
 def _screened_gap(p: ProblemInstance, state: PairState, acc: float,
-                  tau_clause: bool, sel: PairSelection | None) -> float | None:
+                  sel: PairSelection | None) -> float | None:
     """The exact gap Delta(x) at the state's point, or None where "not
-    converged" is settled without it: with tau_clause, by a smoothed
-    objective that has not reached the accuracy; otherwise by the pair sel
-    selected at that point, whose bound -mu gamma <= Delta(x) settles it
-    when it exceeds the accuracy by more than the exact gap's rounding."""
-    if tau_clause and not _tau_reached(p, acc):
-        return None
+    converged" is settled without it, by the pair sel selected at that
+    point: its bound -mu gamma <= Delta(x) settles it when it exceeds the
+    accuracy by more than the exact gap's rounding."""
     if sel is not None:
         bound = -sel.mu * sel.gamma
         # the rounding's weighted sum is asked for only where it can settle
@@ -418,35 +407,80 @@ def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
     return _noise_rule(p, g, _extreme_pair(p, x, g, *p.strict_bounds))
 
 
+class _Ladder:
+    """The outer level of a solve: stage l and its problem, the step count
+    and the count at which stage l began, the trace, and the one rule for
+    leaving a stage. Without a provider (mbc) it is one stage on the
+    problem itself. tau_pending holds while the stage objective is smoothed
+    above the accuracy: no gap verdict counts then."""
+
+    def __init__(self, problem, cfg: SolverConfig, stages: StageProvider | None):
+        self.cfg, self.stages, self.trace = cfg, stages, []
+        self.l = self.steps = self.stage_start = 0
+        self.stage, self.problem, self.tau_pending = None, problem, False
+        if stages is not None:
+            self._enter(stages.stage(0))
+
+    def _enter(self, stage: Stage) -> None:
+        self.stage, self.problem = stage, stage.problem
+        self.stage_start = self.steps
+        tau = stage.problem.objective.smoothing
+        self.tau_pending = not (tau is None or tau <= self.cfg.target_accuracy)
+
+    def advance(self, idle: bool) -> str | None:
+        """Enter stage l + 1 and return None, or return why the solve ends
+        on stage l: "max_stages" when l + 1 reaches cfg.max_stages, decided
+        before the provider is asked for stage l + 1; "stalled" when the
+        restart is idle (it cannot move the point) and stage l + 1 keeps
+        stage l's problem object, delta and epsilon, so would repeat it."""
+        if self.l + 1 >= self.cfg.max_stages:
+            return "max_stages"
+        cur, nxt = self.stage, self.stages.stage(self.l + 1)
+        if (idle and nxt.problem is cur.problem and nxt.delta == cur.delta
+                and nxt.epsilon == cur.epsilon):
+            return "stalled"
+        self.l += 1
+        self._enter(nxt)
+
+    def record(self, i, j, gamma, lam, mu, f_before, f_after, backtracks, x):
+        """Count an accepted step, which left the point at x, and trace it."""
+        self.steps += 1
+        self.trace.append(TraceEvent(
+            self.l, self.steps, i, j, gamma, lam, mu, f_before, f_after,
+            backtracks, x.copy() if self.cfg.record_points else None))
+
+    def result(self, x, value, gap, stop_reason: str) -> SolveResult:
+        """Result of a solve that ended at x on the current stage problem."""
+        return SolveResult(
+            point=x, objective_value=value, error_bound=gap,
+            inner_iterations_total=self.steps, stages_completed=self.l + 1,
+            converged=stop_reason == "converged", trace=self.trace,
+            stop_reason=stop_reason, smoothing=self.problem.objective.smoothing)
+
+
 def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
                   stages: StageProvider | None, z0) -> SolveResult:
     """The pair-descent loop of bcv_solve and mbc_solve.
 
     Pairs come from the pair state's select, the one selection path. With
     a stage provider they must clear the stage's thresholds (select_pair's
-    rule), a stage without a qualifying pair restarts on the next one,
-    projecting the point onto its problem unless the stage took no step and
-    keeps the problem object (a restart that keeps the problem and the point
-    keeps the state and the gap too), and a smoothed objective must reach
-    the accuracy before the gap verdict counts.
+    rule), and a stage without one advances the ladder, idle when the stage
+    took no step. The point is projected onto the new stage's problem unless
+    the restart is idle and keeps the problem object, and a restart that
+    keeps the problem and the point keeps the state and the gap too.
     stages=None is mbc's single zero-threshold stage: strict eligibility and
     a violation above rounding noise (_most_violating's rule), and the solve
-    stops with "no_descent_pair" when none qualifies. A linesearch that finds no
-    acceptable step ends the solve at the last accepted iterate. A moved
-    state, whose gradient or value may have drifted, is rebuilt in one
-    place, before a verdict that would stop the solve (the gap meets the
-    accuracy, or mbc has no pair); the pass then selects and screens again
-    on the fresh state.
+    stops with "no_descent_pair" when none qualifies. A moved state, whose
+    gradient or value may have drifted, is rebuilt in one place, before a
+    verdict that would stop the solve (the gap meets the accuracy, or mbc
+    has no pair); the pass then selects and screens again on the fresh state.
     """
     staged = stages is not None
-    l = 0
-    cur = stages.stage(l) if staged else None
-    p_l = cur.problem if staged else problem
+    ladder = _Ladder(problem, cfg, stages)
+    cur, p_l = ladder.stage, ladder.problem
     z = _default_start(problem) if z0 is None else np.asarray(z0, dtype=float)
     state = p_l.objective.pair_state(project(z, p_l))
     f_x = state.value()
-    trace: list[TraceEvent] = []
-    steps = stage_start = 0
     acc = cfg.target_accuracy
     # the last restart kept the state and the problem, so it changed only the
     # thresholds: the point, the gradient and the gap are the last pass's
@@ -461,7 +495,8 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             sel = _noise_rule(p_l, state.gradient(),
                               state.select(p_l, *p_l.strict_bounds))
         if not kept:
-            gap = _screened_gap(p_l, state, acc, staged, sel)
+            gap = (None if ladder.tau_pending
+                   else _screened_gap(p_l, state, acc, sel))
         kept = False
         # the screen leaves "converged" open: the gap meets the accuracy,
         # or is NaN
@@ -477,17 +512,12 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
             break
         if sel is None:
             # restart: no pair cleared the stage thresholds
-            if l + 1 >= cfg.max_stages:
-                stop_reason = "max_stages"
+            idle = ladder.steps == ladder.stage_start
+            stop_reason = ladder.advance(idle)
+            if stop_reason:
                 break
-            nxt = stages.stage(l + 1)
-            kept = steps == stage_start and nxt.problem is p_l
-            if kept and nxt.delta == cur.delta and nxt.epsilon == cur.epsilon:
-                stop_reason = "stalled"
-                break
-            l += 1
-            cur = nxt
-            stage_start = steps
+            cur = ladder.stage
+            kept = idle and cur.problem is p_l
             if not kept:
                 x = project(state.x, cur.problem)
                 # the state carries over only when neither the point nor the
@@ -498,7 +528,7 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
                 p_l = cur.problem
                 f_x = state.value()
             continue
-        if steps >= cfg.max_inner_iterations:
+        if ladder.steps >= cfg.max_inner_iterations:
             stop_reason = "budget"
             break
         try:
@@ -506,11 +536,8 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
         except LinesearchError:
             stop_reason = "linesearch"
             break
-        steps += 1
-        trace.append(TraceEvent(
-            stage=l, k=steps, i=sel.i, j=sel.j, gamma=sel.gamma, lam=lam,
-            mu=sel.mu, f_before=f_x, f_after=f_new, backtracks=m,
-            point_after=state.x.copy() if cfg.record_points else None))
+        ladder.record(sel.i, sel.j, sel.gamma, lam, sel.mu, f_x, f_new, m,
+                      state.x)
         f_x = f_new
 
     # every exit follows a screen on the current point; its gap is reported
@@ -520,8 +547,7 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
         gap = None
     if gap is None:
         gap = linear_gap(state.gradient(), state.x, p_l)
-    return _result(p_l, state.x, state.value(), gap, steps, l + 1, stop_reason,
-                   trace)
+    return ladder.result(state.x, state.value(), gap, stop_reason)
 
 
 def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -537,9 +563,9 @@ def bcv_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     max_inner_iterations accepted steps in total, max_stages stages.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
-    (a restart changed nothing and the next stage is identical, so the
-    ladder is at its floors) or "linesearch" (no acceptable step within
-    max_backtracks; the result is the last accepted iterate).
+    (a stage that took no step restarts onto one with its problem, delta
+    and epsilon: the ladder is at its floors) or "linesearch" (no acceptable
+    step within max_backtracks; the result is the last accepted iterate).
     """
     cfg = cfg or SolverConfig()
     stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
@@ -561,27 +587,25 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     on it.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
-    (the next stage is the same problem, or the gap is NaN) or "linesearch"
-    (no acceptable step within max_backtracks; the result is the last
-    accepted iterate, with the gap computed there).
+    (the next stage is the same problem with the same delta and epsilon, so
+    a restart, which never moves the point, would repeat it; or the gap is
+    NaN) or "linesearch" (no acceptable step within max_backtracks; the
+    result is the last accepted iterate, with the gap computed there).
     """
     cfg = cfg or SolverConfig()
     if cfg.linesearch != LinesearchRule.ARMIJO:
         raise ValueError("cgm takes only linesearch 'armijo'")
     stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
 
-    l = 0
-    p_l = stages.stage(l).problem
+    ladder = _Ladder(problem, cfg, stages)
     x = project(_default_start(problem) if z0 is None else np.asarray(z0, float),
                 problem)
-    trace: list[TraceEvent] = []
-    steps = 0
-    f_x = None  # f(x) on p_l's objective, while neither has changed
+    f_x = None  # f(x) on the stage objective, while neither has changed
     # x and every trial point of a step lie in the box: the line models' scale
     radius = float(problem.box_radius.sum())
 
     while True:
-        f_l = p_l.objective
+        f_l = ladder.problem.objective
         g, line = f_l.gradient_line(x)
         y, best = minimize_linear(g, problem)
         # ndarray.dot: the bits of @, with less overhead on short vectors
@@ -591,21 +615,16 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
             stop_reason = "stalled"
             break
         if gap <= cfg.target_accuracy:
-            if _tau_reached(p_l, cfg.target_accuracy):
+            if not ladder.tau_pending:
                 stop_reason = "converged"
                 break
-            nxt = stages.stage(l + 1)
-            if nxt.problem is p_l:
-                stop_reason = "stalled"
+            # a cgm restart never moves the point
+            stop_reason = ladder.advance(True)
+            if stop_reason:
                 break
-            if l + 1 >= cfg.max_stages:
-                stop_reason = "max_stages"
-                break
-            l += 1
-            p_l = nxt.problem
             f_x = None
             continue
-        if steps >= cfg.max_inner_iterations:
+        if ladder.steps >= cfg.max_inner_iterations:
             stop_reason = "budget"
             break
         d = y - x
@@ -623,17 +642,12 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         # clip as max then min: the same values as np.clip, at less cost
         x = np.maximum(trial, problem.bounds.lower)
         np.minimum(x, problem.bounds.upper, out=x)
-        steps += 1
-        trace.append(TraceEvent(
-            stage=l, k=steps, i=-1, j=-1, gamma=1.0, lam=lam, mu=mu,
-            f_before=f_x, f_after=f_new, backtracks=m,
-            point_after=x.copy() if cfg.record_points else None))
+        ladder.record(-1, -1, 1.0, lam, mu, f_x, f_new, m, x)
         # f_new is the value at the trial point, so also at x unless the
         # clip changed a byte of it
         f_x = f_new if x.tobytes() == trial.tobytes() else None
 
-    return _result(p_l, x, p_l.objective.value(x), gap, steps, l + 1,
-                   stop_reason, trace)
+    return ladder.result(x, ladder.problem.objective.value(x), gap, stop_reason)
 
 
 def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -650,19 +664,3 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     return _pair_descent(problem, cfg, None, z0)
-
-
-def _result(p: ProblemInstance, x, value: float, gap: float, steps: int,
-            stages: int, stop_reason: str, trace: list[TraceEvent]) -> SolveResult:
-    """Result of a solve that ended on problem p at x."""
-    return SolveResult(
-        point=x,
-        objective_value=value,
-        error_bound=gap,
-        inner_iterations_total=steps,
-        stages_completed=stages,
-        converged=stop_reason == "converged",
-        trace=trace,
-        stop_reason=stop_reason,
-        smoothing=p.objective.smoothing,
-    )

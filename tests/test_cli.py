@@ -62,6 +62,15 @@ class TestSolve:
         assert main(["solve", problem_file, "--max-iters", "1"]) == 3
         assert "converged: False (budget)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["bcv", "cgm"])
+    def test_stage_cap_exit_three(self, tmp_path, method, capsys):
+        # every unconverged stop but "linesearch" exits 3
+        path = tmp_path / "l1.json"
+        save_problem(gen_nonsmooth_l1(10, 5.0), path)
+        assert main(["solve", str(path), "--method", method,
+                     "--max-stages", "1"]) == 3
+        assert "converged: False (max_stages)" in capsys.readouterr().out
+
     def test_trace_csv(self, problem_file, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         assert main(["solve", problem_file, "--trace", str(trace)]) == 0

@@ -95,7 +95,7 @@ def test_screen_never_rejects_a_converged_point(case, delta, epsilon, scale):
     for sel in selections(p, x, g, delta, epsilon):
         # a linear objective's pair state has the gradient g at x
         state = LinearObjective(g).pair_state(x.copy())
-        verdict_gap = _screened_gap(p, state, acc, False, sel)
+        verdict_gap = _screened_gap(p, state, acc, sel)
         assert verdict_gap is not None and verdict_gap <= acc
         assert verdict_gap == gap
 

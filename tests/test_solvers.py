@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,11 +12,13 @@ from bicoord import (
     LinesearchError,
     LinesearchRule,
     PortfolioObjective,
+    ProblemInstance,
     QuadraticObjective,
     SolverConfig,
     Stage,
     StageProvider,
     armijo_linesearch,
+    audit_trace,
     bcv_solve,
     cgm_solve,
     check_feasibility,
@@ -529,6 +532,97 @@ def test_cgm_stalls_when_the_next_stage_keeps_the_problem():
     assert result.stages_completed == 1
     assert result.inner_iterations_total > 0
     assert result.error_bound <= 0.1
+
+
+class ListStages(StageProvider):
+    """The stages of a list. It records every index a solve asks for, and
+    an index past the end raises IndexError."""
+
+    def __init__(self, stages):
+        self.stages = list(stages)
+        self.asked = []
+
+    def stage(self, l):
+        self.asked.append(l)
+        return self.stages[l]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("solve", [bcv_solve, cgm_solve])
+def test_no_stage_is_asked_for_at_or_past_max_stages(solve, count):
+    # cgm once asked for stage l + 1 before it tested the cap, and raised
+    # IndexError from the middle of the solve
+    p = gen_nonsmooth_l1(10, 5.0)
+    schedule = GeometricSchedule(p, 0.1)
+    provider = ListStages(schedule.stage(l) for l in range(count))
+    result = solve(p, SolverConfig(max_stages=count), stages=provider,
+                   z0=protocol_start(p))
+    assert (result.stop_reason, result.converged) == ("max_stages", False)
+    assert result.stages_completed == count
+    assert max(provider.asked) < count
+
+
+@pytest.mark.parametrize("accuracy, steps, tau, gap, tau_stages", [
+    (0.5, 53, 0.5, 0.061152420172703614, 3),
+    (2.0, 52, 1.6, 0.09644061361398215, 1),
+])
+def test_cgm_walks_a_schedule_coarser_than_its_target_to_the_floors(
+        accuracy, steps, tau, gap, tau_stages):
+    # tau's floor, min(1.6, accuracy), stays above the target 0.1 from stage
+    # tau_stages - 1 on, so cgm restarts wherever the gap meets it; delta and
+    # epsilon reach their floor 1e-6 at stage 20, which stage 21 would repeat
+    p = gen_nonsmooth_l1(10, 5.0)
+    schedule = GeometricSchedule(p, accuracy)
+    result = cgm_solve(p, SolverConfig(), stages=schedule, z0=protocol_start(p))
+    assert (result.stop_reason, result.stages_completed) == ("stalled", 21)
+    assert result.inner_iterations_total == steps
+    assert result.smoothing == tau
+    assert result.error_bound == pytest.approx(gap, rel=1e-9)
+    # the restarts from tau's floor on change no point, gap or tau
+    capped = cgm_solve(p, SolverConfig(max_stages=tau_stages), stages=schedule,
+                       z0=protocol_start(p))
+    assert capped.stop_reason == "max_stages"
+    assert np.array_equal(capped.point, result.point)
+    assert (capped.error_bound, capped.smoothing) == (result.error_bound, tau)
+
+
+@st.composite
+def stage_lists(draw):
+    """1-6 stages over gen_nonsmooth_l1(10, beta) and up to two
+    with_smoothing copies of it, repeats allowed, and a stage cap no larger
+    than the list."""
+    base = gen_nonsmooth_l1(10, draw(st.sampled_from([5.0, 10.0])))
+    problems = [base] + [
+        ProblemInstance(base.bounds, base.equality,
+                        base.objective.with_smoothing(tau))
+        for tau in draw(st.lists(st.sampled_from([0.8, 0.1, 0.05]),
+                                 max_size=2))]
+    tolerances = st.sampled_from([1.0, 0.25, 1e-3])
+    stages = draw(st.lists(st.builds(Stage, st.sampled_from(problems),
+                                     tolerances, tolerances),
+                           min_size=1, max_size=6))
+    return base, stages, draw(st.integers(1, len(stages)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stage_lists())
+def test_the_stage_ladder_contract(case):
+    p, stages, max_stages = case
+    cfg = SolverConfig(max_stages=max_stages, max_inner_iterations=200,
+                       record_points=True)
+    for solve in (bcv_solve, cgm_solve):
+        provider = ListStages(stages)
+        result = solve(p, cfg, stages=provider, z0=protocol_start(p))
+        assert result.stop_reason in {"converged", "budget", "max_stages",
+                                      "stalled", "linesearch"}
+        assert result.stages_completed <= max_stages
+        assert max(provider.asked) < max_stages
+        if result.stop_reason == "stalled":
+            l = result.stages_completed - 1
+            cur, nxt = stages[l], stages[l + 1]
+            assert nxt.problem is cur.problem
+            assert (nxt.delta, nxt.epsilon) == (cur.delta, cur.epsilon)
+        assert audit_trace(result.trace, cfg, stages=provider).passed
 
 
 def test_mbc_first_pair_matches_bcv_at_vanishing_threshold():

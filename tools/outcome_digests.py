@@ -17,7 +17,9 @@ n = 3000 with 20 and 120 steps, and cgm on signed instances, families
 1-3 at 1e-8 and 1e-10, a start outside the log domain, and 5 budgeted
 steps on 1e5-agent markets; and Armijo solves of bcv, mbc and cgm at sigma
 and theta of 0.1 and 0.9, on families 1-3 and 200-agent markets, where the
-first trial that a linesearch evaluates falls at other backtracks. The
+first trial that a linesearch evaluates falls at other backtracks; and the
+stage ladder's stops: cgm on family 3 capped at one and two stages, and bcv
+and cgm on schedules built for an accuracy coarser than the target. The
 projections:
 the grid's protocol starts, 1e5-agent market starts, signed, tied and
 beta-at-the-ends instances, and points far from the box. The knapsacks
@@ -47,6 +49,7 @@ import numpy as np
 from bicoord import (
     BenchmarkSpec,
     BoxBounds,
+    GeometricSchedule,
     LinearEquality,
     LinearObjective,
     MarketModel,
@@ -261,6 +264,23 @@ def armijo_cases():
             yield f"armijo/market/200/{seed}/{sigma:g}/{theta:g}/{method}", res
 
 
+def ladder_cases():
+    """cgm on family 3 at a cap of one and two stages, where the gap meets
+    the target before tau does, and bcv and cgm at target 0.1 on schedules
+    built for 0.5 and 2.0, whose tau floor stays above the target."""
+    for n, max_stages in itertools.product((10, 40), (1, 2)):
+        p = gen_nonsmooth_l1(n, 5.0)
+        res = solve("cgm", p, protocol_start(p), max_stages=max_stages)
+        yield f"ladder/cgm/3/{n}/max_stages{max_stages}", res
+    for n, coarse, method in itertools.product((10, 40), (0.5, 2.0),
+                                               ("bcv", "cgm")):
+        p = gen_nonsmooth_l1(n, 5.0)
+        cfg = SolverConfig(max_stages=10_000, record_points=True)
+        res = SOLVERS[method](p, cfg, stages=GeometricSchedule(p, coarse),
+                              z0=protocol_start(p))
+        yield f"ladder/{method}/3/{n}/schedule{coarse:g}", res
+
+
 def stall_problem(kind: str):
     """Balance 1000 over [0, 1000]^2 with a scaled-gradient difference of
     about 5e-9 across the pair, below the threshold floor at accuracy 1e-6."""
@@ -470,8 +490,8 @@ def knapsack_digest(y, value) -> str:
 
 def main() -> None:
     for source in (grid_cases, family_cases, market_cases, signed_cases,
-                   cgm_cases, armijo_cases, exit_cases, svm_cases, portfolio_cases,
-                   budgeted_dense_cases):
+                   cgm_cases, armijo_cases, ladder_cases, exit_cases, svm_cases,
+                   portfolio_cases, budgeted_dense_cases):
         for case, res in source():
             print(case, digest(res), flush=True)
     for case, x in project_cases():
