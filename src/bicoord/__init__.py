@@ -37,6 +37,7 @@ from .diagnostics import (
     write_trace_csv,
 )
 from .solvers import (
+    METHODS,
     LinesearchError,
     LinesearchRule,
     PairSelection,
@@ -46,9 +47,9 @@ from .solvers import (
     armijo_linesearch,
     bcv_solve,
     cgm_solve,
-    gradient_difference_linesearch,
     mbc_solve,
     select_pair,
+    solve,
 )
 from .applications import (
     MarketEquilibriumReport,

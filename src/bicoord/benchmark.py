@@ -17,7 +17,9 @@ import time
 from .generators import gen_convex_log, gen_nonsmooth_l1, gen_quadratic, protocol_start
 from .problem import GeometricSchedule, ProblemInstance
 from .reference import ReferenceCell, reference_cell
-from .solvers import SolveResult, SolverConfig, bcv_solve, cgm_solve, mbc_solve
+# bcv_solve, cgm_solve and mbc_solve stay bound here for perfbench's tracer
+from .solvers import (SolveResult, SolverConfig, bcv_solve, cgm_solve,
+                      mbc_solve, solve)
 
 __all__ = ["BenchmarkSpec", "BenchmarkCell", "BenchmarkReport", "CellRun",
            "run_cell_detailed", "run_benchmark", "render_csv", "render_markdown"]
@@ -101,14 +103,7 @@ def run_cell_detailed(series: int, beta: float, n: int, method: str,
     # the schedule bcv_solve and cgm_solve build by default, kept for audits
     stages = None if method == "mbc" else GeometricSchedule(inst, spec.accuracy)
     t0 = time.perf_counter()
-    if method == "bcv":
-        result: SolveResult = bcv_solve(inst, cfg, stages=stages, z0=z0)
-    elif method == "cgm":
-        result = cgm_solve(inst, cfg, stages=stages, z0=z0)
-    elif method == "mbc":
-        result = mbc_solve(inst, cfg, z0=z0)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    result = solve(inst, method, cfg, stages, z0)
     seconds = time.perf_counter() - t0
     cell = BenchmarkCell(
         series=series, beta=beta, n=n, method=method,

@@ -21,7 +21,7 @@ from .diagnostics import (InfeasiblePointError, check_stationarity,
 from .geometry import check_feasibility, project
 from .problem import GeometricSchedule, ProblemError, SignMap
 from .serialization import load_problem
-from .solvers import SolverConfig, bcv_solve, cgm_solve, mbc_solve
+from .solvers import METHODS, SolverConfig, solve
 
 __all__ = ["main"]
 
@@ -44,7 +44,7 @@ def _format_vector(x: np.ndarray) -> str:
 
 def _add_solver_options(sp: argparse.ArgumentParser, mu: float = 0.1,
                         max_iter: int = 500) -> None:
-    sp.add_argument("--method", choices=("bcv", "cgm", "mbc"), default="bcv")
+    sp.add_argument("--method", choices=METHODS, default="bcv")
     sp.add_argument("--mu", type=float, default=mu,
                     help="target accuracy for the error bound")
     sp.add_argument("--max-iters", type=int, default=max_iter)
@@ -72,13 +72,9 @@ def _run_solver(problem, args, signs: SignMap | None = None):
     z0 = _parse_vector(args.start) if args.start else None
     if z0 is not None and signs is not None:
         z0 = signs.apply(z0)
-    stages = GeometricSchedule(problem, args.mu, delta0=args.delta0,
-                               eps0=args.eps0, nu=args.nu)
-    if args.method == "bcv":
-        return bcv_solve(problem, cfg, stages=stages, z0=z0)
-    if args.method == "cgm":
-        return cgm_solve(problem, cfg, stages=stages, z0=z0)
-    return mbc_solve(problem, cfg, z0=z0)
+    stages = None if args.method == "mbc" else GeometricSchedule(
+        problem, args.mu, delta0=args.delta0, eps0=args.eps0, nu=args.nu)
+    return solve(problem, args.method, cfg, stages, z0)
 
 
 def _print_result(result, trace_path=None) -> None:

@@ -220,11 +220,12 @@ class Stage:
 
     @cached_property
     def pair_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """select_pair's eligibility thresholds in the knapsack form,
-        lower + epsilon/a for donors and upper - epsilon/a for receivers,
-        computed on first use. Each stays at least one ulp inside its bound:
-        a margin below half an ulp would round away and let a coordinate on
-        the bound, which has no room to move, into the pair."""
+        """The eligibility thresholds with which select_pair picks bcv's
+        pairs on this stage, in the knapsack form: lower + epsilon/a for
+        donors and upper - epsilon/a for receivers, computed on first use.
+        Each stays at least one ulp inside its bound: a margin below half an
+        ulp would round away and let a coordinate on the bound, which has no
+        room to move, into the pair."""
         ks = self.problem.knapsack
         margin = self.epsilon / ks.a
         inner_lower, inner_upper = self.problem.strict_bounds

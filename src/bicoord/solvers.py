@@ -1,5 +1,8 @@
 """Descent methods for box-constrained problems with one linear equality.
 
+solve(problem, method) runs one of METHODS, "bcv", "cgm" or "mbc", through
+bcv_solve, cgm_solve or mbc_solve.
+
 bcv_solve is the two-level selective bi-coordinate method: an outer loop over
 stages (problem_l, delta_l, epsilon_l) with tolerances shrinking to positive
 floors, and an inner loop that moves balance between one pair of coordinates
@@ -16,8 +19,9 @@ tolerances (and, for smoothed objectives, a tighter approximation).
 
 mbc_solve, the classic most-violating bi-coordinate baseline, is the same
 loop (_pair_descent) under one stage with zero thresholds; only the pair
-rule and what happens when no pair qualifies differ. cgm_solve is the
-conditional-gradient baseline (full linear minimization per step). All
+rule (select_pair with or without a stage) and what happens when no pair
+qualifies differ. cgm_solve is the conditional-gradient baseline (full
+linear minimization per step over the stage problem's feasible set). All
 three stop when the gap Delta(x) falls to target_accuracy, or with
 stop_reason "linesearch" at the last accepted iterate when no step is
 acceptable. All three keep their stage, steps and trace on one ladder
@@ -68,7 +72,7 @@ import numpy as np
 from .geometry import (check_feasibility, floor_zero, linear_gap,
                        minimize_linear, project)
 from .objectives import (DomainError, LineModel, Objective, PairSelection,
-                         PairState, _U, _extreme_pair)
+                         PairState, _U)
 from .problem import GeometricSchedule, ProblemInstance, Stage, StageProvider
 
 __all__ = [
@@ -78,13 +82,18 @@ __all__ = [
     "PairSelection",
     "TraceEvent",
     "SolveResult",
+    "METHODS",
     "select_pair",
     "armijo_linesearch",
-    "gradient_difference_linesearch",
     "bcv_solve",
     "cgm_solve",
     "mbc_solve",
+    "solve",
 ]
+
+
+#: the names solve takes
+METHODS = ("bcv", "cgm", "mbc")
 
 
 class LinesearchRule(str, Enum):
@@ -156,27 +165,31 @@ class SolveResult:
     smoothing: float | None = None
 
 
-def _stage_rule(stage: Stage, sel: PairSelection | None) -> PairSelection | None:
-    """sel when its violation h_i - h_j clears the stage's delta."""
-    return None if sel is None or -sel.mu < stage.delta else sel
-
-
-def select_pair(x, stage: Stage, gradient=None) -> PairSelection | None:
-    """The most violating pair for the stage, or None when it does not clear
-    the stage's thresholds.
+def select_pair(state: PairState, p: ProblemInstance,
+                stage: Stage | None) -> PairSelection | None:
+    """The pair that the pair methods step along at the state's point on
+    problem p, or None when no pair qualifies.
 
     Eligibility reads the knapsack form y = signs * x, where every a_i is
-    positive (p.knapsack): donors satisfy y_i >= lower_i + epsilon/a_i,
-    receivers y_j <= upper_j - epsilon/a_j, and the pair must violate
-    optimality by h_i - h_j >= delta, where h = g / a in either form. A
-    coordinate with a_i < 0 thus gives balance by rising. `gradient` is
-    f'(x) when the caller holds it. The pair methods select the same pair
-    through their PairState.
+    positive (p.knapsack), and the violation is h_i - h_j, where h = g / a
+    in either form; a coordinate with a_i < 0 thus gives balance by rising.
+    With a stage (bcv), donors satisfy y_i >= lower_i + epsilon/a_i,
+    receivers y_j <= upper_j - epsilon/a_j (Stage.pair_bounds), and the
+    violation must clear delta. With stage=None (mbc's single zero-threshold
+    stage), donors lie strictly above their lower bound, receivers strictly
+    below their upper bound (p.strict_bounds), and the violation must be
+    above rounding noise.
     """
-    p = stage.problem
-    x = np.asarray(x, dtype=float)
-    g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
-    return _stage_rule(stage, _extreme_pair(p, x, g, *stage.pair_bounds))
+    if stage is not None:
+        sel = state.select(p, *stage.pair_bounds)
+        return None if sel is None or -sel.mu < stage.delta else sel
+    sel = state.select(p, *p.strict_bounds)
+    if sel is None:
+        return None
+    g, a = state.gradient(), p.equality.a
+    h_i, h_j = g[sel.i] / a[sel.i], g[sel.j] / a[sel.j]
+    # sub-ulp "violations" are noise, not descent
+    return None if -sel.mu <= 1e-12 * max(1.0, abs(h_i), abs(h_j)) else sel
 
 
 def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
@@ -294,24 +307,6 @@ def _pair_slope(objective: Objective, a, x, i: int, j: int):
     return slope
 
 
-def gradient_difference_linesearch(objective: Objective, a, x, i: int, j: int,
-                                   gamma: float, mu: float, sigma: float = 0.5,
-                                   theta: float = 0.5,
-                                   max_backtracks: int = 60) -> tuple[float, int]:
-    """Backtracking on the pair's scaled gradient difference.
-
-    Accepts the smallest m >= 0 with
-    h_j(x_trial) - h_i(x_trial) <= sigma theta^m gamma (h_j(x) - h_i(x)),
-    evaluating only the two partial derivatives at each trial point. mu is
-    h_j(x) - h_i(x) and must be negative. A trial point outside the
-    objective's domain, or with a non-finite difference, is rejected; x is
-    not changed. Returns (lambda, m).
-    """
-    slope = _pair_slope(objective, np.asarray(a, dtype=float),
-                        np.array(x, dtype=float), i, j)
-    return _backtrack(slope, gamma, mu, sigma, theta, max_backtracks, 0.0)[:2]
-
-
 def _pair_coordinates(x, p: ProblemInstance, sel: PairSelection,
                       lam: float) -> tuple[float, float]:
     """New (x_i, x_j) after moving lam of balance from i to j, stepped in the
@@ -362,8 +357,12 @@ def _pair_step(cfg: SolverConfig, p: ProblemInstance, state: PairState,
     return lam, m, f_new + f_x if state.trial_is_change else f_new
 
 
-def _default_start(p: ProblemInstance) -> np.ndarray:
-    return 0.5 * (p.bounds.lower + p.bounds.upper)
+def _start(problem: ProblemInstance, p_0: ProblemInstance, z0) -> np.ndarray:
+    """z0, or the centre of problem's box, projected onto the first stage's
+    problem p_0."""
+    z = (0.5 * (problem.bounds.lower + problem.bounds.upper) if z0 is None
+         else np.asarray(z0, dtype=float))
+    return project(z, p_0)
 
 
 def _gap_rounding(p: ProblemInstance, scale: float) -> float:
@@ -387,24 +386,6 @@ def _screened_gap(p: ProblemInstance, state: PairState, acc: float,
                 p, state.abs_gradient_dot(p.box_radius)):
             return None
     return linear_gap(state.gradient(), state.x, p)
-
-
-def _noise_rule(p: ProblemInstance, g, sel: PairSelection | None) -> PairSelection | None:
-    """sel when its violation h_i - h_j is above rounding noise."""
-    if sel is None:
-        return None
-    a = p.equality.a
-    h_i, h_j = g[sel.i] / a[sel.i], g[sel.j] / a[sel.j]
-    # sub-ulp "violations" are noise, not descent
-    return None if -sel.mu <= 1e-12 * max(1.0, abs(h_i), abs(h_j)) else sel
-
-
-def _most_violating(p: ProblemInstance, x, g) -> PairSelection | None:
-    """Zero-threshold selection: the extreme pair over donors strictly above
-    their lower bound and receivers strictly below their upper bound, both in
-    the knapsack coordinates (p.strict_bounds), when its violation
-    h_i - h_j is above rounding noise."""
-    return _noise_rule(p, g, _extreme_pair(p, x, g, *p.strict_bounds))
 
 
 class _Ladder:
@@ -462,24 +443,22 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
                   stages: StageProvider | None, z0) -> SolveResult:
     """The pair-descent loop of bcv_solve and mbc_solve.
 
-    Pairs come from the pair state's select, the one selection path. With
-    a stage provider they must clear the stage's thresholds (select_pair's
-    rule), and a stage without one advances the ladder, idle when the stage
-    took no step. The point is projected onto the new stage's problem unless
-    the restart is idle and keeps the problem object, and a restart that
-    keeps the problem and the point keeps the state and the gap too.
-    stages=None is mbc's single zero-threshold stage: strict eligibility and
-    a violation above rounding noise (_most_violating's rule), and the solve
-    stops with "no_descent_pair" when none qualifies. A moved state, whose
-    gradient or value may have drifted, is rebuilt in one place, before a
-    verdict that would stop the solve (the gap meets the accuracy, or mbc
-    has no pair); the pass then selects and screens again on the fresh state.
+    Pairs come from select_pair on the pair state, the one selection rule.
+    With a stage provider a stage without a pair advances the ladder, idle
+    when the stage took no step. The point is projected onto the new
+    stage's problem unless the restart is idle and keeps the problem object,
+    and a restart that keeps the problem and the point keeps the state and
+    the gap too. stages=None is mbc's single zero-threshold stage, and the
+    solve stops with "no_descent_pair" when no pair qualifies. A moved
+    state, whose gradient or value may have drifted, is rebuilt in one
+    place, before a verdict that would stop the solve (the gap meets the
+    accuracy, or mbc has no pair); the pass then selects and screens again
+    on the fresh state.
     """
     staged = stages is not None
     ladder = _Ladder(problem, cfg, stages)
     cur, p_l = ladder.stage, ladder.problem
-    z = _default_start(problem) if z0 is None else np.asarray(z0, dtype=float)
-    state = p_l.objective.pair_state(project(z, p_l))
+    state = p_l.objective.pair_state(_start(problem, p_l, z0))
     f_x = state.value()
     acc = cfg.target_accuracy
     # the last restart kept the state and the problem, so it changed only the
@@ -489,11 +468,7 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     # a selection and a screened gap open the solve and follow every step,
     # rebuild and restart
     while True:
-        if staged:
-            sel = _stage_rule(cur, state.select(p_l, *cur.pair_bounds))
-        else:
-            sel = _noise_rule(p_l, state.gradient(),
-                              state.select(p_l, *p_l.strict_bounds))
+        sel = select_pair(state, p_l, cur)
         if not kept:
             gap = (None if ladder.tau_pending
                    else _screened_gap(p_l, state, acc, sel))
@@ -576,8 +551,10 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
               stages: StageProvider | None = None, z0=None) -> SolveResult:
     """Conditional-gradient baseline.
 
-    Each iteration minimizes the linearized objective over the feasible set
-    and backtracks along d = y - x from unit step. For smoothed objectives a
+    Each iteration minimizes the linearized objective over the stage
+    problem's feasible set and backtracks along d = y - x from unit step; a
+    stage whose feasible set differs from the last one's projects the point
+    onto it. For smoothed objectives a
     stage provider (default: GeometricSchedule(problem, cfg.target_accuracy))
     supplies the shrinking approximation parameter: when the gap on the
     current surrogate reaches target_accuracy but the parameter has not, the
@@ -587,10 +564,11 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     on it.
 
     stop_reason is one of "converged", "budget", "max_stages", "stalled"
-    (the next stage is the same problem with the same delta and epsilon, so
-    a restart, which never moves the point, would repeat it; or the gap is
-    NaN) or "linesearch" (no acceptable step within max_backtracks; the
-    result is the last accepted iterate, with the gap computed there).
+    (the next stage is the same problem object with the same delta and
+    epsilon, so a restart, which then keeps the point, would repeat it; or
+    the gap is NaN) or "linesearch" (no acceptable step within
+    max_backtracks; the result is the last accepted iterate, with the gap
+    computed there).
     """
     cfg = cfg or SolverConfig()
     if cfg.linesearch != LinesearchRule.ARMIJO:
@@ -598,16 +576,16 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     stages = stages or GeometricSchedule(problem, cfg.target_accuracy)
 
     ladder = _Ladder(problem, cfg, stages)
-    x = project(_default_start(problem) if z0 is None else np.asarray(z0, float),
-                problem)
+    p_l = ladder.problem
+    x = _start(problem, p_l, z0)
     f_x = None  # f(x) on the stage objective, while neither has changed
     # x and every trial point of a step lie in the box: the line models' scale
-    radius = float(problem.box_radius.sum())
+    radius = float(p_l.box_radius.sum())
 
     while True:
-        f_l = ladder.problem.objective
+        f_l = p_l.objective
         g, line = f_l.gradient_line(x)
-        y, best = minimize_linear(g, problem)
+        y, best = minimize_linear(g, p_l)
         # ndarray.dot: the bits of @, with less overhead on short vectors
         gap = floor_zero(float(g.dot(x)) - best)
         if math.isnan(gap):
@@ -618,11 +596,15 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
             if not ladder.tau_pending:
                 stop_reason = "converged"
                 break
-            # a cgm restart never moves the point
+            # idle: a restart that keeps the problem object keeps the point
             stop_reason = ladder.advance(True)
             if stop_reason:
                 break
-            f_x = None
+            nxt = ladder.problem
+            if nxt.bounds is not p_l.bounds or nxt.equality is not p_l.equality:
+                x = project(x, nxt)
+                radius = float(nxt.box_radius.sum())
+            p_l, f_x = nxt, None
             continue
         if ladder.steps >= cfg.max_inner_iterations:
             stop_reason = "budget"
@@ -640,14 +622,14 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
             break
         trial = x + lam * d
         # clip as max then min: the same values as np.clip, at less cost
-        x = np.maximum(trial, problem.bounds.lower)
-        np.minimum(x, problem.bounds.upper, out=x)
+        x = np.maximum(trial, p_l.bounds.lower)
+        np.minimum(x, p_l.bounds.upper, out=x)
         ladder.record(-1, -1, 1.0, lam, mu, f_x, f_new, m, x)
         # f_new is the value at the trial point, so also at x unless the
         # clip changed a byte of it
         f_x = f_new if x.tobytes() == trial.tobytes() else None
 
-    return ladder.result(x, ladder.problem.objective.value(x), gap, stop_reason)
+    return ladder.result(x, p_l.objective.value(x), gap, stop_reason)
 
 
 def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
@@ -664,3 +646,25 @@ def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     """
     cfg = cfg or SolverConfig()
     return _pair_descent(problem, cfg, None, z0)
+
+
+def solve(problem: ProblemInstance, method: str,
+          cfg: SolverConfig | None = None, stages: StageProvider | None = None,
+          z0=None) -> SolveResult:
+    """Solve problem with one of METHODS: "bcv" (bcv_solve), "cgm"
+    (cgm_solve) or "mbc" (mbc_solve, which runs one zero-threshold stage and
+    takes no stage provider). ValueError names the choices for any other
+    method."""
+    # the solvers are module globals looked up here at each call, so a
+    # wrapper bound over one of them sees every solve
+    if method == "bcv":
+        return bcv_solve(problem, cfg, stages, z0)
+    if method == "cgm":
+        return cgm_solve(problem, cfg, stages, z0)
+    if method != "mbc":
+        raise ValueError(f"unknown method {method!r}; choose one of "
+                         + ", ".join(METHODS))
+    if stages is not None:
+        raise ValueError("mbc runs one zero-threshold stage; it takes no "
+                         "stage provider")
+    return mbc_solve(problem, cfg, z0)

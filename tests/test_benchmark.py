@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,6 +9,7 @@ from bicoord import (
     gen_nonsmooth_l1,
     gen_quadratic,
     interaction_matrix,
+    project,
     protocol_start,
     reference_cell,
     render_csv,
@@ -84,6 +86,21 @@ class TestInstanceFamilies:
             exact = p2.objective.value(x) + np.abs(x).sum()
             gap = p3.objective.value(x) - exact
             assert 0.0 < gap <= n * tau + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 60), beta=st.floats(0.01, 100.0),
+           spread=st.sampled_from([0.1, 1.0, 100.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_l1_term_is_constant_on_family_3s_feasible_set(self, n, beta,
+                                                           spread, seed):
+        # 0 <= x and sum x = beta there, so ||x||_1 = beta: the l1 term adds a
+        # constant, and family 3's converged cells certify the smoothed
+        # surrogate, not the unsmoothed problem
+        p = gen_nonsmooth_l1(n, beta)
+        z = np.random.default_rng(seed).normal(beta / n, spread * beta, n)
+        x = project(z, p)
+        assert (x >= 0.0).all()
+        assert abs(np.abs(x).sum() - beta) <= n * 2.0**-52 * beta
 
     def test_generator_guards(self):
         with pytest.raises(ValueError, match="n >= 2"):

@@ -271,6 +271,11 @@ class TestBench:
         assert len(lines) == 2
         assert lines[1].startswith("1,5,10,bcv,1,")
 
+    def test_unknown_method_exits_two(self, capsys):
+        assert main(["bench", "--series", "1", "--beta", "5", "--n", "10",
+                     "--methods", "foo"]) == 2
+        assert "'foo'" in capsys.readouterr().err
+
     def test_csv_byte_stable_across_processes(self):
         cmd = [sys.executable, "-m", "bicoord.cli", "bench", "--series", "2",
                "--beta", "5", "--n", "10,20", "--format", "csv"]

@@ -23,6 +23,17 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"bicoord.{name}.__all__ names missing objects: {missing}"
 
 
+def test_outcome_digest_imports_resolve():
+    # tools/outcome_digests.py compares checkouts through the package's
+    # public names; one the package drops would break that comparison
+    tool = Path(__file__).resolve().parent.parent / "tools" / "outcome_digests.py"
+    names = [a.name for node in ast.parse(tool.read_text()).body
+             if isinstance(node, ast.ImportFrom) and node.module == "bicoord"
+             for a in node.names]
+    assert names
+    assert [n for n in names if not hasattr(bicoord, n)] == []
+
+
 def test_reexported_names_are_in_their_submodule_all():
     # every `from .module import name` in the package root names a member
     # of that module's __all__

@@ -14,21 +14,18 @@ import numpy as np
 import pytest
 
 from bicoord import (
+    METHODS,
     BoxBounds,
     LinearEquality,
     QuadraticObjective,
     SeparableQuadraticObjective,
     SolverConfig,
-    bcv_solve,
     build_problem,
-    cgm_solve,
-    mbc_solve,
     project,
+    solve,
 )
 
 optimize = pytest.importorskip("scipy.optimize")
-
-SOLVERS = {"bcv": bcv_solve, "mbc": mbc_solve, "cgm": cgm_solve}
 
 
 def convex_instance(seed):
@@ -72,13 +69,13 @@ def slsqp_value(p, z0) -> float:
     return f.value(project(res.x, p))
 
 
-@pytest.mark.parametrize("method", ["bcv", "mbc", "cgm"])
+@pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("seed", range(20))
 def test_reported_gap_bounds_the_distance_to_an_independent_optimum(seed, method):
     p, z0 = convex_instance(seed)
     cfg = SolverConfig(target_accuracy=1e-6, max_inner_iterations=2_000,
                        max_stages=10_000)
-    r = SOLVERS[method](p, cfg, z0=z0)
+    r = solve(p, method, cfg, z0=z0)
     assert np.isfinite(r.error_bound)
     f = p.objective
     x = r.point

@@ -20,6 +20,7 @@ from bicoord import (
     LinearEquality,
     LinearObjective,
     MarketModel,
+    PairState,
     SeparableQuadraticObjective,
     SolverConfig,
     Stage,
@@ -30,8 +31,7 @@ from bicoord import (
 )
 from bicoord import geometry, solvers
 from bicoord.geometry import linear_gap
-from bicoord.solvers import (_gap_rounding, _most_violating, _screened_gap,
-                             select_pair)
+from bicoord.solvers import _gap_rounding, _screened_gap, select_pair
 
 # few distinct values, so scaled gradients and step bounds tie often
 MAGNITUDES = st.sampled_from([0.5, 1.0, 2.0, 3.0])
@@ -68,8 +68,9 @@ def screened_points(draw):
 
 
 def selections(p, x, g, delta, epsilon):
-    sels = [select_pair(x, Stage(p, delta, epsilon), gradient=g),
-            _most_violating(p, x, g)]
+    # the generic pair state of a linear objective selects on the gradient g
+    sels = [select_pair(PairState(LinearObjective(g), x.copy()), p, stage)
+            for stage in (Stage(p, delta, epsilon), None)]
     return [s for s in sels if s is not None]
 
 

@@ -38,7 +38,7 @@ from bicoord import (
 from bicoord import objectives, solvers
 from bicoord.cli import main
 from bicoord.solvers import (LinesearchError, PairSelection, _gap_rounding,
-                             _most_violating, _pair_coordinates, _pair_step)
+                             _pair_coordinates, _pair_step, select_pair)
 
 RTOL = 1e-12
 
@@ -402,7 +402,8 @@ def test_stop_verdicts_are_taken_on_a_rebuilt_state(solve, accuracy, seed):
     if res.converged:
         assert res.error_bound <= accuracy
     if res.stop_reason == "no_descent_pair":
-        assert _most_violating(p, res.point, p.objective.gradient(res.point)) is None
+        state = PairState(p.objective, res.point.copy())
+        assert select_pair(state, p, None) is None
 
 
 # ------------------------------------------------ log-domain trial points

@@ -4,11 +4,12 @@ The state keeps g in place and updates it at the two moved coordinates with
 the roundings of gradient(x), so g must equal the full gradient byte for
 byte after any sequence of moves. Its selection keeps h = g / a, two key
 arrays and the sizes of the two eligible sets, and must return the pair,
-and the bits, of the full-gradient rules select_pair and _most_violating.
-Its trial is the exact change of f along the pair, and a budgeted market
-solve must make no full value or gradient call outside the state's builds
-and rebuilds. On small markets at 1e-6, where a test on two values at the
-scale of f stalls in their rounding, bcv and mbc must converge.
+and the bits, of select_pair on the generic pair state, which selects on
+the full gradient. Its trial is the exact change of f along the pair, and
+a budgeted market solve must make no full value or gradient call outside
+the state's builds and rebuilds. On small markets at 1e-6, where a test on
+two values at the scale of f stalls in their rounding, bcv and mbc must
+converge.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from bicoord import (
     GeometricSchedule,
     LinearEquality,
     MarketModel,
+    PairState,
     SeparableQuadraticObjective,
     SolverConfig,
     Stage,
@@ -32,7 +34,6 @@ from bicoord import (
     select_pair,
 )
 from bicoord import objectives
-from bicoord.solvers import _most_violating, _noise_rule, _stage_rule
 
 MAGNITUDES = st.sampled_from([0.5, 1.0, 2.0, 3.0])
 # a width of 1e-9 makes a coordinate's box nearly a point
@@ -81,14 +82,9 @@ def separable_cases(draw):
 
 
 def assert_selects_as_the_full_rule(state, p, stage, strict):
-    g = p.objective.gradient(state.x)
-    x = state.x.copy()
-    if strict:
-        assert key(_noise_rule(p, g, state.select(p, *p.strict_bounds))) == \
-            key(_most_violating(p, x, g))
-    else:
-        assert key(_stage_rule(stage, state.select(p, *stage.pair_bounds))) == \
-            key(select_pair(x, stage, gradient=g))
+    rule = None if strict else stage
+    full = PairState(p.objective, state.x.copy())
+    assert key(select_pair(state, p, rule)) == key(select_pair(full, p, rule))
 
 
 @settings(max_examples=300, deadline=None)

@@ -15,6 +15,7 @@ from bicoord import (
     BoxBounds,
     GeometricSchedule,
     LinearEquality,
+    PairState,
     QuadraticObjective,
     SeparableQuadraticObjective,
     SolverConfig,
@@ -133,11 +134,12 @@ def two_coordinate_instance():
 
 def test_select_pair_lets_a_negative_coefficient_take_balance_by_falling():
     p = two_coordinate_instance()
-    sel = select_pair(np.array([0.5, 0.5]), Stage(p, 1e-3, 1e-3))
+    stage = Stage(p, 1e-3, 1e-3)
+    sel = select_pair(PairState(p.objective, np.array([0.5, 0.5])), p, stage)
     # h = g / a = (2, -1); x_1 can fall by 0.5 before reaching its lower bound
     assert (sel.i, sel.j, sel.gamma, sel.mu) == (0, 1, 0.5, -3.0)
     # at x_1's lower bound it can take no more balance
-    assert select_pair(np.array([0.0, 0.0]), Stage(p, 1e-3, 1e-3)) is None
+    assert select_pair(PairState(p.objective, np.zeros(2)), p, stage) is None
 
 
 def test_pair_methods_land_a_signed_pair_on_its_bounds():

@@ -11,6 +11,8 @@ from bicoord import (
     LinearObjective,
     LinesearchError,
     LinesearchRule,
+    PairSelection,
+    PairState,
     PortfolioObjective,
     ProblemInstance,
     QuadraticObjective,
@@ -27,7 +29,6 @@ from bicoord import (
     gen_convex_log,
     gen_nonsmooth_l1,
     gen_quadratic,
-    gradient_difference_linesearch,
     mbc_solve,
     minimize_linear,
     project,
@@ -36,7 +37,7 @@ from bicoord import (
     build_problem,
 )
 from bicoord.objectives import SeparableQuadraticObjective
-from bicoord.solvers import _most_violating
+from bicoord.solvers import _backtrack, _pair_slope, _pair_step
 
 
 def unit_square(objective, beta=1.0):
@@ -49,6 +50,12 @@ def unit_square(objective, beta=1.0):
 
 def make_stage(problem, delta, epsilon):
     return Stage(problem=problem, delta=delta, epsilon=epsilon)
+
+
+def full_select(p, x, stage):
+    """select_pair on the generic pair state, which selects on the full
+    gradient at x; stage=None is mbc's rule."""
+    return select_pair(PairState(p.objective, np.array(x, dtype=float)), p, stage)
 
 
 def best_violation(h, dec, inc):
@@ -103,13 +110,13 @@ def random_linear_instances(rng, count):
 def test_select_pair_constant_gradient_returns_none():
     p = unit_square(LinearObjective(np.array([2.0, 2.0])))
     st = make_stage(p, delta=0.5, epsilon=0.01)
-    assert select_pair(np.array([0.5, 0.5]), st) is None
+    assert full_select(p, [0.5, 0.5], st) is None
 
 
 def test_select_pair_hand_example():
     p = unit_square(LinearObjective(np.array([3.0, 1.0])))
     st = make_stage(p, delta=1.0, epsilon=0.1)
-    sel = select_pair(np.array([0.5, 0.5]), st)
+    sel = full_select(p, [0.5, 0.5], st)
     assert (sel.i, sel.j) == (0, 1)
     assert_allclose(sel.gamma, 0.5)
     assert_allclose(sel.mu, -2.0)
@@ -119,7 +126,7 @@ def test_select_pair_respects_lower_bound_eligibility():
     # coordinate at its lower bound cannot be decreased
     p = unit_square(LinearObjective(np.array([3.0, 1.0])))
     st = make_stage(p, delta=0.5, epsilon=0.1)
-    sel = select_pair(np.array([0.0, 1.0]), st)
+    sel = full_select(p, [0.0, 1.0], st)
     assert sel is None  # 0 not in I-, 1 not in I+
 
 
@@ -142,7 +149,7 @@ def sub_ulp_problem(box, lin, start):
 @pytest.mark.parametrize("box,lin,start", SUB_ULP_CASES)
 def test_select_pair_keeps_bound_coordinates_out_below_an_ulp(box, lin, start):
     st = make_stage(sub_ulp_problem(box, lin, start), delta=1e-21, epsilon=1e-21)
-    sel = select_pair(np.array(start), st)
+    sel = full_select(st.problem, start, st)
     assert sel is None or sel.gamma > 0.0
     donor_floor, receiver_ceiling = st.pair_bounds
     assert (donor_floor > box[0]).all() and (receiver_ceiling < box[1]).all()
@@ -162,7 +169,7 @@ def test_select_pair_matches_exhaustive_scan():
     for p, x, c in random_linear_instances(rng, 400):
         st = make_stage(p, delta=float(rng.uniform(0.05, 1.0)),
                         epsilon=float(rng.uniform(0.01, 0.3)))
-        sel = select_pair(x, st)
+        sel = full_select(p, x, st)
         best = exhaustive_best_violation(x, st)
         if sel is None:
             assert best is None or best < st.delta
@@ -179,7 +186,7 @@ def test_most_violating_matches_exhaustive_scan():
     rng = np.random.default_rng(131)
     for p, x, c in random_linear_instances(rng, 400):
         h = c / p.equality.a
-        sel = _most_violating(p, x, c)
+        sel = full_select(p, x, None)
         best = best_violation(h, x > p.bounds.lower, x < p.bounds.upper)
         if sel is None:
             assert best is None or best <= 1e-12 * max(1.0, np.abs(h).max())
@@ -269,15 +276,33 @@ def test_armijo_raises_after_max_backtracks():
                           theta=0.5, max_backtracks=10)
 
 
+def gradient_difference_search(obj, a, x, i, j, gamma, mu, sigma=0.5,
+                               theta=0.5, max_backtracks=60):
+    """The pair methods' gradient-difference rule, as _pair_step runs it:
+    backtracking on the slope h_j - h_i at x moved in place. (lambda, m)."""
+    slope = _pair_slope(obj, np.asarray(a, dtype=float), x, i, j)
+    return _backtrack(slope, gamma, mu, sigma, theta, max_backtracks, 0.0)[:2]
+
+
+def gradient_difference_step(obj, x, mu=-1.0):
+    """One gradient-difference step of the solver along the pair (0, 1) of
+    the unit square from x, whose full step reaches a bound: (lambda, m,
+    point after)."""
+    x = np.array(x, dtype=float)
+    p = unit_square(obj, float(x.sum()))
+    state = obj.pair_state(x)
+    sel = PairSelection(i=0, j=1, gamma=float(min(x[0], 1.0 - x[1])), mu=mu)
+    lam, m, _ = _pair_step(SolverConfig(linesearch="gradient-difference"), p,
+                           state, sel, state.value())
+    return lam, m, state.x
+
+
 def test_gradient_difference_hand_example():
-    obj = QuadraticObjective(np.eye(2))
-    a = np.ones(2)
-    x = np.array([1.0, 0.0])
-    lam, m = gradient_difference_linesearch(obj, a, x, i=0, j=1, gamma=1.0,
-                                            mu=-1.0, sigma=0.5, theta=0.5)
+    lam, m, x = gradient_difference_step(QuadraticObjective(np.eye(2)), [1.0, 0.0])
     # m = 2 is the first trial where the scaled-gradient gap flips sign
     # far enough: gap((0.75, 0.25)) = -0.5 <= 0.5 * 0.25 * (-1)
     assert (m, lam) == (2, 0.25)
+    assert x.tolist() == [0.75, 0.25]
 
 
 def test_gradient_difference_matches_enumeration():
@@ -297,8 +322,8 @@ def test_gradient_difference_matches_enumeration():
             continue
         gamma = float(rng.uniform(0.1, 1.5))
         sigma, theta = 0.5, 0.5
-        lam, m = gradient_difference_linesearch(obj, a, x, i, j, gamma, mu,
-                                                sigma, theta)
+        lam, m = gradient_difference_search(obj, a, x, i, j, gamma, mu,
+                                            sigma, theta)
         d = np.zeros(n)
         d[i], d[j] = -1.0 / a[i], 1.0 / a[j]
         expect_m = 0
@@ -334,10 +359,8 @@ class CountingQuadratic(QuadraticObjective):
 
 def test_gradient_difference_two_partials_per_trial():
     obj = CountingQuadratic(np.eye(2))
-    a = np.ones(2)
-    x = np.array([1.0, 0.0])
-    _, m = gradient_difference_linesearch(obj, a, x, i=0, j=1, gamma=1.0,
-                                          mu=-1.0, sigma=0.5, theta=0.5)
+    _, m = gradient_difference_search(obj, np.ones(2), np.array([1.0, 0.0]),
+                                      i=0, j=1, gamma=1.0, mu=-1.0)
     assert obj.calls == {"value": 0, "gradient": 0, "partial": 2 * (m + 1)}
 
 
@@ -348,12 +371,11 @@ def test_gradient_difference_leaves_the_callers_x_untouched():
     a = np.ones(2)
     x = np.array([1.0, 0.0])
     mu = float(obj.partial(1, x) - obj.partial(0, x))
-    lam, m = gradient_difference_linesearch(obj, a, x, 0, 1, 1.0, mu)
+    lam, m = gradient_difference_search(obj, a, x, 0, 1, 1.0, mu)
     assert m >= 1 and lam == 0.5**m
     assert x.tobytes() == np.array([1.0, 0.0]).tobytes()
     with pytest.raises(LinesearchError):
-        gradient_difference_linesearch(obj, a, x, 0, 1, 1.0, mu,
-                                       max_backtracks=0)
+        gradient_difference_search(obj, a, x, 0, 1, 1.0, mu, max_backtracks=0)
     assert x.tobytes() == np.array([1.0, 0.0]).tobytes()
 
 
@@ -369,10 +391,9 @@ class CliffQuadratic(QuadraticObjective):
 def test_gradient_difference_rejects_an_infinite_slope():
     # the full step to (0, 1) has slope -inf, which is no acceptable
     # decrease; the next accepted trial is the hand example's
-    obj = CliffQuadratic(np.eye(2))
-    lam, m = gradient_difference_linesearch(obj, np.ones(2), np.array([1.0, 0.0]),
-                                            i=0, j=1, gamma=1.0, mu=-1.0)
+    lam, m, x = gradient_difference_step(CliffQuadratic(np.eye(2)), [1.0, 0.0])
     assert (m, lam) == (2, 0.25)
+    assert x.tolist() == [0.75, 0.25]
 
 
 def test_bcv_gradient_parallel_to_constraint_stops_immediately():
