@@ -235,7 +235,9 @@ def market_from_document(doc: dict) -> MarketModel:
     """The market of a document {"traders": [{p, q, cap}], "buyers": [...],
     "b": ...}, where an absent side has no agents and an absent b is 0. A
     missing, unknown, non-numeric or non-finite field is a ProblemError that
-    names it."""
+    names it, and so is a document or a quote that is not an object."""
+    if not isinstance(doc, dict):
+        raise ProblemError("market document is not a JSON object")
     sides = []
     for side in ("trader", "buyer"):
         rows = doc.get(side + "s", ())
@@ -247,6 +249,10 @@ def market_from_document(doc: dict) -> MarketModel:
             except KeyError:
                 raise ProblemError(f"{side} quote lacks field {name!r}") from None
             except (TypeError, ValueError) as exc:
+                if not (isinstance(rows, list)
+                        and all(isinstance(row, dict) for row in rows)):
+                    raise ProblemError(
+                        f"{side} quotes must be a list of objects") from exc
                 raise ProblemError(f"{side} quote field {name!r} is not numeric") from exc
         if sum(map(len, rows)) != len(QUOTE_FIELDS) * len(rows):
             extra = set().union(*rows) - set(QUOTE_FIELDS)

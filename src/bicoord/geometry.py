@@ -9,8 +9,10 @@ over D is a continuous knapsack solved greedily by cost ratio.
 The computed map is nondecreasing too, bit for bit: each rounded term
 a_i * clip(z_i + lam * a_i) is monotone in lam, and a sum of monotone terms
 taken in a fixed order is monotone. So the last sorted breakpoint whose
-computed balance is below beta is one index whatever order the search
-probes in, and the projection's bits do not depend on the search.
+computed balance is below beta is one index whatever order a search probes
+in: the probe of the two breakpoints next to lam = 0, which settles the
+projection of a feasible point without a sort, and the plain bisection
+over the sorted breakpoints end at the same pair.
 
 The knapsack's greedy fill is a running budget in cost-ratio order, so its
 bits depend on that order, but only over the coordinates it reaches. From
@@ -57,37 +59,25 @@ def _bisect_lambda(z, a, lower, upper, beta, lo: float, hi: float, buf) -> float
 
 
 def _sorted_search(bps, beta: float, balance) -> float:
-    """lam* by a bracket search over the breakpoints bps, sorted here in
+    """lam* by plain bisection over the breakpoints bps, sorted here in
     place: the last breakpoint whose balance is below beta and the next
-    one, from balance(lam), a balance that may hold values already taken."""
+    one, interpolated from the balances the bisection took there."""
     bps.sort()
-    g_lo = balance(bps[0])
-    g_hi = balance(bps[-1])
-    if beta <= g_lo:
+    gl = balance(bps[0])
+    gr = balance(bps[-1])
+    if beta <= gl:
         return float(bps[0])
-    if beta >= g_hi:
+    if beta >= gr:
         return float(bps[-1])
     # invariant: gl = balance(bps[left]) < beta <= balance(bps[right]) = gr
-    left, right, gl, gr = 0, len(bps) - 1, g_lo, g_hi
-    # a feasible z has lam* = 0: probe the first breakpoint at or above 0
-    k = int(np.searchsorted(bps, 0.0))
-    width = 2 * right  # the first probe is not held to the halving test
+    left, right = 0, len(bps) - 1
     while right - left > 1:
-        k = min(max(k, left + 1), right - 1)
-        g = balance(bps[k])
+        mid = (left + right) // 2
+        g = balance(bps[mid])
         if g < beta:
-            left, gl = k, g
+            left, gl = mid, g
         else:
-            right, gr = k, g
-        if 2 * (right - left) <= width:
-            # next probe where the secant through the bracket meets beta
-            bl, br = float(bps[left]), float(bps[right])
-            t = bl + (beta - gl) * (br - bl) / (gr - gl)
-            k = int(np.searchsorted(bps, t))
-        else:
-            # the step did not halve the bracket: bisect
-            k = (left + right) // 2
-        width = right - left
+            right, gr = mid, g
     return _interpolate(float(bps[left]), float(bps[right]), gl, gr, beta)
 
 
@@ -108,17 +98,14 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     feasible z has lam* = 0, so the largest breakpoint below 0 and the
     smallest at or above it (-0.0 included), found by masked reductions,
     are tried first: where their balances bracket beta they are that pair,
-    and no sort is needed. Otherwise the breakpoints are sorted and a
-    bracket search, reusing the balances the probe took, finds the pair:
-    it probes first the breakpoint at lam = 0, then where the secant
-    through the bracket meets beta, and bisects after a probe that fails to
-    halve the bracket, so it takes at most about twice the probes of a
-    plain bisection. lam* is recovered by linear interpolation from the
-    balances at the pair, exact because the map is affine between
-    breakpoints. Where rounding leaves that lam's residual above 1e-11
-    relative (points far off the box), a bisection on lam is tried, and its
-    lam kept only when it ends closer to beta. Every evaluation of the map
-    reuses one buffer.
+    and no sort is needed. Otherwise the breakpoints are sorted and a plain
+    bisection over them finds the pair. lam* is recovered by linear
+    interpolation from the balances at the pair, exact because the map is
+    affine between breakpoints. Where rounding leaves that lam's residual
+    above 1e-11 relative (points far off the box), a bisection on lam is
+    tried, and its lam kept only when it ends closer to beta. Every
+    evaluation of the map reuses one buffer. A z that is not finite is a
+    ValueError.
     """
     a = p.equality.a
     lower, upper = p.bounds.lower, p.bounds.upper
@@ -126,6 +113,8 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != a.shape:
         raise ValueError("point has wrong length")
+    if not np.isfinite(z).all():
+        raise ValueError("point is not finite")
 
     # repeated breakpoints leave the bracketing pair of values unchanged
     bps = np.stack((lower, upper))
@@ -137,32 +126,25 @@ def project(z, p: ProblemInstance) -> np.ndarray:
     def balance(lam) -> float:
         return _balance(lam, z, a, lower, upper, buf)
 
-    # the breakpoints next to 0; the sorted search reuses the balances the
-    # probe takes there, which equal its own at the same values
+    # a feasible z has lam* = 0: the breakpoints next to 0 bracket it
     negative = bps < 0.0
     b_neg = float(np.max(bps, where=negative, initial=-np.inf))
     b_pos = float(np.min(bps, where=~negative, initial=np.inf))
-    known = {}
-
-    def probe(lam) -> float:
-        known[lam] = g = balance(lam)
-        return g
-
     lam = None
     if b_neg > -np.inf and b_pos < np.inf:
-        g_pos = probe(b_pos)
-        if beta <= g_pos and probe(b_neg) < beta:
-            # the sorted search's last bracket, unless beta is the top
-            # balance, where it ends at the largest breakpoint
-            top = g_pos
-            if not beta < g_pos:
-                b_max = float(bps.max())
-                top = probe(b_max) if b_max > b_pos else g_pos
-            if beta < top:
-                lam = _interpolate(b_neg, b_pos, known[b_neg], g_pos, beta)
+        g_pos = balance(b_pos)
+        if beta <= g_pos:
+            g_neg = balance(b_neg)
+            if g_neg < beta:
+                lam = _interpolate(b_neg, b_pos, g_neg, g_pos, beta)
+                if beta == g_pos:
+                    # where beta is the top balance, the sorted search
+                    # ends at the largest breakpoint
+                    b_max = float(bps.max())
+                    if b_max == b_pos or balance(b_max) == beta:
+                        lam = b_max
     if lam is None:
-        lam = _sorted_search(
-            bps, beta, lambda b: known[b] if b in known else balance(b))
+        lam = _sorted_search(bps, beta, balance)
 
     residual = beta - balance(lam)
     if abs(residual) > 1e-11 * max(1.0, abs(beta)):

@@ -311,12 +311,25 @@ class TestMarketModel:
         ({"p": 1.0, "q": 1.0, "cap": None}, "field 'cap' must be finite"),
         ({"p": float("nan"), "q": 1.0, "cap": 4.0}, "field 'p' must be finite"),
         ({"p": 1.0, "q": 1.0, "cap": 4.0, "c": 1.0}, "unknown field 'c'"),
-        ([1.0, 1.0, 4.0], "field 'p' is not numeric"),
+        ([1.0, 1.0, 4.0], "must be a list of objects"),
     ])
     def test_document_row_errors_name_the_field(self, row, match):
         doc = {"traders": [{"p": 1.0, "q": 1.0, "cap": 4.0}, row],
                "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}]}
         with pytest.raises(ProblemError, match=f"trader quote.*{match}"):
+            market_from_document(doc)
+
+    @pytest.mark.parametrize("traders", [5, "pqc", {"p": 1.0, "q": 1.0, "cap": 4.0}])
+    def test_quotes_that_are_not_a_list_say_so(self, traders):
+        doc = {"traders": traders, "buyers": [{"p": 3.0, "q": -1.0, "cap": 2.0}]}
+        with pytest.raises(ProblemError,
+                           match="trader quotes must be a list of objects"):
+            market_from_document(doc)
+
+    @pytest.mark.parametrize("doc", [[], "market", 1.0, None])
+    def test_document_that_is_not_an_object_names_it(self, doc):
+        with pytest.raises(ProblemError,
+                           match="market document is not a JSON object"):
             market_from_document(doc)
 
     @pytest.mark.parametrize("b", [None, "x", [0.0]])

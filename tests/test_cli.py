@@ -103,6 +103,14 @@ class TestSolve:
         assert main(["solve", problem_file, "--start",
                      "0.5,0.5,0.5,0.5,0.5,0.5"]) == 0
 
+    def test_start_that_is_not_finite_exits_two(self, problem_file, capsys):
+        # a NaN start once ran 21 stages and ended "stalled" at a NaN point
+        assert main(["solve", problem_file, "--start",
+                     "nan,0.5,0.5,0.5,0.5,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "is not finite" in captured.err
+        assert captured.out == ""
+
     def test_linesearch_stall_exit_four(self, tmp_path, capsys):
         path = tmp_path / "q10.json"
         save_problem(gen_quadratic(10, 5.0), path)
@@ -253,6 +261,31 @@ class TestProjectAndCheck:
         assert main(["project", problem_file, "--point", "a,b"]) == 2
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["project", "check"])
+    def test_point_that_is_not_finite_exits_two(self, problem_file, command,
+                                                capsys):
+        # project once printed nan,0.0,... and exited 0
+        assert main([command, problem_file, "--point",
+                     "nan,0.5,0.5,0.5,0.5,inf"]) == 2
+        captured = capsys.readouterr()
+        assert "is not finite" in captured.err
+        assert captured.out == ""
+
+    def test_check_bounds_the_gap_at_the_point_it_accepts(self, tmp_path,
+                                                          capsys):
+        # a box violation within --tol is feasible; the gap was once
+        # refused at a box tolerance of 1e-12, after "feasible: True"
+        p = build_problem(BoxBounds(np.zeros(3), np.ones(3)),
+                          LinearEquality(np.ones(3), 1.0),
+                          QuadraticObjective(np.eye(3)))
+        path = tmp_path / "simplex.json"
+        save_problem(p, path)
+        assert main(["check", str(path), "--point=-0.000001,0.500001,0.5"]) == 0
+        captured = capsys.readouterr()
+        assert "feasible: True" in captured.out
+        assert "error bound: 0.500002" in captured.out
+        assert captured.err == ""
+
 
 class TestBench:
     def test_markdown_table(self, capsys):
@@ -344,6 +377,17 @@ class TestApplicationsCli:
         path.write_text(json.dumps(doc))
         assert main(["market", str(path)]) == 2
         assert "'q'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "market document is not a JSON object"),
+        ({"traders": [[1.0, 1.0, 4.0]]}, "trader quotes must be a list of objects")])
+    def test_market_of_the_wrong_shape_exits_two(self, tmp_path, doc, message,
+                                                capsys):
+        # a document that is a list once ended in an AttributeError
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(doc))
+        assert main(["market", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_market_with_null_b_exits_two_naming_the_field(self, tmp_path,
                                                            capsys):

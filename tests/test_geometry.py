@@ -9,10 +9,16 @@ from bicoord import (
     BoxBounds,
     LinearEquality,
     LinearObjective,
+    MarketModel,
+    build_market,
     build_problem,
     check_feasibility,
+    gen_convex_log,
+    gen_nonsmooth_l1,
+    gen_quadratic,
     minimize_linear,
     project,
+    protocol_start,
 )
 from bicoord import geometry
 from bicoord.geometry import _balance, floor_zero, linear_gap
@@ -728,10 +734,46 @@ def test_feasible_start_at_1e5_takes_few_balance_passes(balance_passes):
     z = rng.uniform(0.0, upper)
     p = make_instance(a, np.zeros(n), upper, a @ z)
     x = project(z, p)
-    assert len(balance_passes) <= 6
+    assert len(balance_passes) <= 3
     reference = []
     assert x.tobytes() == project_reference(z, p, reference).tobytes()
     assert len(reference) == 22
+
+
+def test_only_starts_off_the_feasible_set_sort_the_breakpoints(monkeypatch):
+    # the probe next to lam = 0 settles the grid's protocol starts and the
+    # 1e5-agent market's "no trade" start; a far start takes the sort
+    searches = []
+    sorted_search = geometry._sorted_search
+
+    def counted(bps, beta, balance):
+        searches.append(len(bps))
+        return sorted_search(bps, beta, balance)
+
+    monkeypatch.setattr(geometry, "_sorted_search", counted)
+    for make, beta, n in itertools.product(
+            (gen_quadratic, gen_convex_log, gen_nonsmooth_l1), (5.0, 10.0, 20.0),
+            (10, 20, 50, 100)):
+        p = make(n, beta)
+        project(protocol_start(p), p)
+    rng = np.random.default_rng(61)
+    m = 50_000
+    quotes = [np.column_stack([rng.uniform(lo, lo + 2.0, m),
+                               sign * rng.uniform(0.5, 2.0, m),
+                               rng.uniform(0.5, 2.0, m)])
+              for lo, sign in ((1.0, 1.0), (2.0, -1.0))]
+    market, _ = build_market(MarketModel(*quotes))
+    project(np.zeros(market.n), market)
+    assert searches == []
+    project(protocol_start(p) + 1e6, p)
+    assert searches == [2 * p.n]
+
+
+def test_project_rejects_a_point_that_is_not_finite():
+    p = make_instance([1.0, 1.0, 1.0], np.zeros(3), np.ones(3), 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="point is not finite"):
+            project(np.array([bad, 0.5, 0.5]), p)
 
 
 # balance evaluations the plain bisection makes over the cases below, its
