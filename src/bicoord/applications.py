@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
+import math
 import numpy as np
 
 from .diagnostics import check_stationarity
@@ -158,7 +159,10 @@ class PortfolioData:
             raise ProblemError("means must be finite")
         if not np.isfinite(target):
             raise ProblemError("target must be finite")
-        scale = max(1.0, float(max(C.max(), -C.min())))
+        c_max = float(max(C.max(), -C.min()))
+        if not math.isfinite(c_max):
+            raise ProblemError("covariance must be finite")
+        scale = max(1.0, c_max)
         if not is_symmetric(C, atol=1e-10 * scale):
             raise ProblemError("covariance must be symmetric")
         if float(np.linalg.eigvalsh(C).min()) < -1e-8 * scale:

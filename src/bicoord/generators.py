@@ -26,7 +26,11 @@ __all__ = ["gen_quadratic", "gen_convex_log", "gen_nonsmooth_l1",
 def interaction_matrix(n: int) -> np.ndarray:
     """Symmetric positive definite sin/cos coupling matrix.
 
-    Filled by blocks of rows, so no temporary is larger than a block; the
+    Filled by blocks of rows, each written in place by plain products:
+    s_i c_j on and above the diagonal, c_i s_j below it. Multiplication
+    commutes in IEEE arithmetic, so P_ji equals P_ij bit for bit. Below the
+    diagonal inside the block's own square, the entries are copied from
+    their mirrors just written. No temporary is larger than a block. The
     diagonal's column sums are accumulated in row order, as one sum over
     all rows would.
     """
@@ -39,9 +43,11 @@ def interaction_matrix(n: int) -> np.ndarray:
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
         rows = P[r0:r1]
-        rows[:] = np.where(idx[r0:r1, None] < idx, s[r0:r1, None] * c,
-                           s * c[r0:r1, None])
-        np.fill_diagonal(rows[:, r0:r1], 0.0)
+        np.multiply(s[r0:r1, None], c[r0:], out=rows[:, r0:])
+        np.multiply(c[r0:r1, None], s[:r0], out=rows[:, :r0])
+        square = rows[:, r0:r1]
+        np.copyto(square, square.T, where=idx[r0:r1, None] > idx[r0:r1])
+        np.fill_diagonal(square, 0.0)
         np.abs(rows, out=acc[1:r1 - r0 + 1])
         acc[0] = acc[:r1 - r0 + 1].sum(axis=0)
     np.fill_diagonal(P, acc[0] + 1.0)

@@ -72,28 +72,35 @@ def _log_domain(den: float) -> float:
 
 
 def is_symmetric(M: np.ndarray, atol: float) -> bool:
-    """Whether |M_ij - M_ji| <= atol + 1e-5 min(|M_ij|, |M_ji|) for all i, j,
-    which is np.allclose(M, M.T, atol=atol); NaN is never close."""
+    """Whether, for all i, j, M_ij == M_ji, or both are finite and
+    |M_ij - M_ji| <= atol + 1e-5 min(|M_ij|, |M_ji|), which is
+    np.allclose(M, M.T, atol=atol); NaN is never close."""
     return _symmetry(M, atol) is not None
 
 
 def _symmetry(M: np.ndarray, atol: float) -> bool | None:
     """None where M is not symmetric in is_symmetric's sense, else whether
-    M equals M.T exactly. Row blocks of the upper triangle are compared with
-    the mirrored column blocks, so no temporary is larger than a block."""
-    n = M.shape[0]
-    step = max(1, (1 << 16) // max(n, 1))
+    M equals M.T exactly. Square tiles of the upper triangle are compared
+    with their mirrored tiles, so no temporary is larger than a tile: an
+    equal tile costs one comparison, and only a tile that differs is
+    tested against the tolerance, which also makes M inexact."""
+    n, t = M.shape[0], 256
     exact = True
-    for i in range(0, n, step):
-        rows = M[i:i + step, i:]
-        cols = M[i:, i:i + step].T
-        diff = np.abs(rows - cols)
-        tol = np.minimum(np.abs(rows), np.abs(cols))
-        tol *= 1e-5
-        tol += atol
-        if not (diff <= tol).all():
-            return None
-        exact = exact and not diff.any()
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            a, b = M[i:i + t, j:j + t], M[j:j + t, i:i + t].T
+            if (a == b).all():
+                continue
+            exact = False
+            # inf - inf is NaN here, and an equal pair is close anyway
+            with np.errstate(invalid="ignore"):
+                diff = np.abs(a - b)
+            tol = np.minimum(np.abs(a), np.abs(b))
+            tol *= 1e-5
+            tol += atol
+            if not ((diff <= tol) & np.isfinite(a) & np.isfinite(b)
+                    | (a == b)).all():
+                return None
     return exact
 
 
@@ -411,6 +418,8 @@ class QuadraticObjective(Objective):
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("P must be a square matrix")
         self._p_max = float(max(P.max(), -P.min()))  # max |P_ij|
+        if not math.isfinite(self._p_max):
+            raise ValueError("P must be finite")
         self._symmetric = _symmetry(P, atol=1e-12 * max(1.0, self._p_max))
         if self._symmetric is None:
             raise ValueError("P must be symmetric")

@@ -554,7 +554,8 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     Each iteration minimizes the linearized objective over the stage
     problem's feasible set and backtracks along d = y - x from unit step; a
     stage whose feasible set differs from the last one's projects the point
-    onto it. For smoothed objectives a
+    onto it, and one that keeps the last one's problem object keeps its
+    linear minimization and gap. For smoothed objectives a
     stage provider (default: GeometricSchedule(problem, cfg.target_accuracy))
     supplies the shrinking approximation parameter: when the gap on the
     current surrogate reaches target_accuracy but the parameter has not, the
@@ -581,13 +582,18 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     f_x = None  # f(x) on the stage objective, while neither has changed
     # x and every trial point of a step lie in the box: the line models' scale
     radius = float(p_l.box_radius.sum())
+    # the last restart kept the problem object, so x, f(x), the gradient, the
+    # line model, y and the gap are the last pass's
+    kept = False
 
     while True:
         f_l = p_l.objective
-        g, line = f_l.gradient_line(x)
-        y, best = minimize_linear(g, p_l)
-        # ndarray.dot: the bits of @, with less overhead on short vectors
-        gap = floor_zero(float(g.dot(x)) - best)
+        if not kept:
+            g, line = f_l.gradient_line(x)
+            y, best = minimize_linear(g, p_l)
+            # ndarray.dot: the bits of @, with less overhead on short vectors
+            gap = floor_zero(float(g.dot(x)) - best)
+        kept = False
         if math.isnan(gap):
             # a NaN gradient gives no direction, as no pair qualifies in bcv
             stop_reason = "stalled"
@@ -604,7 +610,9 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
             if nxt.bounds is not p_l.bounds or nxt.equality is not p_l.equality:
                 x = project(x, nxt)
                 radius = float(nxt.box_radius.sum())
-            p_l, f_x = nxt, None
+            kept = nxt is p_l
+            if not kept:
+                p_l, f_x = nxt, None
             continue
         if ladder.steps >= cfg.max_inner_iterations:
             stop_reason = "budget"

@@ -158,6 +158,14 @@ class TestPortfolio:
         with pytest.raises(ProblemError, match="symmetric"):
             PortfolioData(covariance=C, means=np.ones(2), target=1.0)
 
+    @pytest.mark.parametrize("C", [
+        [[np.inf, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+    def test_rejects_non_finite_covariance(self, C):
+        # a NaN entry once read as "covariance must be symmetric"
+        with pytest.raises(ProblemError, match="covariance must be finite"):
+            PortfolioData(covariance=np.array(C), means=np.ones(2), target=1.0)
+
     def test_rejects_indefinite_covariance(self):
         C = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ProblemError, match="semidefinite"):

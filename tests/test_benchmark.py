@@ -1,3 +1,5 @@
+import tracemalloc
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
@@ -29,9 +31,10 @@ class TestInstanceFamilies:
         assert P[3, 1] == pytest.approx(np.sin(2.0) * np.cos(4.0))
         assert_allclose(P, P.T)
 
-    @pytest.mark.parametrize("n", [2, 3, 100, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 100, 1000, 1500])
     def test_coupling_matches_dense_formula(self, n):
-        # the formula over full n x n grids, bit for bit
+        # the formula over full n x n grids, bit for bit; at n = 1000 and
+        # 1500 the row blocks (65 and 43 rows) do not divide n
         idx = np.arange(1, n + 1, dtype=float)
         s, c = np.sin(idx), np.cos(idx)
         ref = np.where(idx[:, None] < idx[None, :], s[:, None] * c[None, :],
@@ -39,6 +42,23 @@ class TestInstanceFamilies:
         np.fill_diagonal(ref, 0.0)
         np.fill_diagonal(ref, np.abs(ref).sum(axis=0) + 1.0)
         assert np.array_equal(interaction_matrix(n), ref)
+
+    def test_dense_build_allocates_no_second_matrix(self):
+        # P takes 8 n^2 bytes; the rest is the fill's row block of absolute
+        # values, numpy's ufunc buffers and the O(n) vectors, well below the
+        # 2^17 doubles (1 MiB) allowed here, while an n x n temporary would
+        # add 32 MB (a boolean one 4 MB)
+        n = 2000
+        gen_convex_log(10, 10.0)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            gen_convex_log(n, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * n * n + 8 * (1 << 17)
 
     def test_coupling_diagonal_dominance(self):
         P = interaction_matrix(12)

@@ -1,3 +1,6 @@
+import warnings
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,7 +14,7 @@ from bicoord import (
     smooth_plus,
 )
 import bicoord.objectives
-from bicoord.objectives import is_symmetric
+from bicoord.objectives import _symmetry, is_symmetric
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -95,6 +98,80 @@ def test_symmetry_check_agrees_with_allclose(n):
 def test_quadratic_objective_rejects_nan():
     with pytest.raises(ValueError):
         QuadraticObjective(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+NON_FINITE_MATRICES = [
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, -np.inf], [-np.inf, 1.0]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]],
+]
+
+
+@pytest.mark.parametrize("P", NON_FINITE_MATRICES)
+def test_quadratic_objective_names_a_non_finite_matrix(P):
+    # these are symmetric or NaN, and were once rejected as asymmetric,
+    # after a RuntimeWarning from inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="P must be finite"):
+            QuadraticObjective(np.array(P))
+
+
+#: tile edges of the symmetry check, which compares 256 x 256 tiles
+TILE_EDGE_SIZES = [1, 2, 255, 256, 257, 700]
+
+
+@st.composite
+def near_symmetric(draw):
+    """(M, atol): a random symmetric M, changed inside one tile of the upper
+    triangle or its mirror: entries scaled by 1e-3 to 1e-14, mirrored
+    +0.0/-0.0 pairs, NaN and +-inf, alone or mirrored. The tile is off the
+    diagonal where M has more than one tile row."""
+    n = draw(st.sampled_from(TILE_EDGE_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n, n))
+    M = B + B.T
+    atol = 1e-12 * max(1.0, float(np.abs(M).max()))
+    starts = list(range(0, n, 256))
+    ti = draw(st.sampled_from(starts[:-1] or starts))
+    tj = draw(st.sampled_from([t for t in starts if t > ti] or [ti]))
+    rows = range(ti, min(ti + 256, n))
+    cols = range(tj, min(tj + 256, n))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.sampled_from(rows)), draw(st.sampled_from(cols))
+        if draw(st.booleans()):
+            i, j = j, i
+        kind = draw(st.sampled_from(["scale", "zero", "nan", "inf", "mirror"]))
+        if kind == "scale":
+            rel = draw(st.sampled_from([1e-3, 1e-5, 1.00001e-5, 1e-6, 1e-9,
+                                        1e-12, 1e-14]))
+            rel *= draw(st.sampled_from([-1.0, 1.0]))
+            # an entry already set to inf or NaN stays as it is
+            if np.isfinite(M[i, j]):
+                M[i, j] += rel * (abs(M[i, j]) + 1e-12)
+        elif kind == "zero":
+            M[i, j], M[j, i] = 0.0, -0.0
+        elif kind == "nan":
+            M[i, j] = np.nan
+        else:
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            M[i, j] = sign * np.inf
+            if kind == "mirror":
+                M[j, i] = draw(st.sampled_from([sign, -sign])) * np.inf
+    return M, atol
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=near_symmetric())
+def test_symmetry_verdict_is_allclose_and_exact_is_array_equal(case):
+    M, atol = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        verdict = _symmetry(M, atol)
+    assert (verdict is not None) == np.allclose(M, M.T, atol=atol)
+    if verdict is not None:
+        assert verdict == np.array_equal(M, M.T)
 
 
 def test_quadratic_log_value_and_fd():

@@ -36,6 +36,7 @@ from bicoord import (
     select_pair,
     build_problem,
 )
+import bicoord.solvers
 from bicoord.objectives import SeparableQuadraticObjective
 from bicoord.solvers import _backtrack, _pair_slope, _pair_step
 
@@ -605,6 +606,26 @@ def test_cgm_walks_a_schedule_coarser_than_its_target_to_the_floors(
     assert capped.stop_reason == "max_stages"
     assert np.array_equal(capped.point, result.point)
     assert (capped.error_bound, capped.smoothing) == (result.error_bound, tau)
+
+
+def test_cgm_keeps_its_pass_across_a_restart_onto_the_same_problem(
+        monkeypatch):
+    # from tau's floor 0.5 on, every stage holds the same problem object, so
+    # a restart changes neither the point nor the objective, and the linear
+    # minimization of the last pass stands
+    p = gen_nonsmooth_l1(10, 5.0)
+    calls = []
+
+    def counting(g, q):
+        calls.append((g.tobytes(), q))
+        return minimize_linear(g, q)
+
+    monkeypatch.setattr(bicoord.solvers, "minimize_linear", counting)
+    result = cgm_solve(p, SolverConfig(), stages=GeometricSchedule(p, 0.5))
+    assert (result.inner_iterations_total, result.stages_completed) == (15, 21)
+    assert len(calls) == 18
+    assert all(a[0] != b[0] or a[1] is not b[1]
+               for a, b in zip(calls, calls[1:]))
 
 
 @st.composite
