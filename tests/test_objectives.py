@@ -235,7 +235,7 @@ def test_with_smoothing_shares_the_matrix_without_a_second_check(monkeypatch):
     def no_check(M, atol):
         raise AssertionError("P checked again")
 
-    monkeypatch.setattr(bicoord.objectives, "is_symmetric", no_check)
+    monkeypatch.setattr(bicoord.objectives, "_symmetry", no_check)
     tighter = obj.with_smoothing(0.4)
     assert tighter.P is obj.P and tighter.c is obj.c
     assert (tighter.smoothing, tighter.xi) == (0.4, 5.0)
