@@ -102,13 +102,6 @@ def build_svm_dual(data: SvmDataset, tau: float = 10.0, p: int = 2,
     A = data.labels[:, None] * data.features
     obj = SvmDualObjective(A, tau, p, smooth_eps if p == 1 else None)
     n = data.n_rows
-    obj.spec = {
-        "kind": "svm_dual",
-        "params": {"features": data.features.tolist(),
-                   "labels": data.labels.tolist(), "tau": float(tau),
-                   "p": int(p), "smooth_eps": float(smooth_eps),
-                   "upper_cap": float(upper_cap)},
-    }
     return build_problem(BoxBounds(np.zeros(n), np.full(n, float(upper_cap))),
                          LinearEquality(data.labels, 0.0), obj)
 
@@ -178,13 +171,6 @@ def build_portfolio(data: PortfolioData, tau: float = 10.0, p: int = 2,
     n = data.means.shape[0]
     obj = PortfolioObjective(data.covariance, data.means, data.target, tau, p,
                              smooth_eps if p == 1 else None)
-    obj.spec = {
-        "kind": "portfolio",
-        "params": {"covariance": data.covariance.tolist(),
-                   "means": data.means.tolist(), "target": data.target,
-                   "tau": float(tau), "p": int(p),
-                   "smooth_eps": float(smooth_eps)},
-    }
     return build_problem(
         BoxBounds(np.zeros(n), np.ones(n)),
         LinearEquality(np.ones(n), 1.0),
@@ -276,21 +262,14 @@ def load_market_json(path) -> MarketModel:
 
 
 class _MarketPotential(SeparableQuadraticObjective):
-    """The potential in build_market's coordinates; the serialization spec
-    is the model's document, built only when a document is written."""
+    """The potential in build_market's coordinates; keeps the model it was
+    built from."""
 
     def __init__(self, model: MarketModel):
         t, s = model.traders, model.buyers
         super().__init__(np.concatenate([t[:, 0], s[:, 0]]),
                          np.concatenate([t[:, 1], -s[:, 1]]))
         self.model = model
-
-    @property
-    def spec(self):
-        m = self.model
-        return {"kind": "market", "params": {
-            side: [dict(zip(QUOTE_FIELDS, r)) for r in getattr(m, side).tolist()]
-            for side in ("traders", "buyers")} | {"b": m.b}}
 
 
 def build_market(model: MarketModel) -> tuple[ProblemInstance, SignMap]:

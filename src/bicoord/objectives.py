@@ -109,8 +109,6 @@ class Objective:
 
     #: current smoothing parameter, None for objectives that need none
     smoothing: float | None = None
-    #: serialization payload {"kind": ..., "params": ...}, set by builders
-    spec: dict | None = None
 
     def value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -123,9 +121,13 @@ class Objective:
         return float(self.gradient(x)[i])
 
     def with_smoothing(self, eps: float) -> "Objective":
+        """The same objective at smoothing parameter eps: a shallow copy, so
+        the arrays are shared and not checked again."""
         if self.smoothing is None:
             raise ValueError("objective has no smoothing parameter")
-        raise NotImplementedError
+        new = copy.copy(self)
+        new.smoothing = _positive_tau(eps)
+        return new
 
     def pair_state(self, x: np.ndarray) -> "PairState":
         """State at x for pair steps; takes ownership of x and updates it."""
@@ -406,9 +408,6 @@ class QuadraticObjective(Objective):
     linesearches reject trial points there. The smoothed-l1 term, a smooth
     stand-in for ||x||_1 within n * tau of it, is present when tau is given,
     and needs the log term. partial costs one row product.
-
-    The serialization spec is derived from the arrays when a document reads
-    it, never stored.
     """
 
     c: np.ndarray | None = None
@@ -438,25 +437,6 @@ class QuadraticObjective(Objective):
             if c is None:
                 raise ValueError("the smoothed-l1 term needs the log term's c")
             self.smoothing = _positive_tau(tau)
-
-    @property
-    def spec(self):
-        params = {"matrix": self.P.tolist()}
-        if self.c is None:
-            return {"kind": "quadratic", "params": params}
-        params.update(c=self.c.tolist(), xi=self.xi)
-        if self.smoothing is None:
-            return {"kind": "quadratic_log", "params": params}
-        return {"kind": "quadratic_log_l1", "params": {**params, "tau": self.smoothing}}
-
-    def with_smoothing(self, eps):
-        """The same objective at tau = eps; shares P and c, so P is not
-        checked again."""
-        if self.smoothing is None:
-            raise ValueError("objective has no smoothing parameter")
-        new = copy.copy(self)
-        new.smoothing = _positive_tau(eps)
-        return new
 
     # value, gradient and the log argument take ndarray.dot: the same BLAS
     # call and bits as @, with less overhead on short vectors
@@ -615,11 +595,6 @@ class SvmDualObjective(Objective):
         (_, up), (_, dn) = self._penalties(y)
         return self.tau * (self.A @ (up - dn)) - 1.0
 
-    def with_smoothing(self, eps):
-        if self.smoothing is None:
-            raise ValueError("objective has no smoothing parameter")
-        return SvmDualObjective(self.A, self.tau, self.p, smooth_eps=eps)
-
 
 class PortfolioObjective(Objective):
     """f(x) = <C x, x> + (tau / p) * plus(w - <m, x>)^p.
@@ -646,12 +621,6 @@ class PortfolioObjective(Objective):
     def gradient(self, x):
         slope = self._shortfall(x)[1]
         return 2.0 * (self.C @ x) - self.tau * slope * self.means
-
-    def with_smoothing(self, eps):
-        if self.smoothing is None:
-            raise ValueError("objective has no smoothing parameter")
-        return PortfolioObjective(self.C, self.means, self.target, self.tau,
-                                  self.p, smooth_eps=eps)
 
 
 class SeparableQuadraticObjective(Objective):

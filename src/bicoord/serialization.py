@@ -8,6 +8,10 @@ Generic kinds (quadratic, quadratic_log, quadratic_log_l1, portfolio) take
 the feasible set from the document and the objective from params. Builder
 kinds (svm_dual, market) reconstruct the whole instance from params and
 require the document's feasible set to match the rebuilt one.
+
+This module alone knows the layout: to_document reads the kind and params
+from the objective and the feasible set when a document is written, and
+objectives and builders store nothing for it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ import operator
 
 import numpy as np
 
-from .applications import (PortfolioData, SvmDataset, build_market,
-                           build_svm_dual, market_from_document)
-from .objectives import PortfolioObjective, QuadraticObjective
+from .applications import (QUOTE_FIELDS, PortfolioData, SvmDataset,
+                           _MarketPotential, build_market, build_svm_dual,
+                           market_from_document)
+from .objectives import PortfolioObjective, QuadraticObjective, SvmDualObjective
 from .problem import BoxBounds, LinearEquality, ProblemError, ProblemInstance, build_problem
 
 __all__ = ["to_document", "from_document", "save_problem", "load_problem",
@@ -44,23 +49,66 @@ _PARAM_TYPES = {**dict.fromkeys(("xi", "tau", "p", "target", "smooth_eps",
 
 
 def to_document(p: ProblemInstance) -> dict:
-    spec = p.objective.spec
-    if spec is None or "kind" not in spec:
-        raise ProblemError(
-            "objective carries no serialization spec; only shipped kinds "
-            f"{OBJECTIVE_KINDS} can be saved")
     return {
         "n": p.n,
         "a": p.equality.a.tolist(),
         "beta": p.equality.beta,
         "lower": p.bounds.lower.tolist(),
         "upper": p.bounds.upper.tolist(),
-        "objective": {"kind": spec["kind"], "params": spec["params"]},
+        "objective": _objective_document(p),
     }
 
 
+def _objective_document(p: ProblemInstance) -> dict:
+    """{"kind": ..., "params": ...} of p's objective. The penalty kinds
+    write smooth_eps only at p = 1, where it is read."""
+    obj = p.objective
+    if isinstance(obj, QuadraticObjective):
+        params = {"matrix": obj.P.tolist()}
+        if obj.c is None:
+            return {"kind": "quadratic", "params": params}
+        params.update(c=obj.c.tolist(), xi=obj.xi)
+        if obj.smoothing is None:
+            return {"kind": "quadratic_log", "params": params}
+        return {"kind": "quadratic_log_l1",
+                "params": {**params, "tau": obj.smoothing}}
+    if isinstance(obj, _MarketPotential):
+        m = obj.model
+        return {"kind": "market", "params": {
+            side: [dict(zip(QUOTE_FIELDS, r)) for r in getattr(m, side).tolist()]
+            for side in ("traders", "buyers")} | {"b": m.b}}
+    if isinstance(obj, PortfolioObjective):
+        kind = "portfolio"
+        params = {"covariance": obj.C.tolist(), "means": obj.means.tolist(),
+                  "target": obj.target}
+    elif isinstance(obj, SvmDualObjective) and _svm_dual_layout(p):
+        # the labels are +-1, so they undo the row signs of A exactly
+        kind, labels = "svm_dual", p.equality.a
+        params = {"features": (labels[:, None] * obj.A).tolist(),
+                  "labels": labels.tolist()}
+    else:
+        raise ProblemError(
+            "objective carries no serialization spec; only shipped kinds "
+            f"{OBJECTIVE_KINDS} can be saved")
+    params.update(tau=obj.tau, p=obj.p)
+    if obj.p == 1:
+        params["smooth_eps"] = obj.smoothing
+    if kind == "svm_dual":
+        params["upper_cap"] = float(p.bounds.upper[0])
+    return {"kind": kind, "params": params}
+
+
+def _svm_dual_layout(p: ProblemInstance) -> bool:
+    """Whether p has the feasible set build_svm_dual gives: +-1 labels as
+    the equality's coefficients, beta 0, and the box [0, cap] with one
+    positive cap."""
+    lower, upper = p.bounds.lower, p.bounds.upper
+    return bool(np.isin(p.equality.a, (-1.0, 1.0)).all()
+                and p.equality.beta == 0.0 and (lower == 0.0).all()
+                and upper[0] > 0.0 and (upper == upper[0]).all())
+
+
 def _generic_objective(kind: str, params: dict):
-    # the quadratic family derives its spec from its arrays
     if kind in _QUADRATIC_PARAMS:
         return QuadraticObjective(*(params[k] for k in _QUADRATIC_PARAMS[kind]))
     obj = PortfolioObjective(
@@ -69,7 +117,6 @@ def _generic_objective(kind: str, params: dict):
         params.get("smooth_eps") if params["p"] == 1 else None)
     # revalidate through the data holder
     PortfolioData(params["covariance"], params["means"], params["target"])
-    obj.spec = {"kind": kind, "params": params}
     return obj
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -22,6 +23,7 @@ from bicoord import (
     split_market_point,
     svm_cap_binding,
     svm_primal,
+    to_document,
     verify_market_equilibrium,
 )
 from bicoord.objectives import smooth_plus
@@ -257,6 +259,32 @@ def test_p2_penalty_has_no_smoothing_to_tighten(build):
         obj.with_smoothing(0.1)
 
 
+def kept_by(build, *args):
+    """(result of build(*args), bytes it still holds once built)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build(*args)
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_builders_keep_no_copy_of_their_data():
+    # the SVM dual holds A = labels * features and two n-vectors of bounds;
+    # the portfolio shares the covariance and adds three n-vectors
+    rng = np.random.default_rng(3)
+    labels = np.where(np.arange(20_000) % 2 == 0, 1.0, -1.0)
+    svm = SvmDataset(rng.standard_normal((20_000, 10)), labels)
+    p, kept = kept_by(build_svm_dual, svm)
+    assert kept < 1.5 * p.objective.A.nbytes
+    B = rng.standard_normal((500, 500))
+    data = PortfolioData(B @ B.T / 500.0, rng.uniform(0.0, 0.2, 500), 0.1)
+    p, kept = kept_by(build_portfolio, data)
+    assert p.objective.C is data.covariance
+    assert kept < 0.1 * data.covariance.nbytes
+
+
 # ------------------------------------------------------------------ market
 
 
@@ -356,8 +384,8 @@ class TestMarketModel:
         assert m.b == 0.25
         assert m.traders[0, 2] == 1.5
         assert m.buyers[0, 1] == -1.0
-        assert build_market(m)[0].objective.spec == {"kind": "market",
-                                                     "params": doc}
+        assert to_document(build_market(m)[0])["objective"] == {
+            "kind": "market", "params": doc}
 
 
 def one_trader_one_buyer():
@@ -409,7 +437,7 @@ class TestMarketBuild:
         m = MarketModel(traders=[(1.0, 0.0, 1.0)], buyers=[(0.0, -0.0, 2.0)],
                         b=-0.5)
         p, _ = build_market(m)
-        back = market_from_document(p.objective.spec["params"])
+        back = market_from_document(to_document(p)["objective"]["params"])
         assert back.traders.tobytes() == m.traders.tobytes()
         assert back.buyers.tobytes() == m.buyers.tobytes()
         assert back.b == m.b

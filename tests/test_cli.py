@@ -286,6 +286,26 @@ class TestProjectAndCheck:
         assert "error bound: 0.500002" in captured.out
         assert captured.err == ""
 
+    def test_check_boundary_tol_decides_which_coordinates_sit_at_a_bound(
+            self, tmp_path, capsys):
+        # x_0 is 1e-3 above its lower bound with the largest scaled
+        # gradient: within --boundary-tol 1e-2 it is at the bound and gives
+        # no balance, and the point is stationary
+        p = build_problem(BoxBounds(np.zeros(3), np.ones(3)),
+                          LinearEquality(np.ones(3), 1.0),
+                          QuadraticObjective(np.diag([1000.0, 1.0, 1.0])))
+        path = tmp_path / "simplex.json"
+        save_problem(p, path)
+        point = "--point=0.001,0.4995,0.4995"
+        assert main(["check", str(path), point]) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert main(["check", str(path), point, "--boundary-tol", "1e-2"]) == 0
+        wide = capsys.readouterr().out.splitlines()
+        assert "worst violation: 0.5005" in default
+        assert "stationary at tol 0.0001: False" in default
+        assert "worst violation: 0" in wide
+        assert "stationary at tol 0.0001: True" in wide
+
 
 class TestBench:
     def test_markdown_table(self, capsys):
@@ -308,6 +328,22 @@ class TestBench:
         assert main(["bench", "--series", "1", "--beta", "5", "--n", "10",
                      "--methods", "foo"]) == 2
         assert "'foo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau0, iterations", [(None, ("84", "24")),
+                                                  ("0.8", ("88", "23"))])
+    def test_tau0_sets_the_first_stage(self, tau0, iterations, capsys):
+        argv = ["bench", "--series", "3", "--beta", "5", "--n", "10",
+                "--format", "csv"]
+        assert main(argv + ([] if tau0 is None else ["--tau0", tau0])) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[3], r[5]) for r in rows] == list(zip(("cgm", "bcv"),
+                                                        iterations))
+
+    def test_tau0_zero_exits_two(self, capsys):
+        assert main(["bench", "--series", "3", "--beta", "5", "--n", "10",
+                     "--tau0", "0"]) == 2
+        assert "tau must be positive" in capsys.readouterr().err
 
     def test_csv_byte_stable_across_processes(self):
         cmd = [sys.executable, "-m", "bicoord.cli", "bench", "--series", "2",

@@ -6,15 +6,27 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bicoord import (
+    BoxBounds,
+    LinearEquality,
     LinearObjective,
     PortfolioObjective,
     QuadraticObjective,
     SeparableQuadraticObjective,
     SvmDualObjective,
+    build_problem,
     smooth_plus,
+    to_document,
 )
 import bicoord.objectives
 from bicoord.objectives import _symmetry, is_symmetric
+
+
+def objective_document(obj):
+    """The document's objective entry for obj on the unit simplex."""
+    n = obj.P.shape[0]
+    p = build_problem(BoxBounds(np.zeros(n), np.ones(n)),
+                      LinearEquality(np.ones(n), 1.0), obj)
+    return to_document(p)["objective"]
 
 
 def fd_gradient(obj, x, h=1e-6):
@@ -239,8 +251,8 @@ def test_with_smoothing_shares_the_matrix_without_a_second_check(monkeypatch):
     tighter = obj.with_smoothing(0.4)
     assert tighter.P is obj.P and tighter.c is obj.c
     assert (tighter.smoothing, tighter.xi) == (0.4, 5.0)
-    assert tighter.spec["params"]["tau"] == 0.4
-    assert obj.spec["params"]["tau"] == 1.6
+    assert objective_document(tighter)["params"]["tau"] == 0.4
+    assert objective_document(obj)["params"]["tau"] == 1.6
     with pytest.raises(ValueError):
         obj.with_smoothing(0.0)
     with pytest.raises(ValueError):
@@ -256,9 +268,9 @@ def test_quadratic_rejects_tau_without_c():
 
 def test_quadratic_spec_kind_follows_the_terms():
     P, c = np.eye(2), np.ones(2)
-    specs = [QuadraticObjective(P).spec,
-             QuadraticObjective(P, c, xi=5.0).spec,
-             QuadraticObjective(P, c, xi=5.0, tau=0.5).spec]
+    specs = [objective_document(QuadraticObjective(P)),
+             objective_document(QuadraticObjective(P, c, xi=5.0)),
+             objective_document(QuadraticObjective(P, c, xi=5.0, tau=0.5))]
     assert [(s["kind"], list(s["params"])) for s in specs] == [
         ("quadratic", ["matrix"]),
         ("quadratic_log", ["matrix", "c", "xi"]),

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bicoord import (
+    GeometricSchedule,
     MarketModel,
     PortfolioData,
     ProblemError,
@@ -21,11 +22,15 @@ from bicoord import (
     save_problem,
     to_document,
 )
-from bicoord.objectives import QuadraticObjective, SeparableQuadraticObjective
-from bicoord.problem import BoxBounds, LinearEquality, build_problem
+from bicoord.objectives import (PortfolioObjective, QuadraticObjective,
+                                SeparableQuadraticObjective, SvmDualObjective)
+from bicoord.problem import (BoxBounds, LinearEquality, ProblemInstance,
+                             build_problem)
 
 
-def shipped_instances():
+def shipped_instances(penalty_p=2, smooth_eps=1e-4):
+    """One instance of each kind; the SVM dual and the portfolio take their
+    penalty's p and smooth_eps from the arguments."""
     svm_data = SvmDataset(features=np.array([[1.0, 0.2], [-0.5, 1.0],
                                              [0.3, -1.0], [-1.0, -0.4]]),
                           labels=np.array([1.0, 1.0, -1.0, -1.0]))
@@ -37,8 +42,10 @@ def shipped_instances():
         "quadratic": gen_quadratic(6, 3.0),
         "quadratic_log": gen_convex_log(6, 3.0),
         "quadratic_log_l1": gen_nonsmooth_l1(6, 3.0, tau=1.6),
-        "svm_dual": build_svm_dual(svm_data, tau=10.0, p=2, upper_cap=50.0),
-        "portfolio": build_portfolio(portfolio, tau=10.0, p=2),
+        "svm_dual": build_svm_dual(svm_data, tau=10.0, p=penalty_p,
+                                   smooth_eps=smooth_eps, upper_cap=50.0),
+        "portfolio": build_portfolio(portfolio, tau=10.0, p=penalty_p,
+                                     smooth_eps=smooth_eps),
         "market": build_market(market)[0],
     }
 
@@ -100,6 +107,66 @@ def test_family_objective_built_by_hand_saves():
                                 "params": {"matrix": [[1.0, 0.0], [0.0, 1.0]]}}
     q = from_document(doc)
     assert_allclose(q.objective.P, np.eye(2))
+
+
+@pytest.mark.parametrize("kind", ["svm_dual", "portfolio"])
+def test_tightened_penalty_saves_its_smoothing(kind, tmp_path):
+    p = shipped_instances(penalty_p=1, smooth_eps=1.6)[kind]
+    tight = ProblemInstance(bounds=p.bounds, equality=p.equality,
+                            objective=p.objective.with_smoothing(0.4))
+    path = tmp_path / "tight.json"
+    save_problem(tight, path)
+    assert json.loads(path.read_text())["objective"]["params"]["smooth_eps"] == 0.4
+    q = load_problem(path)
+    assert q.objective.smoothing == 0.4
+    x = project(np.full(p.n, 0.3), p)
+    assert q.objective.value(x) == tight.objective.value(x)
+
+
+def test_p2_penalties_write_no_smooth_eps():
+    shipped = shipped_instances()
+    for kind in ("svm_dual", "portfolio"):
+        params = to_document(shipped[kind])["objective"]["params"]
+        assert params["p"] == 2
+        assert "smooth_eps" not in params
+
+
+def test_schedule_stage_writes_its_tau():
+    p = gen_nonsmooth_l1(6, 3.0, tau=1.6)
+    stage = GeometricSchedule(p, 1e-3).stage(2)
+    assert stage.problem.objective.smoothing == 0.4
+    assert to_document(stage.problem)["objective"]["params"]["tau"] == 0.4
+    assert to_document(p)["objective"]["params"]["tau"] == 1.6
+
+
+def test_hand_built_portfolio_saves_as_the_generic_kind():
+    obj = PortfolioObjective(np.array([[2.0, 0.3], [0.3, 1.0]]),
+                             np.array([1.0, 0.5]), 0.8, tau=10.0, p=2)
+    p = build_problem(BoxBounds(np.zeros(2), np.full(2, 2.0)),
+                      LinearEquality(np.array([1.0, 2.0]), 1.5), obj)
+    doc = to_document(p)
+    assert doc["objective"] == {"kind": "portfolio", "params": {
+        "covariance": [[2.0, 0.3], [0.3, 1.0]], "means": [1.0, 0.5],
+        "target": 0.8, "tau": 10.0, "p": 2}}
+    q = from_document(doc)
+    assert_allclose(q.bounds.upper, p.bounds.upper)
+    assert_allclose(q.equality.a, p.equality.a)
+
+
+@pytest.mark.parametrize("lower, upper, beta", [
+    ([1.0, 1.0, 1.0, 1.0], [3.0, 3.0, 3.0, 3.0], 0.0),
+    ([0.0, 0.0, 0.0, 0.0], [2.0, 3.0, 2.0, 2.0], 0.0),
+    ([0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0], 1.0),
+], ids=["lower_one", "unequal_caps", "beta_one"])
+def test_svm_dual_built_by_hand_is_refused(lower, upper, beta):
+    labels = np.array([1.0, 1.0, -1.0, -1.0])
+    A = labels[:, None] * np.array([[1.0, 0.2], [-0.5, 1.0],
+                                    [0.3, -1.0], [-1.0, -0.4]])
+    p = build_problem(BoxBounds(np.array(lower), np.array(upper)),
+                      LinearEquality(labels, beta),
+                      SvmDualObjective(A, tau=10.0, p=2))
+    with pytest.raises(ProblemError, match="serialization spec"):
+        to_document(p)
 
 
 def test_unknown_kind_rejected():

@@ -27,8 +27,11 @@ beta-at-the-ends instances, and points far from the box. The knapsacks
 minimizations at n from 4096 to 12288, where `minimize_linear` selects the
 prefix of the cost order that its fill reaches: distinct, tied, signed and
 NaN costs, budgets at and near both ends, and fills that a guess from the
-average cap undercounts. Only the public API is used, so the script runs
-unchanged on older checkouts. It pins the BLAS and OpenMP pools to one
+average cap undercounts. The documents (cases `document/...`, the sha256
+of `json.dumps(to_document(p), sort_keys=True)`) are families 1-3 at n = 6,
+SVM duals and portfolios at p = 1 and 2, and tests/data/market_demo.json.
+Only the public API is used, so the script runs unchanged on older
+checkouts. It pins the BLAS and OpenMP pools to one
 thread before numpy loads, so two checkouts compare on the same summation
 order.
 """
@@ -37,7 +40,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import os
+from pathlib import Path
 
 # one BLAS thread: a threaded dot sums in another order, so at large n the
 # bits of an outcome would depend on the thread count
@@ -67,11 +72,13 @@ from bicoord import (
     gen_convex_log,
     gen_nonsmooth_l1,
     gen_quadratic,
+    load_market_json,
     mbc_solve,
     minimize_linear,
     project,
     protocol_start,
     run_cell_detailed,
+    to_document,
 )
 
 SOLVERS = {"bcv": bcv_solve, "mbc": mbc_solve, "cgm": cgm_solve}
@@ -319,12 +326,16 @@ def exit_cases():
         yield f"exit/stall/{kind}/{method}", res
 
 
+def svm_data(seed: int, rows: int) -> SvmDataset:
+    rng = np.random.default_rng(seed)
+    labels = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)
+    features = rng.standard_normal((rows, 3)) + labels[:, None]
+    return SvmDataset(features, labels)
+
+
 def svm_cases():
     for seed, rows in ((0, 12), (1, 20), (2, 30)):
-        rng = np.random.default_rng(seed)
-        labels = np.where(np.arange(rows) % 2 == 0, 1.0, -1.0)
-        features = rng.standard_normal((rows, 3)) + labels[:, None]
-        data = SvmDataset(features, labels)
+        data = svm_data(seed, rows)
         for p_norm, method, acc in itertools.product(
                 (1, 2), ("bcv", "mbc", "cgm"), (0.1, 1e-3)):
             p = build_svm_dual(data, p=p_norm, upper_cap=10.0)
@@ -341,11 +352,15 @@ def svm_cases():
             yield f"svm/{seed}/{p_norm}/{method}/{acc:g}/gradient-difference", res
 
 
+def portfolio_data(seed: int) -> PortfolioData:
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((8, 8))
+    return PortfolioData(B @ B.T / 8.0, rng.uniform(0.0, 0.2, 8), 0.12)
+
+
 def portfolio_cases():
     for seed in (0, 1):
-        rng = np.random.default_rng(seed)
-        B = rng.standard_normal((8, 8))
-        data = PortfolioData(B @ B.T / 8.0, rng.uniform(0.0, 0.2, 8), 0.12)
+        data = portfolio_data(seed)
         for p_norm, method in itertools.product((1, 2), ("bcv", "mbc", "cgm")):
             p = build_portfolio(data, p=p_norm)
             res = solve(method, p, None, target_accuracy=1e-3,
@@ -478,6 +493,23 @@ def knapsack_cases():
         yield f"knapsack/short_guess/{share:g}", minimize_linear(c, p)
 
 
+def document_cases():
+    for series in (1, 2, 3):
+        yield f"document/family/{series}/6", FAMILIES[series](6, 5.0)
+    for p_norm in (1, 2):
+        yield (f"document/svm/0/{p_norm}",
+               build_svm_dual(svm_data(0, 12), p=p_norm, upper_cap=10.0))
+        yield f"document/portfolio/0/{p_norm}", build_portfolio(portfolio_data(0),
+                                                                p=p_norm)
+    demo = Path(__file__).resolve().parent.parent / "tests/data/market_demo.json"
+    yield "document/market/market_demo", build_market(load_market_json(demo))[0]
+
+
+def document_digest(p) -> str:
+    text = json.dumps(to_document(p), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 def point_digest(x) -> str:
     return hashlib.sha256(np.asarray(x, dtype=float).tobytes()).hexdigest()[:16]
 
@@ -498,6 +530,8 @@ def main() -> None:
         print(case, point_digest(x), flush=True)
     for case, (y, value) in knapsack_cases():
         print(case, knapsack_digest(y, value), flush=True)
+    for case, p in document_cases():
+        print(case, document_digest(p), flush=True)
 
 
 if __name__ == "__main__":
