@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import json
-import math
 import numpy as np
 
 from .diagnostics import check_stationarity
 from .objectives import (PortfolioObjective, SeparableQuadraticObjective,
-                         SvmDualObjective, is_symmetric)
+                         SvmDualObjective, _symmetric_matrix)
 from .problem import (BoxBounds, LinearEquality, ProblemError, ProblemInstance,
                       SignMap, build_problem)
 
@@ -100,20 +99,19 @@ def build_svm_dual(data: SvmDataset, tau: float = 10.0, p: int = 2,
     if not upper_cap > 0.0:
         raise ProblemError("upper_cap must be positive")
     A = data.labels[:, None] * data.features
-    obj = SvmDualObjective(A, tau, p, smooth_eps if p == 1 else None)
+    obj = SvmDualObjective(A, tau, p, smooth_eps)
     n = data.n_rows
     return build_problem(BoxBounds(np.zeros(n), np.full(n, float(upper_cap))),
                          LinearEquality(data.labels, 0.0), obj)
 
 
-def svm_primal(data: SvmDataset, y,
-               support_tol: float = 1e-8) -> tuple[np.ndarray, float, int]:
+def svm_primal(data: SvmDataset, y) -> tuple[np.ndarray, float, int]:
     """Primal weights w = features^T (labels * y), bias estimate and support
     count from dual weights y. Bias averages gamma_i - <w, b^i> over rows
-    with active duals."""
+    with active duals, those above 1e-8."""
     y = np.asarray(y, dtype=float)
     w = data.features.T @ (data.labels * y)
-    active = y > support_tol
+    active = y > 1e-8
     if active.any():
         bias = float(np.mean(data.labels[active]
                              - data.features[active] @ w))
@@ -122,14 +120,15 @@ def svm_primal(data: SvmDataset, y,
     return w, bias, int(active.sum())
 
 
-def svm_cap_binding(y, upper_cap: float, margin: float = 1e-6) -> np.ndarray:
-    """Indices of dual weights pressed against the box cap.
+def svm_cap_binding(y, upper_cap: float) -> np.ndarray:
+    """Indices of dual weights pressed against the box cap: within 1e-6 of
+    upper_cap.
 
     The dual only requires y_i >= 0; the cap keeps the box finite, so a
     binding cap means the solution is clipped by an artifact of the problem
     format and upper_cap should be raised.
     """
-    return np.flatnonzero(np.asarray(y, dtype=float) >= upper_cap - margin)
+    return np.flatnonzero(np.asarray(y, dtype=float) >= upper_cap - 1e-6)
 
 
 @dataclass(frozen=True)
@@ -141,24 +140,19 @@ class PortfolioData:
     target: float
 
     def __post_init__(self):
-        C = np.asarray(self.covariance, dtype=float)
+        try:
+            C, c_max, _ = _symmetric_matrix(self.covariance, "covariance", 1e-10)
+        except ValueError as exc:
+            raise ProblemError(str(exc)) from None
         m = np.asarray(self.means, dtype=float)
         target = float(self.target)
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise ProblemError("covariance must be square")
         if m.shape != (C.shape[0],):
             raise ProblemError("means must match the covariance size")
         if not np.isfinite(m).all():
             raise ProblemError("means must be finite")
         if not np.isfinite(target):
             raise ProblemError("target must be finite")
-        c_max = float(max(C.max(), -C.min()))
-        if not math.isfinite(c_max):
-            raise ProblemError("covariance must be finite")
-        scale = max(1.0, c_max)
-        if not is_symmetric(C, atol=1e-10 * scale):
-            raise ProblemError("covariance must be symmetric")
-        if float(np.linalg.eigvalsh(C).min()) < -1e-8 * scale:
+        if float(np.linalg.eigvalsh(C).min()) < -1e-8 * max(1.0, c_max):
             raise ProblemError("covariance must be positive semidefinite")
         object.__setattr__(self, "covariance", C)
         object.__setattr__(self, "means", m)
@@ -170,7 +164,7 @@ def build_portfolio(data: PortfolioData, tau: float = 10.0, p: int = 2,
     """Simplex-constrained risk minimization with a shortfall penalty."""
     n = data.means.shape[0]
     obj = PortfolioObjective(data.covariance, data.means, data.target, tau, p,
-                             smooth_eps if p == 1 else None)
+                             smooth_eps)
     return build_problem(
         BoxBounds(np.zeros(n), np.ones(n)),
         LinearEquality(np.ones(n), 1.0),

@@ -39,21 +39,21 @@ class InfeasiblePointError(ValueError):
     """Point handed to a diagnostic is not in the feasible set."""
 
 
-def error_bound(p: ProblemInstance, x, gradient=None,
-                feas_tol: float = 1e-8) -> float:
+def error_bound(p: ProblemInstance, x) -> float:
     """Gap Delta(x) = <f'(x), x> - min_{y in D} <f'(x), y>, floored at zero.
 
     Upper-bounds <f'(x), x - y> over every feasible y, so Delta(x) = 0 iff x
-    is stationary. Raises on infeasible x instead of silently projecting.
+    is stationary. Raises on infeasible x (balance residual above 1e-8
+    relative, or a bound passed by more than 1e-12) instead of silently
+    projecting.
     """
     x = np.asarray(x, dtype=float)
-    rep = check_feasibility(x, p, tol=feas_tol, box_tol=1e-12)
+    rep = check_feasibility(x, p, tol=1e-8, box_tol=1e-12)
     if not rep.feasible:
         raise InfeasiblePointError(
             f"balance residual {rep.balance_residual:.3e}, "
             f"box violation {rep.max_box_violation:.3e}")
-    g = p.objective.gradient(x) if gradient is None else np.asarray(gradient, float)
-    return linear_gap(g, x, p)
+    return linear_gap(p.objective.gradient(x), x, p)
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,14 @@ class TraceAudit:
 
 
 def audit_trace(trace, cfg, stages: StageProvider | None = None,
-                problem: ProblemInstance | None = None,
-                balance_tol: float = 1e-10) -> TraceAudit:
+                problem: ProblemInstance | None = None) -> TraceAudit:
     """Replay a recorded trace against the descent invariants.
 
     With a stage provider the pair thresholds are enforced per event:
     gamma_k >= epsilon_l, mu_k <= -delta_l. Without one (baseline traces)
     only the descent record, step reconstruction and iterate feasibility are
     checked. Events carrying point_after are checked for exact box
-    containment and relative balance residual <= balance_tol.
+    containment and relative balance residual <= 1e-10.
 
     The descent record check f_after <= f_before + sigma * lambda * mu is the
     inequality the default linesearch enforces; traces produced under the
@@ -192,7 +191,7 @@ def audit_trace(trace, cfg, stages: StageProvider | None = None,
                 if drift > 1e-9 * max(1.0, abs(prev.f_after)):
                     failures.append(f"{where}: f_before disagrees with last f_after")
         if e.point_after is not None and prob is not None:
-            rep = check_feasibility(e.point_after, prob, tol=balance_tol)
+            rep = check_feasibility(e.point_after, prob, tol=1e-10)
             if not rep.feasible:
                 failures.append(
                     f"{where}: iterate infeasible (balance {rep.balance_residual:.3e}, "

@@ -37,7 +37,6 @@ from .smoothing import smooth_abs_sqrt, smooth_plus
 
 __all__ = [
     "DomainError",
-    "is_symmetric",
     "Objective",
     "PairState",
     "PairSelection",
@@ -71,19 +70,33 @@ def _log_domain(den: float) -> float:
     return den
 
 
-def is_symmetric(M: np.ndarray, atol: float) -> bool:
-    """Whether, for all i, j, M_ij == M_ji, or both are finite and
-    |M_ij - M_ji| <= atol + 1e-5 min(|M_ij|, |M_ji|), which is
-    np.allclose(M, M.T, atol=atol); NaN is never close."""
-    return _symmetry(M, atol) is not None
+def _symmetric_matrix(M, name: str,
+                      rtol: float) -> tuple[np.ndarray, float, bool]:
+    """(M as a float array, max |M_ij|, whether M equals M.T exactly), for
+    a square, finite M that _symmetry finds symmetric at
+    atol = rtol max(1, max |M_ij|); otherwise a ValueError naming M. The
+    one check of every matrix whose formulas assume symmetry."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square")
+    m_max = float(max(M.max(), -M.min()))
+    if not math.isfinite(m_max):
+        raise ValueError(f"{name} must be finite")
+    exact = _symmetry(M, atol=rtol * max(1.0, m_max))
+    if exact is None:
+        raise ValueError(f"{name} must be symmetric")
+    return M, m_max, exact
 
 
 def _symmetry(M: np.ndarray, atol: float) -> bool | None:
-    """None where M is not symmetric in is_symmetric's sense, else whether
-    M equals M.T exactly. Square tiles of the upper triangle are compared
-    with their mirrored tiles, so no temporary is larger than a tile: an
-    equal tile costs one comparison, and only a tile that differs is
-    tested against the tolerance, which also makes M inexact."""
+    """None where M is not symmetric, else whether M equals M.T exactly.
+    Symmetric means, for all i, j, M_ij == M_ji, or both are finite and
+    |M_ij - M_ji| <= atol + 1e-5 min(|M_ij|, |M_ji|), which is
+    np.allclose(M, M.T, atol=atol); NaN is never close. Square tiles of
+    the upper triangle are compared with their mirrored tiles, so no
+    temporary is larger than a tile: an equal tile costs one comparison,
+    and only a tile that differs is tested against the tolerance, which
+    also makes M inexact."""
     n, t = M.shape[0], 256
     exact = True
     for i in range(0, n, t):
@@ -413,15 +426,8 @@ class QuadraticObjective(Objective):
     c: np.ndarray | None = None
 
     def __init__(self, P, c=None, xi: float = 0.0, tau: float | None = None):
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("P must be a square matrix")
-        self._p_max = float(max(P.max(), -P.min()))  # max |P_ij|
-        if not math.isfinite(self._p_max):
-            raise ValueError("P must be finite")
-        self._symmetric = _symmetry(P, atol=1e-12 * max(1.0, self._p_max))
-        if self._symmetric is None:
-            raise ValueError("P must be symmetric")
+        # _p_max is max |P_ij|
+        P, self._p_max, self._symmetric = _symmetric_matrix(P, "P", 1e-12)
         self.P = P
         if c is not None:
             self.c = np.asarray(c, dtype=float)
@@ -599,13 +605,15 @@ class SvmDualObjective(Objective):
 class PortfolioObjective(Objective):
     """f(x) = <C x, x> + (tau / p) * plus(w - <m, x>)^p.
 
-    Risk term keeps the full quadratic form (no 1/2). plus is exact for p = 2
+    Risk term keeps the full quadratic form (no 1/2), whose gradient 2 C x
+    needs a symmetric C: a covariance that is not square, finite and
+    symmetric to 1e-10 relative is a ValueError. plus is exact for p = 2
     and the sqrt surrogate for p = 1.
     """
 
     def __init__(self, C, means, target: float, tau: float, p: int,
                  smooth_eps: float | None = None):
-        self.C = np.asarray(C, dtype=float)
+        self.C = _symmetric_matrix(C, "covariance", 1e-10)[0]
         self.means = np.asarray(means, dtype=float)
         self.target = float(target)
         self.tau, self.p, self.smoothing = _penalty(tau, p, smooth_eps)

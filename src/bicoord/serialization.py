@@ -111,13 +111,9 @@ def _svm_dual_layout(p: ProblemInstance) -> bool:
 def _generic_objective(kind: str, params: dict):
     if kind in _QUADRATIC_PARAMS:
         return QuadraticObjective(*(params[k] for k in _QUADRATIC_PARAMS[kind]))
-    obj = PortfolioObjective(
-        params["covariance"], params["means"], params["target"],
-        params["tau"], params["p"],
-        params.get("smooth_eps") if params["p"] == 1 else None)
-    # revalidate through the data holder
-    PortfolioData(params["covariance"], params["means"], params["target"])
-    return obj
+    data = PortfolioData(params["covariance"], params["means"], params["target"])
+    return PortfolioObjective(data.covariance, data.means, data.target,
+                              params["tau"], params["p"], params.get("smooth_eps"))
 
 
 _FLOATS = partial(np.asarray, dtype=float)

@@ -1,5 +1,6 @@
 import dataclasses
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +11,8 @@ from bicoord import (
     InfeasiblePointError,
     LinearEquality,
     LinearObjective,
+    QuadraticObjective,
+    SeparableQuadraticObjective,
     SolverConfig,
     TRACE_COLUMNS,
     audit_trace,
@@ -21,8 +24,10 @@ from bicoord import (
     minimize_linear,
     project,
     protocol_start,
+    solve,
     write_trace_csv,
 )
+from bicoord.solvers import _gap_rounding
 
 
 def linear_instance(c, a, lower, upper, beta):
@@ -179,6 +184,59 @@ def test_gap_and_stationarity_agree_after_solve():
     g = p.objective.gradient(result.point)
     tol = 1e-2 * (1.0 + np.max(np.abs(g)))
     assert check_stationarity(p, result.point, tol=tol).stationary
+
+
+@st.composite
+def points_to_certify(draw):
+    """(p, x): signed a over a random box, a PSD quadratic or a separable
+    quadratic, and x a projection of a random point, or the exit of bcv,
+    mbc or cgm under a step budget and an accuracy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 8))
+    a = rng.choice([-1.0, 1.0], n) * rng.uniform(0.2, 3.0, n)
+    lower = rng.uniform(-3.0, 1.0, n)
+    upper = lower + rng.choice([1e-9, 0.5, 1.0, 3.0], n)
+    beta = float(a @ rng.uniform(lower, upper))
+    if draw(st.booleans()):
+        M = rng.standard_normal((n, n))
+        f = QuadraticObjective(M @ M.T + 0.1 * np.eye(n))
+    else:
+        f = SeparableQuadraticObjective(rng.uniform(-5.0, 5.0, n),
+                                        rng.uniform(0.0, 2.0, n))
+    p = build_problem(BoxBounds(lower, upper), LinearEquality(a, beta), f)
+    source = draw(st.sampled_from(["project", "bcv", "mbc", "cgm"]))
+    if source == "project":
+        return p, project(rng.uniform(lower - 1.0, upper + 1.0), p)
+    cfg = SolverConfig(target_accuracy=draw(st.sampled_from([1e-1, 1e-6])),
+                       max_inner_iterations=draw(st.sampled_from([1, 5, 200])))
+    return p, solve(p, source, cfg).point
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_to_certify())
+def test_gap_agrees_with_the_worst_pair_violation(case):
+    # <a, x - y> = 0 for feasible y, so Delta(x) = max_y <g - lam a, x - y>:
+    # at the middle lam of the multiplier interval each coordinate adds at
+    # most worst / 2 |a_k| (u_k - l_k). Moving gamma_ij of balance along the
+    # extreme pair is feasible and gains worst gamma_ij.
+    p, x = case
+    lower, upper, a = p.bounds.lower, p.bounds.upper, p.equality.a
+    g = p.objective.gradient(x)
+    gap = error_bound(p, x)
+    rep = check_stationarity(p, x, tol=0.0, boundary_tol=0.0)
+    worst = rep.worst_violation
+    rounding = _gap_rounding(
+        p, float(np.abs(g) @ np.maximum(np.abs(lower), np.abs(upper))))
+    assert gap <= 0.5 * worst * float(np.abs(a) @ (upper - lower)) + rounding
+    if worst > 0.0:
+        h = g / a
+        # the balance each coordinate can give, and take, before its bound
+        down, up = np.abs(a) * (x - lower), np.abs(a) * (upper - x)
+        give, take = np.where(a > 0, down, up), np.where(a > 0, up, down)
+        i = int(np.argmax(np.where(give > 0, h, -np.inf)))
+        j = int(np.argmin(np.where(take > 0, h, np.inf)))
+        assert h[i] - h[j] == worst
+        assert gap >= worst * min(give[i], take[j]) - rounding
 
 
 def test_audit_accepts_genuine_trace():

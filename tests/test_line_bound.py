@@ -17,6 +17,7 @@ and mbc evaluate on the benchmark grid and on a converged market.
 
 from fractions import Fraction
 import itertools
+import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -50,7 +51,7 @@ FAMILIES = {1: gen_quadratic, 2: gen_convex_log, 3: gen_nonsmooth_l1}
 
 def random_problem(rng, matrix: str, log: str | None, l1: bool, scale: float):
     """An instance with signed coefficients over a box of size `scale`; P
-    is PSD, PSD with asymmetric entries that is_symmetric still admits, or
+    is PSD, PSD with asymmetric entries that the symmetry check still admits, or
     zero; the log term is absent, random, near zero at the box's middle,
     or constant (c = 0)."""
     n = int(rng.integers(2, 9))
@@ -200,6 +201,75 @@ def test_only_the_quadratic_family_has_a_line_model():
         assert line is None and g.tobytes() == obj.gradient(x).tobytes()
     assert objectives.PairState(p.objective, x).line_model(0, 1.0, 1, -1.0,
                                                            0.0) is None
+
+
+def first_unrejected(model, gamma, mu, sigma, theta, f_0, max_backtracks=60):
+    """The first m whose trial at lam = gamma theta^m, as _backtrack computes
+    it, the model cannot reject, by a scan over m in exact arithmetic, or
+    max_backtracks + 1: a trial is rejected at lam >= cut, or where
+    kappa lam^2 / 2 - b lam - c > 0 with _start_index's b and c, rounding
+    terms included. A NaN b or c rejects nothing."""
+    slope, kappa, margin, cut = model
+    u = Fraction(2.0**-53)
+    finite = all(math.isfinite(t) for t in (slope, kappa, margin))
+    if finite:
+        b = (Fraction(sigma) * Fraction(mu) - Fraction(slope)
+             + 8 * u * (abs(Fraction(mu)) + abs(Fraction(slope))))
+        c = Fraction(margin) + 2 * u * abs(Fraction(f_0))
+    for m in range(max_backtracks + 1):
+        lam = gamma * theta**m
+        if lam >= cut:
+            continue
+        if finite and Fraction(kappa) * Fraction(lam)**2 / 2 - b * Fraction(lam) - c > 0:
+            continue
+        return m
+    return max_backtracks + 1
+
+
+def first_at_or_below(lam_bar, gamma, theta, max_backtracks=60):
+    """The first m with gamma theta^m <= lam_bar, or max_backtracks + 1."""
+    return next((m for m in range(max_backtracks + 1)
+                 if gamma * theta**m <= lam_bar), max_backtracks + 1)
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("gamma", [1.0, 0.3, 1e5, 1e-310, 1e-322])
+def test_start_index_settles_a_cut_at_every_trial(gamma, theta):
+    # the model rejects by its cut alone (b > 0, kappa = 0), set at
+    # gamma theta^k and one ulp either side; at subnormal gamma and
+    # theta = 0.9 neighbouring trials round to the same lam, and the guess
+    # from the logarithms lands past the first one and walks down
+    model_at = lambda cut: (-2.0, 0.0, 0.0, cut)  # noqa: E731
+    for k in range(61):
+        lam = gamma * theta**k
+        for cut in (np.nextafter(lam, 0.0), lam, np.nextafter(lam, np.inf)):
+            model = model_at(float(cut))
+            m0 = _start_index(model, gamma, -1.0, 0.5, theta, 1.0, 60)
+            assert m0 == first_at_or_below(cut, gamma, theta), (k, cut)
+            assert m0 <= first_unrejected(model, gamma, -1.0, 0.5, theta, 1.0)
+
+
+def test_start_index_takes_the_root_where_b_is_at_most_zero():
+    # slope >= sigma mu leaves b <= 0, so the root comes from c alone:
+    # 0 where c = 0, which starts past every trial
+    for kappa, slope, margin, f_0, cut, theta in itertools.product(
+            (1e-8, 1.0, 1e8), (-0.4, 0.0, 3.0), (0.0, 1e-300, 1e-12, 1.0, 1e12),
+            (0.0, 1.0), (math.inf, 0.3), (0.1, 0.5, 0.9)):
+        model = (slope, kappa, margin, cut)
+        m0 = _start_index(model, 1.0, -1.0, 0.5, theta, f_0, 60)
+        full = first_unrejected(model, 1.0, -1.0, 0.5, theta, f_0)
+        assert full - 1 <= m0 <= full, (model, f_0, theta)
+
+
+@pytest.mark.parametrize("slope, margin", [(math.nan, 0.0), (-2.0, math.nan),
+                                           (0.0, math.nan)])
+@pytest.mark.parametrize("cut", [math.inf, 0.3])
+def test_start_index_falls_back_to_the_cut_on_a_nan_model(slope, margin, cut):
+    for theta in (0.1, 0.5, 0.9):
+        model = (slope, 1.0, margin, cut)
+        m0 = _start_index(model, 1.0, -1.0, 0.5, theta, 1.0, 60)
+        assert m0 == first_at_or_below(cut, 1.0, theta)
+        assert m0 <= first_unrejected(model, 1.0, -1.0, 0.5, theta, 1.0)
 
 
 def random_pair_problem(rng, kind: str):

@@ -18,7 +18,7 @@ from bicoord import (
     to_document,
 )
 import bicoord.objectives
-from bicoord.objectives import _symmetry, is_symmetric
+from bicoord.objectives import _symmetric_matrix, _symmetry
 
 
 def objective_document(obj):
@@ -81,7 +81,7 @@ def test_symmetry_check_agrees_with_allclose(n):
     B = rng.standard_normal((n, n))
     S = B + B.T
     atol = 1e-12 * max(1.0, float(np.abs(S).max()))
-    assert is_symmetric(S, atol=atol)
+    assert _symmetry(S, atol) is not None
     cases = []
     for scale in (1e-3, 1e-6, 1e-14):
         M = S.copy()
@@ -100,11 +100,11 @@ def test_symmetry_check_agrees_with_allclose(n):
             assert not np.allclose(M, M.T, atol=atol)
             cases.append(M)
     for M in cases:
-        assert is_symmetric(M, atol=atol) == np.allclose(M, M.T, atol=atol)
+        assert (_symmetry(M, atol) is not None) == np.allclose(M, M.T, atol=atol)
     for i, j in ((0, n - 1), (n - 1, n - 1)):
         M = S.copy()
         M[i, j] = np.nan
-        assert not is_symmetric(M, atol=atol)
+        assert _symmetry(M, atol) is None
 
 
 def test_quadratic_objective_rejects_nan():
@@ -332,6 +332,34 @@ def test_portfolio_penalty_active_and_fd():
     obj1 = PortfolioObjective(C, means, target=5.0, tau=4.0, p=1,
                               smooth_eps=1e-2)
     assert_gradient_matches_fd(obj1, pts)
+
+
+#: its gradient 2 C x at (0.2, 0.3, 0.5) is (1.7, 0.6, 1.0), where central
+#: differences of the value give (0.8, 1.2, 1.0)
+SKEWED_COVARIANCE = [[2.0, 1.5, 0.0], [-1.5, 2.0, 0.0], [0.0, 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("C, fault", [
+    (SKEWED_COVARIANCE, "symmetric"),
+    ([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]], "finite"),
+    (np.ones((3, 2)), "square")])
+def test_portfolio_objective_refuses_a_covariance_its_gradient_cannot_use(C, fault):
+    with pytest.raises(ValueError, match=f"covariance must be {fault}"):
+        PortfolioObjective(np.array(C), np.ones(3), 1.0, tau=10.0, p=2)
+
+
+def test_symmetric_matrix_check_returns_what_quadratic_keeps():
+    P = np.array([[2.0, -3.0], [-3.0, 1.0]])
+    M, m_max, exact = _symmetric_matrix(P.tolist(), "P", 1e-12)
+    assert M.dtype == float and np.array_equal(M, P)
+    assert (m_max, exact) == (3.0, True)
+    obj = QuadraticObjective(P)
+    assert (obj._p_max, obj._symmetric) == (3.0, True)
+    # np.allclose's rtol of 1e-5 admits a gap of 1e-6 next to 3, not 1e-3
+    step = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert _symmetric_matrix(P + 1e-6 * step, "P", 1e-12)[2] is False
+    with pytest.raises(ValueError, match="P must be symmetric"):
+        _symmetric_matrix(P + 1e-3 * step, "P", 1e-12)
 
 
 def test_separable_quadratic_cheap_partial():

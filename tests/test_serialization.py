@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import bicoord.serialization
 from bicoord import (
     GeometricSchedule,
     MarketModel,
@@ -151,6 +152,26 @@ def test_hand_built_portfolio_saves_as_the_generic_kind():
     q = from_document(doc)
     assert_allclose(q.bounds.upper, p.bounds.upper)
     assert_allclose(q.equality.a, p.equality.a)
+
+
+def test_loaded_portfolio_converts_its_covariance_once(monkeypatch):
+    checked = []
+
+    class Recorded(PortfolioData):
+        def __post_init__(self):
+            super().__post_init__()
+            checked.append(self.covariance)
+
+    monkeypatch.setattr(bicoord.serialization, "PortfolioData", Recorded)
+    q = from_document(to_document(shipped_instances()["portfolio"]))
+    assert len(checked) == 1 and q.objective.C is checked[0]
+
+
+def test_portfolio_document_with_an_asymmetric_covariance_is_refused():
+    doc = to_document(shipped_instances()["portfolio"])
+    doc["objective"]["params"]["covariance"] = [[2.0, 0.3], [0.2, 1.0]]
+    with pytest.raises(ProblemError, match="covariance must be symmetric"):
+        from_document(doc)
 
 
 @pytest.mark.parametrize("lower, upper, beta", [
