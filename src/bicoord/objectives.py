@@ -146,15 +146,25 @@ class Objective:
         """State at x for pair steps; takes ownership of x and updates it."""
         return PairState(self, x)
 
-    def gradient_line(self, x: np.ndarray):
+    def value_products(self, x: np.ndarray):
+        """(value(x), products): products holds what value computed at x
+        and gradient_line(x, products) can take instead of computing it
+        again, or is None where the objective keeps nothing."""
+        return self.value(x), None
+
+    def gradient_line(self, x: np.ndarray, products=None):
         """(gradient(x), line): line(d, gamma, radius) is a LineModel of
         value(x + lam d) - value(x) for lam <= gamma, both values as
         computed, where radius bounds ||x + lam d||_1 for 0 <= lam <= gamma;
-        line is None where the objective offers no such model."""
+        line is None where the objective offers no such model. products,
+        from value_products at a point with x's bytes, saves the products
+        computed there."""
         return self.gradient(x), None
 
 
-@dataclass(frozen=True)
+# slots and no frozen: one is built per step, at a fifth of a frozen
+# dataclass's cost
+@dataclass(slots=True)
 class PairSelection:
     i: int
     j: int
@@ -162,11 +172,15 @@ class PairSelection:
     mu: float     # directional derivative h_j - h_i, always <= -delta
 
 
-def _selection(ks, i: int, j: int, y_i, y_j, mu) -> PairSelection:
+def _selection(ks, i: int, j: int, y_i: float, y_j: float,
+               mu: float) -> PairSelection:
     """The pair (i, j) at knapsack coordinates y_i, y_j of the knapsack
-    form ks, with its bound distance gamma."""
-    gamma = min(ks.a[i] * (y_i - ks.lower[i]), ks.a[j] * (ks.upper[j] - y_j))
-    return PairSelection(i=i, j=j, gamma=float(gamma), mu=float(mu))
+    form ks, with its bound distance gamma; y_i, y_j and mu are Python
+    floats, whose arithmetic costs less than numpy scalars' and rounds the
+    same."""
+    gamma = min(ks.a.item(i) * (y_i - ks.lower.item(i)),
+                ks.a.item(j) * (ks.upper.item(j) - y_j))
+    return PairSelection(i, j, gamma, mu)
 
 
 def _extreme_pair(p, x, g, floor, ceiling) -> PairSelection | None:
@@ -180,11 +194,12 @@ def _extreme_pair(p, x, g, floor, ceiling) -> PairSelection | None:
     if not can_give.any() or not can_take.any():
         return None
     h = g / p.equality.a
-    i = int(np.argmax(np.where(can_give, h, -np.inf)))
-    j = int(np.argmin(np.where(can_take, h, np.inf)))
+    i = int(np.where(can_give, h, -np.inf).argmax())
+    j = int(np.where(can_take, h, np.inf).argmin())
     if i == j:
         return None
-    return _selection(p.knapsack, i, j, y[i], y[j], h[j] - h[i])
+    return _selection(p.knapsack, i, j, y.item(i), y.item(j),
+                      h.item(j) - h.item(i))
 
 
 #: from this many coordinates up, the quadratic pair state rebuilds P x by a
@@ -473,8 +488,13 @@ class QuadraticObjective(Objective):
         return g
 
     def value(self, x):
-        return self._combine(0.5 * float(x.dot(self.P.dot(x))), self._log_arg(x),
-                             self._l1(x))
+        return self.value_products(x)[0]
+
+    def value_products(self, x):
+        """(value(x), (P x, <c, x> + xi)): the products that the gradient
+        at x takes."""
+        Px, den = self.P.dot(x), self._log_arg(x)
+        return self._combine(0.5 * float(x.dot(Px)), den, self._l1(x)), (Px, den)
 
     def gradient(self, x):
         return self._gradient_at(x, self.P.dot(x), self._log_arg(x))
@@ -488,9 +508,10 @@ class QuadraticObjective(Objective):
             v = v + xi_ / np.hypot(xi_, self.smoothing)
         return v
 
-    def gradient_line(self, x):
+    def gradient_line(self, x, products=None):
         """(gradient(x), line) from one P x, which line(d, gamma, radius)
-        shares with the gradient, and one P d per line.
+        shares with the gradient, and one P d per line. With products from
+        value_products at x, the gradient takes no product of its own.
 
         With u = 2^-53, tol = (n + 2) 2^-50, about eight times the worst
         rounding of an n-term sum, and w = radius, which bounds ||x||_1 and
@@ -509,7 +530,7 @@ class QuadraticObjective(Objective):
         that each part gives.
         """
         P, c, tau = self.P, self.c, self.smoothing
-        Px, den = P.dot(x), self._log_arg(x)
+        Px, den = (P.dot(x), self._log_arg(x)) if products is None else products
         g = self._gradient_at(x, Px, den)
         n = x.shape[0]
         tol = (n + 2) * 2.0**-50
@@ -718,10 +739,10 @@ class _SeparablePairState(PairState):
         if i == j:
             return None
         signs = keyed[1]
-        y_i, y_j = self.x[i], self.x[j]
+        y_i, y_j = self.x.item(i), self.x.item(j)
         if signs is not None:
-            y_i, y_j = signs[i] * y_i, signs[j] * y_j
-        return _selection(ks, i, j, y_i, y_j, self.h[j] - self.h[i])
+            y_i, y_j = signs.item(i) * y_i, signs.item(j) * y_j
+        return _selection(ks, i, j, y_i, y_j, self.h.item(j) - self.h.item(i))
 
     def line_model(self, i, di, j, dj, f_0):
         """The trial is the exact change d_i g_i + d_j g_j + (q_i d_i^2

@@ -136,7 +136,9 @@ class SolverConfig:
         self.linesearch = LinesearchRule(self.linesearch)
 
 
-@dataclass(frozen=True)
+# slots and no frozen: one is built per step, at a fifth of a frozen
+# dataclass's cost
+@dataclass(slots=True)
 class TraceEvent:
     stage: int
     k: int
@@ -187,7 +189,7 @@ def select_pair(state: PairState, p: ProblemInstance,
     if sel is None:
         return None
     g, a = state.gradient(), p.equality.a
-    h_i, h_j = g[sel.i] / a[sel.i], g[sel.j] / a[sel.j]
+    h_i, h_j = g.item(sel.i) / a.item(sel.i), g.item(sel.j) / a.item(sel.j)
     # sub-ulp "violations" are noise, not descent
     return None if -sel.mu <= 1e-12 * max(1.0, abs(h_i), abs(h_j)) else sel
 
@@ -288,6 +290,29 @@ def _backtrack(trial, gamma: float, mu: float, sigma: float, theta: float,
             return lam, m, f_new
     raise LinesearchError(
         f"no acceptable step within {max_backtracks} backtracks")
+
+
+def _cgm_search(cfg: SolverConfig, objective: Objective, x, d, mu: float,
+                f_x: float, line: LineModel | None):
+    """cgm's Armijo search along d from x, from unit step: (lambda, m,
+    f_new, trial, products), where trial = x + lambda d is the accepted
+    trial point and products what objective.value_products computed there.
+    The search starts at the first trial the LineModel `line` cannot
+    reject; the accepted trial is the last one evaluated."""
+    last = None
+
+    def trial(lam):
+        nonlocal last
+        t = x + lam * d
+        f, products = objective.value_products(t)
+        last = t, products
+        return f
+
+    m0 = _start_index(line, 1.0, mu, cfg.sigma, cfg.theta, f_x,
+                      cfg.max_backtracks)
+    lam, m, f_new = _backtrack(trial, 1.0, mu, cfg.sigma, cfg.theta,
+                               cfg.max_backtracks, f_x, m0)
+    return lam, m, f_new, *last
 
 
 def _pair_slope(objective: Objective, a, x, i: int, j: int):
@@ -579,7 +604,9 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     ladder = _Ladder(problem, cfg, stages)
     p_l = ladder.problem
     x = _start(problem, p_l, z0)
-    f_x = None  # f(x) on the stage objective, while neither has changed
+    # f(x) on the stage objective, and the products of value_products at x,
+    # while neither has changed
+    f_x = products = None
     # x and every trial point of a step lie in the box: the line models' scale
     radius = float(p_l.box_radius.sum())
     # the last restart kept the problem object, so x, f(x), the gradient, the
@@ -589,7 +616,7 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
     while True:
         f_l = p_l.objective
         if not kept:
-            g, line = f_l.gradient_line(x)
+            g, line = f_l.gradient_line(x, products)
             y, best = minimize_linear(g, p_l)
             # ndarray.dot: the bits of @, with less overhead on short vectors
             gap = floor_zero(float(g.dot(x)) - best)
@@ -612,7 +639,7 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
                 radius = float(nxt.box_radius.sum())
             kept = nxt is p_l
             if not kept:
-                p_l, f_x = nxt, None
+                p_l, f_x, products = nxt, None, None
             continue
         if ladder.steps >= cfg.max_inner_iterations:
             stop_reason = "budget"
@@ -622,22 +649,25 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         if f_x is None:
             f_x = f_l.value(x)
         try:
-            lam, m, f_new = armijo_linesearch(
-                f_l, x, d, 1.0, mu, cfg.sigma, cfg.theta, cfg.max_backtracks,
-                f_x, None if line is None else line(d, 1.0, radius))
+            lam, m, f_new, trial, products = _cgm_search(
+                cfg, f_l, x, d, mu, f_x,
+                None if line is None else line(d, 1.0, radius))
         except LinesearchError:
             stop_reason = "linesearch"
             break
-        trial = x + lam * d
         # clip as max then min: the same values as np.clip, at less cost
         x = np.maximum(trial, p_l.bounds.lower)
         np.minimum(x, p_l.bounds.upper, out=x)
         ladder.record(-1, -1, 1.0, lam, mu, f_x, f_new, m, x)
-        # f_new is the value at the trial point, so also at x unless the
-        # clip changed a byte of it
-        f_x = f_new if x.tobytes() == trial.tobytes() else None
+        # f_new and the products are the trial point's, so also x's unless
+        # the clip changed a byte of it
+        if x.tobytes() == trial.tobytes():
+            f_x = f_new
+        else:
+            f_x = products = None
 
-    return ladder.result(x, p_l.objective.value(x), gap, stop_reason)
+    return ladder.result(x, p_l.objective.value(x) if f_x is None else f_x,
+                         gap, stop_reason)
 
 
 def mbc_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
