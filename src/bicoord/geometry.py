@@ -20,7 +20,11 @@ PREFIX_SORT_MIN_N coordinates up, a selection step (np.partition) finds a
 ratio just past where the budget runs out, and only the coordinates priced
 strictly below it are sorted: they are a prefix of the full stable order,
 so the fill over them is the full fill, bit for bit. When the fill does not
-stop inside them, the full order is sorted as at small n.
+stop inside them, the full order is sorted as at small n. Below
+NUMPY_FILL_MIN_N coordinates the order is one stable sort and the fill a
+Python loop over the caps in that order, which stops at the first
+coordinate it cannot fill: the same running budget, bit for bit, at less
+cost than the numpy calls of the accumulated fill.
 """
 
 from __future__ import annotations
@@ -297,7 +301,8 @@ def minimize_linear(c, p: ProblemInstance) -> tuple[np.ndarray, float]:
     budget should run out, and only the coordinates priced strictly below
     it are sorted and filled. They are a prefix of the full stable order,
     so when the fill stops inside them, the argmin and value are the full
-    sort's. Otherwise the full order is sorted, as below that size.
+    sort's. Otherwise the full order is sorted, as below that size. Below
+    NUMPY_FILL_MIN_N coordinates the fill is a Python loop (_fill_loop).
     """
     c = np.asarray(c, dtype=float)
     if c.shape != p.equality.a.shape:

@@ -20,7 +20,10 @@ along a pair, the quadratic family and the separable quadratic give a
 LineModel of the trial: a quadratic in the step length, certified to lie
 below the trial's computed value, rounding included, and a cut above which
 the trial leaves the domain. A linesearch starts at the first trial that
-the model cannot reject.
+the model cannot reject. value_products(x) gives the value with the
+products it took (P x and the log argument on the quadratic family), which
+gradient_line at a point with the same bytes takes instead of computing
+them again: cgm's accepted trial seeds its next gradient so.
 
 Instances are immutable; the same object can be shared across stages.
 """

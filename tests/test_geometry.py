@@ -361,7 +361,10 @@ def test_wide_knapsack_equals_loop_bit_for_bit(case):
     assert val == val_ref
 
 
-@pytest.mark.parametrize("n", [3, 101, 300])
+N_LOOP = geometry.NUMPY_FILL_MIN_N
+
+
+@pytest.mark.parametrize("n", [3, 101, N_LOOP - 1, N_LOOP, N_LOOP + 1, 300])
 def test_knapsack_tie_run_straddles_the_fill_index(n):
     # every ratio ties and the budget runs out halfway through coordinate
     # n // 2, so only the index order decides which coordinates are filled
@@ -380,6 +383,35 @@ def test_knapsack_tie_run_straddles_the_fill_index(n):
     assert val == val_ref
     assert np.all(y[:k] == upper[:k]) and np.all(y[k + 1:] == lower[k + 1:])
     assert lower[k] < y[k] < upper[k]
+
+
+def test_small_knapsack_with_nan_costs_equals_loop_bit_for_bit():
+    # below the loop's threshold NaN ratios sort last, after their ties
+    rng = np.random.default_rng(7)
+    n = N_LOOP - 1
+    a = rng.uniform(0.1, 5.0, n) * rng.choice([-1.0, 1.0], n)
+    lower = rng.uniform(-3.0, 3.0, n)
+    upper = lower + rng.uniform(0.01, 4.0, n)
+    c = rng.choice([-1.0, 0.5, 2.0], n) * np.abs(a)
+    c[rng.random(n) < 0.3] = np.nan
+    lo_sum = float(np.sum(np.minimum(a * lower, a * upper)))
+    hi_sum = float(np.sum(np.maximum(a * lower, a * upper)))
+    for t in (0.2, 0.9):
+        assert_equals_loop(c, make_instance(a, lower, upper,
+                                            lo_sum + t * (hi_sum - lo_sum)))
+
+
+def test_small_knapsack_fills_a_cap_the_budget_equals():
+    # the cheapest coordinate's cap is the whole budget: the fill raises it
+    # to its upper bound, where lower + budget / a would round below it
+    a = np.array([1.0, 3.0, 1.0])
+    lower = np.zeros(3)
+    upper = np.array([1.0, 0.7, 1.0])
+    cap = a[1] * upper[1]
+    assert cap / a[1] != upper[1]
+    p = make_instance(a, lower, upper, cap)
+    y = assert_equals_loop(np.array([2.0, 1.0, 3.0]), p)
+    assert y.tolist() == [0.0, 0.7, 0.0]
 
 
 def test_knapsack_through_normalize_signs():

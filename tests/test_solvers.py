@@ -821,3 +821,83 @@ def test_solver_config_validation():
         SolverConfig(linesearch="definitely-not-a-rule")
     cfg = SolverConfig(linesearch="gradient-difference")
     assert cfg.linesearch is LinesearchRule.GRADIENT_DIFFERENCE
+
+
+class DotCountedMatrix(np.ndarray):
+    """A matrix that counts its products with a vector, P.dot(v)."""
+
+    products = 0
+
+    def dot(self, other, *args):
+        if self.ndim == 2 and np.ndim(other) == 1:
+            DotCountedMatrix.products += 1
+        return np.asarray(self).dot(other, *args)
+
+
+def watch_cgm_lines(monkeypatch, check):
+    """Call check(objective, x, g, products taken) at every gradient_line
+    of the quadratic family, and return the list of the trial points."""
+    trials = []
+    value_products = QuadraticObjective.value_products
+    gradient_line = QuadraticObjective.gradient_line
+
+    def counted_trial(self, x):
+        trials.append(x.copy())
+        return value_products(self, x)
+
+    def checked_line(self, x, products=None):
+        before = DotCountedMatrix.products
+        g, line = gradient_line(self, x, products)
+        check(self, x, g, DotCountedMatrix.products - before)
+        return g, line
+
+    monkeypatch.setattr(QuadraticObjective, "value_products", counted_trial)
+    monkeypatch.setattr(QuadraticObjective, "gradient_line", checked_line)
+    return trials
+
+
+def test_cgm_takes_one_product_per_accepted_unclipped_step(monkeypatch):
+    # a grid cell: every accepted trial's P x serves the next gradient, so
+    # only the start takes a gradient product, and a step costs its P d and
+    # its trials, with no value at exit
+    p = gen_convex_log(50, 10.0)
+    p.objective.P = p.objective.P.view(DotCountedMatrix)
+    taken, values = [], []
+    trials = watch_cgm_lines(monkeypatch, lambda obj, x, g, k: taken.append(k))
+    value = QuadraticObjective.value
+    monkeypatch.setattr(QuadraticObjective, "value",
+                        lambda self, x: values.append(x) or value(self, x))
+    DotCountedMatrix.products = 0
+    res = cgm_solve(p, SolverConfig(target_accuracy=0.1), z0=protocol_start(p))
+    steps = res.inner_iterations_total
+    assert res.converged and steps > 10
+    assert taken == [1] + [0] * steps
+    # f at the start; the trials give every later value, the exit's too
+    assert len(values) == 1
+    assert DotCountedMatrix.products == 1 + steps + len(trials)
+
+
+def test_cgm_gradient_after_a_clip_is_the_full_gradient(monkeypatch):
+    # the first accepted trial leaves the box by rounding and the clip moves
+    # it: the next gradient is the objective's at the clipped point, not one
+    # from the trial's products
+    rng = np.random.default_rng(18)
+    lower = np.round(rng.uniform(-1.0, 0.0, 3), 1)
+    upper = np.round(lower + rng.uniform(0.1, 1.0, 3), 1)
+    z = rng.uniform(lower, upper)
+    P = np.diag(rng.choice([0.5, 1.0, 3.0], 3))
+    p = build_problem(BoxBounds(lower, upper),
+                      LinearEquality(np.ones(3), float(z.sum())),
+                      QuadraticObjective(P))
+    clipped = []
+    trials = None
+
+    def check(obj, x, g, _):
+        assert g.tobytes() == obj.gradient(x).tobytes()
+        if trials:
+            clipped.append(x.tobytes() != trials[-1].tobytes())
+
+    trials = watch_cgm_lines(monkeypatch, check)
+    cgm_solve(p, SolverConfig(target_accuracy=1e-6, max_inner_iterations=50),
+              z0=z)
+    assert clipped[0]

@@ -25,9 +25,10 @@ the grid's protocol starts, 1e5-agent market starts, signed, tied and
 beta-at-the-ends instances, and points far from the box. The knapsacks
 (cases `knapsack/...`, the argmin's bytes and the value) are direct linear
 minimizations at n from 4096 to 12288, where `minimize_linear` selects the
-prefix of the cost order that its fill reaches: distinct, tied, signed and
-NaN costs, budgets at and near both ends, and fills that a guess from the
-average cap undercounts. The documents (cases `document/...`, the sha256
+prefix of the cost order that its fill reaches, and at n from 10 to 256,
+across the size below which it fills in a Python loop: distinct, tied,
+signed and NaN costs, budgets at and near both ends, and fills that a
+guess from the average cap undercounts. The documents (cases `document/...`, the sha256
 of `json.dumps(to_document(p), sort_keys=True)`) are families 1-3 at n = 6,
 SVM duals and portfolios at p = 1 and 2, and tests/data/market_demo.json.
 Only the public API is used, so the script runs unchanged on older
@@ -442,13 +443,13 @@ def project_cases():
         yield f"project/random/{seed}/{p.n}", project(z, p)
 
 
-def knapsack_instance(seed: int):
-    """A linear minimization at n from 4096 to 12288. By seed % 4: distinct
+def knapsack_instance(seed: int, low: int = 4096, high: int = 12288):
+    """A linear minimization at n from low to high. By seed % 4: distinct
     ratios; power-of-two a with three-valued costs (long tie runs); signed a;
     NaN costs. The budget sits at 0, 1e-9, 0.05, 0.3, 0.5, 1 - 1e-9 or 1 of
     the caps' sum (seed // 4 % 7)."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(4096, 12289))
+    n = int(rng.integers(low, high + 1))
     kind = seed % 4
     if kind == 1:
         a = 2.0 ** rng.integers(-2, 3, n)
@@ -491,6 +492,10 @@ def knapsack_cases():
     for share in (0.3, 0.35):
         p, c = short_guess_knapsack(share)
         yield f"knapsack/short_guess/{share:g}", minimize_linear(c, p)
+    # the sizes of the benchmark grid and of the small-n fill loop
+    for seed in range(28):
+        p, c = knapsack_instance(seed, 10, 256)
+        yield f"knapsack/small/{seed}/{p.n}", minimize_linear(c, p)
 
 
 def document_cases():
