@@ -202,7 +202,8 @@ def select_pair(state: PairState, p: ProblemInstance,
 def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
                       sigma: float = 0.5, theta: float = 0.5,
                       max_backtracks: int = 60, f_x: float | None = None,
-                      line: LineModel | None = None) -> tuple[float, int, float]:
+                      line: LineModel | None = None,
+                      accepted: list | None = None) -> tuple[float, int, float]:
     """Backtracking on objective values.
 
     Returns (lambda, m, f_new) for the smallest m >= 0 with
@@ -211,15 +212,29 @@ def armijo_linesearch(objective: Objective, x, d, gamma: float, mu: float,
     outside the objective's domain, or with a non-finite value, is rejected.
     `line`, the objective's LineModel along d from x for steps up to gamma
     (Objective.gradient_line), starts the search at the first trial it
-    cannot reject; f_x must then be objective.value(x) as computed.
+    cannot reject; f_x must then be objective.value(x) as computed. A list
+    `accepted` receives (x + lambda d, products): the accepted trial point
+    and what objective.value_products computed there.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
     if f_x is None:
         f_x = objective.value(x)
+    last = None
+
+    def trial(lam):
+        nonlocal last
+        t = x + lam * d
+        f, products = objective.value_products(t)
+        last = t, products
+        return f
+
     m0 = _start_index(line, gamma, mu, sigma, theta, f_x, max_backtracks)
-    return _backtrack(lambda lam: objective.value(x + lam * d), gamma, mu,
-                      sigma, theta, max_backtracks, f_x, m0)
+    result = _backtrack(trial, gamma, mu, sigma, theta, max_backtracks, f_x, m0)
+    # the accepted trial is the last one evaluated
+    if accepted is not None:
+        accepted.append(last)
+    return result
 
 
 def _start_index(model: LineModel | None, gamma: float, mu: float,
@@ -295,29 +310,6 @@ def _backtrack(trial, gamma: float, mu: float, sigma: float, theta: float,
             return lam, m, f_new
     raise LinesearchError(
         f"no acceptable step within {max_backtracks} backtracks")
-
-
-def _cgm_search(cfg: SolverConfig, objective: Objective, x, d, mu: float,
-                f_x: float, line: LineModel | None):
-    """cgm's Armijo search along d from x, from unit step: (lambda, m,
-    f_new, trial, products), where trial = x + lambda d is the accepted
-    trial point and products what objective.value_products computed there.
-    The search starts at the first trial the LineModel `line` cannot
-    reject; the accepted trial is the last one evaluated."""
-    last = None
-
-    def trial(lam):
-        nonlocal last
-        t = x + lam * d
-        f, products = objective.value_products(t)
-        last = t, products
-        return f
-
-    m0 = _start_index(line, 1.0, mu, cfg.sigma, cfg.theta, f_x,
-                      cfg.max_backtracks)
-    lam, m, f_new = _backtrack(trial, 1.0, mu, cfg.sigma, cfg.theta,
-                               cfg.max_backtracks, f_x, m0)
-    return lam, m, f_new, *last
 
 
 def _pair_slope(objective: Objective, a, x, i: int, j: int):
@@ -653,13 +645,15 @@ def cgm_solve(problem: ProblemInstance, cfg: SolverConfig | None = None,
         mu = -gap
         if f_x is None:
             f_x = f_l.value(x)
+        accepted = []
         try:
-            lam, m, f_new, trial, products = _cgm_search(
-                cfg, f_l, x, d, mu, f_x,
-                None if line is None else line(d, 1.0, radius))
+            lam, m, f_new = armijo_linesearch(
+                f_l, x, d, 1.0, mu, cfg.sigma, cfg.theta, cfg.max_backtracks,
+                f_x, None if line is None else line(d, 1.0, radius), accepted)
         except LinesearchError:
             stop_reason = "linesearch"
             break
+        trial, products = accepted[0]
         # clip as max then min: the same values as np.clip, at less cost
         x = np.maximum(trial, p_l.bounds.lower)
         np.minimum(x, p_l.bounds.upper, out=x)

@@ -379,9 +379,9 @@ def test_no_evaluated_trial_leaves_the_log_domain(solve, monkeypatch):
         outside.append(result == np.inf)
         return result
 
-    def counted_value(self, x):
+    def counted_value(self, x, *products):
         try:
-            return value(self, x)
+            return value(self, x, *products)
         except DomainError:
             outside.append(True)
             raise
@@ -398,7 +398,8 @@ def test_cgm_makes_about_one_full_value_per_step_on_the_grid(monkeypatch):
     calls = []
     value = QuadraticObjective.value
     monkeypatch.setattr(QuadraticObjective, "value",
-                        lambda self, x: calls.append(1) or value(self, x))
+                        lambda self, x, *products: calls.append(1)
+                        or value(self, x, *products))
     spec = BenchmarkSpec()
     steps = 0
     for series in spec.series:

@@ -866,15 +866,20 @@ def test_cgm_takes_one_product_per_accepted_unclipped_step(monkeypatch):
     trials = watch_cgm_lines(monkeypatch, lambda obj, x, g, k: taken.append(k))
     value = QuadraticObjective.value
     monkeypatch.setattr(QuadraticObjective, "value",
-                        lambda self, x: values.append(x) or value(self, x))
+                        lambda self, x, *products: values.append(x)
+                        or value(self, x, *products))
     DotCountedMatrix.products = 0
     res = cgm_solve(p, SolverConfig(target_accuracy=0.1), z0=protocol_start(p))
     steps = res.inner_iterations_total
     assert res.converged and steps > 10
     assert taken == [1] + [0] * steps
-    # f at the start; the trials give every later value, the exit's too
-    assert len(values) == 1
-    assert DotCountedMatrix.products == 1 + steps + len(trials)
+    # the line model leaves about one trial per step
+    assert steps <= len(trials) <= 1.1 * steps
+    # f at the start and at each trial; the trials give every later value,
+    # the exit's too
+    assert len(values) == 1 + len(trials)
+    # the start's gradient and value, then a P d and the trials per step
+    assert DotCountedMatrix.products == 2 + steps + len(trials)
 
 
 def test_cgm_gradient_after_a_clip_is_the_full_gradient(monkeypatch):
