@@ -55,8 +55,8 @@ scan's. On cgm's line d = y - x the quadratic family's model
 pair, the quadratic and separable states' models cost O(1). So a cgm step
 evaluates f about once, and a pair step about one trial. The
 gradient-difference rule, and objectives without a model, scan from the
-first trial. cgm forms each trial point once: the accepted one, clipped to
-the box, is the next x, and where the clip leaves its bytes unchanged, its
+first trial. cgm forms each trial point once: armijo_linesearch hands back
+the accepted one, which, clipped to the box, is the next x, and where the clip leaves its bytes unchanged, its
 value and the products it took (Objective.value_products: P x and the log
 argument on the quadratic family) serve the next gradient and the exit. A
 cgm step on a dense objective thus takes two passes over P, P d and the
