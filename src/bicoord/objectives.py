@@ -10,9 +10,12 @@ PairState that follows such steps: the pair selection, a trial along the
 pair, a move, the gradient. The quadratic family keeps P x up to date, so a
 trial costs O(1) and a move O(n); from SPARSE_REBUILD_MIN_N coordinates up,
 its periodic rebuild corrects P x over the coordinates moved since its last
-full product instead of taking another. A separable quadratic keeps the
-gradient itself and the selection's key arrays, so a trial and a move cost
-O(1) and a selection one argmax and one argmin pass. Every other objective
+full product instead of taking another, a stage restart onto the same P
+keeps that product, and a full product with an exactly symmetric P reads
+one triangle of it. A separable quadratic keeps the gradient itself and the
+selection's key arrays, so a trial and a move cost O(1) and a selection one
+argmax and one argmin pass. Both keep the selection's eligibility masks,
+which a move updates at its two coordinates. Every other objective
 evaluates in full.
 
 Backtracking linesearches skip trials that must fail. Along cgm's line and
@@ -205,12 +208,78 @@ def _extreme_pair(p, x, g, floor, ceiling) -> PairSelection | None:
                       h.item(j) - h.item(i))
 
 
+class _Eligibility:
+    """_extreme_pair's donor and receiver masks, y >= floor and
+    y <= ceiling at the knapsack point y = signs * x of a problem with
+    equality coefficients a, and the size of each set. A pair state keeps
+    one for the thresholds it last selected with and updates it at the
+    coordinates it moves; other thresholds or another equality build it
+    again."""
+
+    __slots__ = ("a", "signs", "floor", "ceiling", "give", "take", "givers",
+                 "takers")
+
+    def __init__(self, p, x, floor, ceiling):
+        ks = p.knapsack
+        self.a, self.signs = p.equality.a, ks.signs
+        self.floor, self.ceiling = floor, ceiling
+        y = ks.point(x)
+        self.give, self.take = y >= floor, y <= ceiling
+        self.givers = int(np.count_nonzero(self.give))
+        self.takers = int(np.count_nonzero(self.take))
+
+    def serves(self, p, floor, ceiling) -> bool:
+        return (self.a is p.equality.a and self.floor is floor
+                and self.ceiling is ceiling)
+
+    def y(self, k: int, x_k: float) -> float:
+        """y_k at x_k, a Python float, rounded as signs * x rounds it."""
+        return x_k if self.signs is None else self.signs.item(k) * x_k
+
+    def update(self, k: int, x_k: float) -> tuple[bool, bool]:
+        """Follow coordinate k to x_k; returns whether k gives and takes."""
+        y = self.y(k, x_k)
+        give, take = y >= self.floor.item(k), y <= self.ceiling.item(k)
+        self.givers += give - self.give.item(k)
+        self.takers += take - self.take.item(k)
+        self.give[k], self.take[k] = give, take
+        return give, take
+
+
 #: from this many coordinates up, the quadratic pair state rebuilds P x by a
-#: sparse correction from its last full product. With one BLAS thread, a full
-#: product at n = 1024, 2048, 3000 and 5000 took 0.28, 1.15, 2.56 and 12 ms;
-#: a correction over |S| = n / 8 moved coordinates took 0.06, 0.27, 0.61 and
-#: 2.4 ms, and at n = 256 the two cost about the same.
+#: sparse correction from its last full product, and a full product with an
+#: exactly symmetric P reads only its upper triangle (_upper_product). With
+#: one BLAS thread, P @ x at n = 1024, 2048, 3000 and 5000 took 0.36, 1.9,
+#: 4.6 and 13 ms, and the upper-triangle product 0.37, 1.8, 3.7 and 10 ms; a
+#: correction over |S| = n / 8 moved coordinates took 0.06, 0.27, 0.61 and
+#: 2.4 ms, and at n = 256 a correction and a product cost about the same.
 SPARSE_REBUILD_MIN_N = 1024
+
+#: _upper_product's tiles: _ROW_BLOCK rows of P by up to _COL_TILE columns,
+#: 1 MB, which stays in cache between its two uses
+_ROW_BLOCK, _COL_TILE = 128, 1024
+
+
+def _upper_product(P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P x for an exactly symmetric P from its upper triangle, as BLAS dsymv
+    reads it. Each tile B = P[I, J] of a row block I, with J at or right of
+    I's diagonal, adds B x_J to y_I and, while B is in cache, x_I B to y_J,
+    leaving out the square on the diagonal, which y_I has already taken. So
+    P is read from memory once per half, and no temporary is larger than a
+    tile's row. The sums run in another order than P @ x, so the last bits
+    differ from its."""
+    n = x.shape[0]
+    y = np.zeros(n)
+    for i in range(0, n, _ROW_BLOCK):
+        k = min(i + _ROW_BLOCK, n)
+        x_I, y_I = x[i:k], y[i:k]
+        for j in range(i, n, _COL_TILE):
+            B = P[i:k, j:j + _COL_TILE]
+            # @, not ndarray.dot, which copies a strided tile first
+            y_I += B @ x[j:j + _COL_TILE]
+            s = k - i if j == i else 0
+            y[j + s:j + _COL_TILE] += x_I @ B[:, s:]
+    return y
 
 
 class PairState:
@@ -223,7 +292,8 @@ class PairState:
     outside the domain it raises DomainError or returns +inf;
     line_model(i, di, j, dj, f_0) is a LineModel of
     trial(i, lam di, j, lam dj) - f_0, or None; move(i, xi, j, xj) sets
-    x_i = xi and x_j = xj; abs_gradient_dot(w) is sum_i |g_i| w_i. The
+    x_i = xi and x_j = xj; abs_gradient_dot(w) is sum_i |g_i| w_i;
+    restart(objective, x) is the state a stage restart starts from. The
     gradient array belongs to the state and holds until the next move or
     rebuild. `moves` counts the moves applied incrementally since the last
     rebuild from x, which clears their accumulated rounding: value and
@@ -263,6 +333,12 @@ class PairState:
     def select(self, p, floor, ceiling) -> PairSelection | None:
         return _extreme_pair(p, self.x, self.gradient(), floor, ceiling)
 
+    def restart(self, objective: Objective, x: np.ndarray) -> "PairState":
+        """objective's state at x, which it takes, for a stage restart from
+        this state; the quadratic family's state lends its anchor to an
+        objective with the same P."""
+        return objective.pair_state(x)
+
     def abs_gradient_dot(self, w) -> float:
         return float(np.abs(self.gradient()) @ w)
 
@@ -292,18 +368,35 @@ class _QuadraticPairState(PairState):
     REBUILD_EVERY moves.
 
     Below SPARSE_REBUILD_MIN_N coordinates a rebuild takes the full product
-    P @ x. From there up the state keeps an anchor: the point x0 of its last
-    full product, and P x0. A rebuild sets P x = P x0 + P[S]^T (x - x0)[S]
-    over the coordinates S where x differs from x0, in O(n |S|), and takes
-    a full product, which moves the anchor to x, once 8 |S| > n. The anchor
-    stays fixed between full products, so a rebuilt P x differs from P @ x
-    by one product's rounding plus an |S|-term sum, however many rebuilds
-    came before.
+    (QuadraticObjective._times). From there up the state keeps an anchor:
+    the point x0 of its last full product, and P x0. A rebuild sets
+    P x = P x0 + P[S]^T (x - x0)[S] over the coordinates S where x differs
+    from x0, in O(n |S|), and takes a full product, which moves the anchor
+    to x, once 8 |S| > n. The anchor stays fixed between full products, so
+    a rebuilt P x differs from the full product by one product's rounding
+    plus an |S|-term sum, however many rebuilds came before. A stage
+    restart onto an objective with the same P (with_smoothing shares it)
+    takes the anchor over, so it corrects P x instead of a full product.
+
+    Selection keeps the donor and receiver masks (_Eligibility) and
+    computes h = g / a; where every coordinate is eligible, h itself is the
+    key, the array np.where would copy.
     """
 
     REBUILD_EVERY = 50
     _ROWS = 32  # rows of P gathered at a time by a sparse rebuild
-    _x0 = None  # the anchor's point; _Px0 is P x0
+    _elig = None  # the masks of the last selection's thresholds
+
+    def __init__(self, objective, x, anchor=(None, None)):
+        # the anchor's point x0, and P x0
+        self._x0, self._Px0 = anchor
+        super().__init__(objective, x)
+
+    def restart(self, objective, x):
+        if (type(objective) is type(self.objective)
+                and objective.P is self.objective.P):
+            return _QuadraticPairState(objective, x, (self._x0, self._Px0))
+        return objective.pair_state(x)
 
     def rebuild(self):
         super().rebuild()
@@ -325,7 +418,7 @@ class _QuadraticPairState(PairState):
                 for k in range(0, S.size, self._ROWS):
                     Px += d[k:k + self._ROWS] @ P[S[k:k + self._ROWS]]
                 return Px
-        Px = P @ x
+        Px = self.objective._times(x)
         if x.shape[0] >= SPARSE_REBUILD_MIN_N:
             self._x0, self._Px0 = x.copy(), Px.copy()
         return Px
@@ -335,6 +428,23 @@ class _QuadraticPairState(PairState):
 
     def _full_gradient(self) -> np.ndarray:
         return self.objective._gradient_at(self.x, self.Px, self.den)
+
+    def select(self, p, floor, ceiling):
+        e = self._elig
+        if e is None or not e.serves(p, floor, ceiling):
+            self._elig = e = _Eligibility(p, self.x, floor, ceiling)
+        if not (e.givers and e.takers):
+            return None
+        h = self.gradient() / e.a
+        n = h.shape[0]
+        give = h if e.givers == n else np.where(e.give, h, -np.inf)
+        take = h if e.takers == n else np.where(e.take, h, np.inf)
+        i, j = int(give.argmax()), int(take.argmin())
+        if i == j:
+            return None
+        x = self.x
+        return _selection(p.knapsack, i, j, e.y(i, x.item(i)),
+                          e.y(j, x.item(j)), h.item(j) - h.item(i))
 
     def _quad_after(self, i, di, j, dj) -> float:
         # item() reads Python floats, whose arithmetic costs less than numpy
@@ -406,6 +516,9 @@ class _QuadraticPairState(PairState):
         self.quad = self._quad_after(i, di, j, dj)
         self.Px += di * obj.P[i] + dj * obj.P[j]
         super().move(i, xi, j, xj)
+        if self._elig is not None:
+            self._elig.update(i, x.item(i))
+            self._elig.update(j, x.item(j))
         self.den = obj._log_arg(x)
         self.l1 = obj._l1(x)
         self.moves += 1
@@ -462,8 +575,17 @@ class QuadraticObjective(Objective):
                 raise ValueError("the smoothed-l1 term needs the log term's c")
             self.smoothing = _positive_tau(tau)
 
-    # value, gradient and the log argument take ndarray.dot: the same BLAS
-    # call and bits as @, with less overhead on short vectors
+    def _times(self, v) -> np.ndarray:
+        """P v: the one full product with a vector, which value, gradient,
+        gradient_line and the pair state take. From SPARSE_REBUILD_MIN_N
+        coordinates up an exactly symmetric P is read from its upper
+        triangle alone; otherwise P.dot(v), the same BLAS call and bits as
+        @, with less overhead on short vectors."""
+        if self._symmetric and v.shape[0] >= SPARSE_REBUILD_MIN_N:
+            return _upper_product(self.P, v)
+        return self.P.dot(v)
+
+    # the log argument takes ndarray.dot, as _times does
     def _log_arg(self, x) -> float | None:
         return None if self.c is None else float(self.c.dot(x)) + self.xi
 
@@ -493,7 +615,7 @@ class QuadraticObjective(Objective):
     def value(self, x, products=None):
         """value(x); a list `products` receives (P x, <c, x> + xi), the
         products that the gradient at x takes."""
-        Px, den = self.P.dot(x), self._log_arg(x)
+        Px, den = self._times(x), self._log_arg(x)
         if products is not None:
             products.append((Px, den))
         return self._combine(0.5 * float(x.dot(Px)), den, self._l1(x))
@@ -505,7 +627,7 @@ class QuadraticObjective(Objective):
         return self.value(x, products), products[0]
 
     def gradient(self, x):
-        return self._gradient_at(x, self.P.dot(x), self._log_arg(x))
+        return self._gradient_at(x, self._times(x), self._log_arg(x))
 
     def partial(self, i, x):
         v = float(self.P[i] @ x)
@@ -537,15 +659,16 @@ class QuadraticObjective(Objective):
         The slope's rounding is at most tol ||d||_1 times the bound on |g_i|
         that each part gives.
         """
-        P, c, tau = self.P, self.c, self.smoothing
-        Px, den = (P.dot(x), self._log_arg(x)) if products is None else products
+        c, tau = self.c, self.smoothing
+        Px, den = ((self._times(x), self._log_arg(x)) if products is None
+                   else products)
         g = self._gradient_at(x, Px, den)
         n = x.shape[0]
         tol = (n + 2) * 2.0**-50
         p, symmetric = self._p_max, self._symmetric
 
         def line(d, gamma, radius):
-            Pd = P.dot(d)
+            Pd = self._times(d)
             slope = float(g.dot(d))
             if not symmetric:
                 slope += 0.5 * (float(x.dot(Pd)) - float(Px.dot(d)))
@@ -693,12 +816,12 @@ class _SeparablePairState(PairState):
     every REBUILD_EVERY moves, refreshes the value and drops that running
     sum, which the next ask computes afresh.
 
-    Selection keeps h = g / a and two key arrays over the knapsack point y:
-    h where y_k >= floor_k (else -inf) for donors, h where y_k <= ceiling_k
-    (else +inf) for receivers, with the size of each set. A move updates
-    them at its two coordinates; other thresholds or another equality build
-    them again. A selection is then one argmax and one argmin pass, with the
-    pair and the bits of the full-gradient rule, ties and NaN included.
+    Selection keeps h = g / a, the donor and receiver masks (_Eligibility)
+    and two key arrays: h on donors (else -inf) and h on receivers (else
+    +inf). A move updates them at its two coordinates; other thresholds or
+    another equality build them again. A selection is then one argmax and
+    one argmin pass, with the pair and the bits of the full-gradient rule,
+    ties and NaN included.
     """
 
     REBUILD_EVERY = 50
@@ -706,8 +829,8 @@ class _SeparablePairState(PairState):
 
     def __init__(self, objective, x):
         self.g = objective.gradient(x)
-        self._keyed = None  # (a, signs, floor, ceiling) of the key arrays
-        self._w = None      # the weights of the running abs_gradient_dot
+        self._elig = None  # the masks of the key arrays' thresholds
+        self._w = None     # the weights of the running abs_gradient_dot
         super().__init__(objective, x)
 
     def rebuild(self):
@@ -728,29 +851,21 @@ class _SeparablePairState(PairState):
         return self._abs_dot
 
     def select(self, p, floor, ceiling):
-        a, ks = p.equality.a, p.knapsack
-        keyed = self._keyed
-        if (keyed is None or keyed[0] is not a or keyed[2] is not floor
-                or keyed[3] is not ceiling):
-            y = ks.point(self.x)
-            give, take = y >= floor, y <= ceiling
-            self.h = self.g / a
-            self.give_key = np.where(give, self.h, -np.inf)
-            self.take_key = np.where(take, self.h, np.inf)
-            self.givers = int(np.count_nonzero(give))
-            self.takers = int(np.count_nonzero(take))
-            self._keyed = keyed = (a, ks.signs, floor, ceiling)
-        if not (self.givers and self.takers):
+        e = self._elig
+        if e is None or not e.serves(p, floor, ceiling):
+            self._elig = e = _Eligibility(p, self.x, floor, ceiling)
+            self.h = self.g / e.a
+            self.give_key = np.where(e.give, self.h, -np.inf)
+            self.take_key = np.where(e.take, self.h, np.inf)
+        if not (e.givers and e.takers):
             return None
         i = int(self.give_key.argmax())
         j = int(self.take_key.argmin())
         if i == j:
             return None
-        signs = keyed[1]
-        y_i, y_j = self.x.item(i), self.x.item(j)
-        if signs is not None:
-            y_i, y_j = signs.item(i) * y_i, signs.item(j) * y_j
-        return _selection(ks, i, j, y_i, y_j, self.h.item(j) - self.h.item(i))
+        x = self.x
+        return _selection(p.knapsack, i, j, e.y(i, x.item(i)),
+                          e.y(j, x.item(j)), self.h.item(j) - self.h.item(i))
 
     def line_model(self, i, di, j, dj, f_0):
         """The trial is the exact change d_i g_i + d_j g_j + (q_i d_i^2
@@ -780,19 +895,15 @@ class _SeparablePairState(PairState):
 
     def _set(self, k, xk):
         obj, x, g = self.objective, self.x, self.g
-        x_old, g_old = x[k], g[k]
+        g_old = g[k]
         x[k] = xk
         g[k] = obj.lin[k] + obj.quad[k] * x[k]
         if self._w is not None:
             self._abs_dot += (abs(g[k]) - abs(g_old)) * self._w[k]
-        if self._keyed is None:
+        e = self._elig
+        if e is None:
             return
-        a, signs, floor, ceiling = self._keyed
-        s = 1.0 if signs is None else signs[k]
-        y_old, y = s * x_old, s * x[k]
-        self.h[k] = h = g[k] / a[k]
-        give, take = y >= floor[k], y <= ceiling[k]
-        self.givers += int(give) - int(y_old >= floor[k])
-        self.takers += int(take) - int(y_old <= ceiling[k])
+        self.h[k] = h = g[k] / e.a[k]
+        give, take = e.update(k, x.item(k))
         self.give_key[k] = h if give else -np.inf
         self.take_key[k] = h if take else np.inf

@@ -470,7 +470,9 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
     when the stage took no step. The point is projected onto the new
     stage's problem unless the restart is idle and keeps the problem object,
     and a restart that keeps the problem and the point keeps the state and
-    the gap too. stages=None is mbc's single zero-threshold stage, and the
+    the gap too; any other builds the next state through PairState.restart,
+    which keeps the quadratic state's anchor across objectives that share
+    P. stages=None is mbc's single zero-threshold stage, and the
     solve stops with "no_descent_pair" when no pair qualifies. A moved
     state, whose gradient or value may have drifted, is rebuilt in one
     place, before a verdict that would stop the solve (the gap meets the
@@ -521,7 +523,7 @@ def _pair_descent(problem: ProblemInstance, cfg: SolverConfig,
                 # objective changed
                 kept = cur.problem is p_l and np.array_equal(x, state.x)
                 if not kept:
-                    state = cur.problem.objective.pair_state(x)
+                    state = state.restart(cur.problem.objective, x)
                 p_l = cur.problem
                 f_x = state.value()
             continue

@@ -5,7 +5,10 @@ oracle, a state rebuilt from x must equal it exactly (within the rounding
 of one product, where a large quadratic state corrects P x from its last
 full product), and a trial point outside the log domain must be a rejected
 trial, not an error. Stage restarts that change nothing repeat neither the
-projection nor the exact gap.
+projection nor the exact gap, and restarts onto an objective with the same
+P take no full product. Every full product runs through one helper, which
+stays within rounding of P @ x, and the eligibility masks a state keeps
+select as the full rule does.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -173,7 +176,7 @@ def test_sparse_rebuild_stays_within_rounding_of_the_full_product(
             x, S = state.x, np.flatnonzero(state.x != x0)
             if 8 * S.size > n:
                 # a full product, which moves the anchor to x
-                assert state.Px.tobytes() == (P @ x).tobytes()
+                assert state.Px.tobytes() == obj._times(x).tobytes()
                 assert state._x0.tobytes() == x.tobytes()
                 assert state._Px0.tobytes() == state.Px.tobytes()
             else:
@@ -200,20 +203,10 @@ def test_sparse_rebuild_sums_over_every_coordinate_moved_since_the_anchor(
     np.testing.assert_allclose(state.Px, obj.P @ state.x, rtol=1e-13)
 
 
-class CountedMatrix(np.ndarray):
-    """A matrix that counts its products with a vector, P @ x."""
-
-    products = 0
-
-    def __matmul__(self, other):
-        if self.ndim == 2 and np.ndim(other) == 1:
-            CountedMatrix.products += 1
-        return np.asarray(self) @ other
-
-
 def counted_solve(monkeypatch, p, solve, budget):
     """solve p from its protocol start for `budget` steps, with the calls of
-    project and linear_gap and the full products P @ x counted."""
+    project and linear_gap and the full products P x, which all run through
+    QuadraticObjective._times, counted."""
     calls = {"project": 0, "linear_gap": 0}
     for name in calls:
         kernel = getattr(solvers, name)
@@ -223,13 +216,15 @@ def counted_solve(monkeypatch, p, solve, budget):
             return _kernel(*args)
 
         monkeypatch.setattr(solvers, name, counted)
-    p.objective.P = p.objective.P.view(CountedMatrix)
-    CountedMatrix.products = 0
+    products = []
+    times = QuadraticObjective._times
+    monkeypatch.setattr(QuadraticObjective, "_times",
+                        lambda self, v: products.append(v) or times(self, v))
     cfg = SolverConfig(target_accuracy=1e-9, max_inner_iterations=budget,
                        max_stages=10_000)
     res = solve(p, cfg, z0=protocol_start(p))
     assert res.stop_reason == "budget"
-    return res, calls, CountedMatrix.products
+    return res, calls, len(products)
 
 
 def test_restarts_that_change_nothing_reuse_projection_and_gap(monkeypatch):
@@ -251,6 +246,30 @@ def test_restarts_onto_a_new_problem_project_every_time(monkeypatch):
     res, calls, _ = counted_solve(monkeypatch, p, bcv_solve, 20)
     assert res.stages_completed == 10
     assert calls["project"] == res.stages_completed
+
+
+def test_family_3_restarts_carry_the_anchor(monkeypatch):
+    # every stage objective shares P, so each restart's state corrects P x
+    # from the first state's full product instead of taking its own
+    res, _, products = counted_solve(monkeypatch, gen_nonsmooth_l1(3000, 10.0),
+                                     bcv_solve, 20)
+    assert res.stages_completed == 10
+    assert products == 1
+
+
+def test_restart_takes_the_anchor_only_with_the_same_matrix(monkeypatch):
+    monkeypatch.setattr(objectives, "SPARSE_REBUILD_MIN_N", 1)
+    obj = family_objective("quadratic_log_l1", 40, 3)
+    state = obj.pair_state(np.full(40, 0.5))
+    state.move(0, 1.0, 1, 0.0)
+    x = state.x.copy()
+    carried = state.restart(obj.with_smoothing(0.01), x.copy())
+    assert carried._x0 is state._x0 and carried._Px0 is state._Px0
+    assert_tracks(carried, obj.with_smoothing(0.01), x)
+    other = family_objective("quadratic_log_l1", 40, 4)
+    fresh = state.restart(other, x.copy())
+    assert fresh._x0.tobytes() == x.tobytes()
+    assert fresh.Px.tobytes() == other._times(x).tobytes()
 
 
 @pytest.mark.parametrize("rule", ["armijo", "gradient-difference"])
@@ -404,6 +423,143 @@ def test_stop_verdicts_are_taken_on_a_rebuilt_state(solve, accuracy, seed):
     if res.stop_reason == "no_descent_pair":
         state = PairState(p.objective, res.point.copy())
         assert select_pair(state, p, None) is None
+
+
+# ------------------------------------------------------ the full product
+
+def symmetric_matrix(n, seed):
+    """An exactly symmetric n x n matrix (addition commutes), with entries
+    of both signs over 16 binades."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n)) * 2.0 ** rng.integers(-8, 8, (n, n))
+    return B + B.T
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 2, 127, 128, 129, 200, 1023, 1024, 1025, 1100,
+                          1300]),
+       seed=st.integers(0, 2**32 - 1))
+def test_full_product_of_a_symmetric_matrix_is_within_rounding(n, seed):
+    # with the size cut at 1 every size runs through the upper-triangle
+    # tiles, across the edges of their 128 rows and 1024 columns
+    obj = QuadraticObjective(symmetric_matrix(n, seed))
+    assert obj._symmetric
+    x = np.random.default_rng(seed + 1).standard_normal(n)
+    x[::7] = 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(objectives, "SPARSE_REBUILD_MIN_N", 1)
+        y = obj._times(x)
+    P = obj.P
+    tol = (2 * n + 4) * 2.0**-52 * (np.abs(P) @ np.abs(x))
+    assert (np.abs(y - P @ x) <= tol).all()
+
+
+def test_full_product_reads_all_of_p_unless_exactly_symmetric_and_large():
+    P = symmetric_matrix(1024, 5)
+    x = np.random.default_rng(6).standard_normal(1024)
+    # symmetric within _symmetric_matrix's tolerance only
+    near = P.copy()
+    near[3, 700] *= 1.0 + 1e-14
+    obj = QuadraticObjective(near)
+    assert not obj._symmetric
+    assert obj._times(x).tobytes() == near.dot(x).tobytes()
+    # below the size cut
+    small = np.ascontiguousarray(P[:1023, :1023])
+    obj = QuadraticObjective(small)
+    assert obj._symmetric
+    assert obj._times(x[:1023]).tobytes() == small.dot(x[:1023]).tobytes()
+    # from the size cut up, an exactly symmetric P takes the tiles
+    obj = QuadraticObjective(P)
+    assert obj._times(x).tobytes() == objectives._upper_product(P, x).tobytes()
+
+
+def test_every_full_product_runs_through_one_helper(monkeypatch):
+    obj = family_objective("quadratic_log_l1", 1024, 2)
+    x = np.random.default_rng(3).uniform(0.0, 2.0, 1024)
+    d = np.random.default_rng(4).uniform(-1.0, 1.0, 1024)
+    # the state's build takes the oracle's product, bit for bit
+    state = obj.pair_state(x.copy())
+    assert state.value() == obj.value(x)
+    assert state.gradient().tobytes() == obj.gradient(x).tobytes()
+    taken = []
+    times = QuadraticObjective._times
+    monkeypatch.setattr(QuadraticObjective, "_times",
+                        lambda self, v: taken.append(v) or times(self, v))
+    obj.value(x)
+    obj.gradient(x)
+    g, line = obj.gradient_line(x)
+    line(d, 1.0, 4.0 * 1024)
+    assert len(taken) == 4
+    assert taken[-1] is d
+
+
+# ------------------------------------------------------- kept eligibility
+
+def eligibility_problem(kind, n, seed):
+    """Signed a over a random box in [0, 2.5]; the quadratic family with
+    both terms, or a separable quadratic whose linear part, and so its
+    gradient, has a NaN entry in half the cases."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+    lower = rng.uniform(0.0, 0.5, n)
+    upper = lower + rng.uniform(0.5, 2.0, n)
+    if kind == "quadratic":
+        obj = family_objective("quadratic_log_l1", n, seed)
+    else:
+        lin = rng.uniform(-1.0, 1.0, n)
+        if rng.random() < 0.5:
+            lin[rng.integers(n)] = np.nan
+        obj = SeparableQuadraticObjective(lin, rng.uniform(0.5, 2.0, n))
+    return build_problem(BoxBounds(lower, upper),
+                         LinearEquality(a, float(a @ (0.5 * (lower + upper)))),
+                         obj)
+
+
+def selection_bits(sel):
+    return None if sel is None else (sel.i, sel.j, sel.gamma.hex(), sel.mu.hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["quadratic", "separable"]),
+       n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(1, 40))
+def test_kept_eligibility_selects_as_the_full_rule(kind, n, seed, steps):
+    # each step switches to the thresholds t < 4 or keeps the last ones,
+    # moves a pair onto a bound, a stage threshold or a point inside the
+    # box, and on the quadratic state may set a gradient entry to NaN; the
+    # selection must be _extreme_pair's on the state's point and gradient,
+    # bit for bit. The steps are drawn from the seed, not by hypothesis,
+    # which favours repeated small values and so pairs with i == j
+    p = eligibility_problem(kind, n, seed)
+    ks = p.knapsack
+    stage = (ks.lower + 0.1 / ks.a, ks.upper - 0.1 / ks.a)
+    thresholds = [p.strict_bounds, stage,
+                  (np.full(n, -np.inf), np.full(n, np.inf)),  # all eligible
+                  (ks.upper.copy(), ks.lower.copy())]
+    rng = np.random.default_rng(seed + 1)
+    inside = rng.uniform(ks.lower, ks.upper)
+    signs = np.ones(n) if ks.signs is None else ks.signs
+
+    def x_at(k, c):
+        y = (ks.lower, ks.upper, stage[0], stage[1], inside)[c][k]
+        return float(signs[k] * y)
+
+    state = p.objective.pair_state(signs * inside)
+    floor, ceiling = thresholds[0]
+    for _ in range(steps):
+        t, i, j, ci, cj = rng.integers((8, n, n, 5, 5))
+        poison = rng.random() < 0.5
+        if i != j:
+            state.move(i, x_at(i, ci), j, x_at(j, cj))
+        if poison and kind == "quadratic":
+            state.gradient()[i] = np.nan
+        if t < len(thresholds):
+            floor, ceiling = thresholds[t]
+        expected = objectives._extreme_pair(p, state.x.copy(),
+                                            state.gradient().copy(),
+                                            floor, ceiling)
+        assert (selection_bits(state.select(p, floor, ceiling))
+                == selection_bits(expected))
 
 
 # ------------------------------------------------ log-domain trial points

@@ -31,6 +31,11 @@ signed and NaN costs, budgets at and near both ends, and fills that a
 guess from the average cap undercounts. The documents (cases `document/...`, the sha256
 of `json.dumps(to_document(p), sort_keys=True)`) are families 1-3 at n = 6,
 SVM duals and portfolios at p = 1 and 2, and tests/data/market_demo.json.
+The pair states (cases `state/...`, the bytes of the gradient and the
+value) are families 1-3 at n = 1023, 1024, 1025 and 3000 after a fixed
+sequence of 60 moves, which crosses the state's rebuild at 50: the moves
+depend on the point alone, so a line moves only where the products of P
+round differently.
 Only the public API is used, so the script runs unchanged on older
 checkouts. It pins the BLAS and OpenMP pools to one
 thread before numpy loads, so two checkouts compare on the same summation
@@ -498,6 +503,19 @@ def knapsack_cases():
         yield f"knapsack/small/{seed}/{p.n}", minimize_linear(c, p)
 
 
+def state_cases():
+    for series, n in itertools.product((1, 2, 3), (1023, 1024, 1025, 3000)):
+        p = FAMILIES[series](n, 10.0)
+        state = p.objective.pair_state(protocol_start(p))
+        rng = np.random.default_rng(n)
+        for _ in range(60):
+            i, j = rng.choice(n, 2, replace=False)
+            x = state.x
+            shift = 0.5 * x[i]
+            state.move(i, x[i] - shift, j, x[j] + shift)
+        yield f"state/family/{series}/{n}", state
+
+
 def document_cases():
     for series in (1, 2, 3):
         yield f"document/family/{series}/6", FAMILIES[series](6, 5.0)
@@ -513,6 +531,12 @@ def document_cases():
 def document_digest(p) -> str:
     text = json.dumps(to_document(p), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def state_digest(state) -> str:
+    h = hashlib.sha256(state.gradient().tobytes())
+    h.update(_num(state.value()).encode())
+    return h.hexdigest()[:16]
 
 
 def point_digest(x) -> str:
@@ -537,6 +561,8 @@ def main() -> None:
         print(case, knapsack_digest(y, value), flush=True)
     for case, p in document_cases():
         print(case, document_digest(p), flush=True)
+    for case, state in state_cases():
+        print(case, state_digest(state), flush=True)
 
 
 if __name__ == "__main__":
