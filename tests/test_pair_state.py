@@ -203,10 +203,19 @@ def test_sparse_rebuild_sums_over_every_coordinate_moved_since_the_anchor(
     np.testing.assert_allclose(state.Px, obj.P @ state.x, rtol=1e-13)
 
 
+def full_products(monkeypatch) -> list:
+    """The vectors of every full product P v from here on: all of them run
+    through QuadraticObjective._times."""
+    taken = []
+    times = QuadraticObjective._times
+    monkeypatch.setattr(QuadraticObjective, "_times",
+                        lambda self, v: taken.append(v) or times(self, v))
+    return taken
+
+
 def counted_solve(monkeypatch, p, solve, budget):
     """solve p from its protocol start for `budget` steps, with the calls of
-    project and linear_gap and the full products P x, which all run through
-    QuadraticObjective._times, counted."""
+    project and linear_gap and the full products P x counted."""
     calls = {"project": 0, "linear_gap": 0}
     for name in calls:
         kernel = getattr(solvers, name)
@@ -216,10 +225,7 @@ def counted_solve(monkeypatch, p, solve, budget):
             return _kernel(*args)
 
         monkeypatch.setattr(solvers, name, counted)
-    products = []
-    times = QuadraticObjective._times
-    monkeypatch.setattr(QuadraticObjective, "_times",
-                        lambda self, v: products.append(v) or times(self, v))
+    products = full_products(monkeypatch)
     cfg = SolverConfig(target_accuracy=1e-9, max_inner_iterations=budget,
                        max_stages=10_000)
     res = solve(p, cfg, z0=protocol_start(p))
@@ -481,10 +487,7 @@ def test_every_full_product_runs_through_one_helper(monkeypatch):
     state = obj.pair_state(x.copy())
     assert state.value() == obj.value(x)
     assert state.gradient().tobytes() == obj.gradient(x).tobytes()
-    taken = []
-    times = QuadraticObjective._times
-    monkeypatch.setattr(QuadraticObjective, "_times",
-                        lambda self, v: taken.append(v) or times(self, v))
+    taken = full_products(monkeypatch)
     obj.value(x)
     obj.gradient(x)
     g, line = obj.gradient_line(x)
